@@ -120,9 +120,12 @@ fn parse_opts() -> Opts {
 /// mark, if any — the dynamic ground-truth evidence for the confusion
 /// matrix.
 fn dynamic_leak_inst(w: &Workload, max_insts: u64) -> Option<u64> {
-    let mut core = sim_cpu::Core::new(sim_cpu::CoreConfig::default(), w.program.clone());
-    core.run(max_insts);
-    core.marks()
+    let mut machine =
+        sim_cpu::Machine::single_core(&sim_cpu::CoreConfig::default(), w.program.clone());
+    machine.run(max_insts);
+    machine
+        .core(0)
+        .marks()
         .iter()
         .find(|m| m.kind == MarkKind::LeakByte)
         .map(|m| m.at_inst)

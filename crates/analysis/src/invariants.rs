@@ -11,7 +11,7 @@
 //!    evaluates the declared invariants over the series (`committed ≤
 //!    fetched`, `hits + misses = accesses`, per-sample monotonicity, ...).
 
-use sim_cpu::{Core, CoreConfig};
+use sim_cpu::{CoreConfig, Machine};
 use uarch_isa::Program;
 use uarch_stats::invariant::check_series;
 use uarch_stats::{
@@ -265,15 +265,15 @@ pub fn check_run(
     max_insts: u64,
     samples: usize,
 ) -> RunCheck {
-    let mut core = Core::new(CoreConfig::default(), program.clone());
+    let mut machine = Machine::single_core(&CoreConfig::default(), program.clone());
     // Resolve the stat schema once; every snapshot in the series is a
     // value-only walk against it instead of re-deriving all 1159 names.
-    let schema = core.stat_schema();
+    let schema = machine.stat_schema();
     let chunk = (max_insts / samples.max(1) as u64).max(1);
     let mut series = Vec::new();
     for _ in 0..samples.max(1) {
-        let summary = core.run(chunk);
-        series.push(Snapshot::with_schema(&schema, &core, ""));
+        let summary = machine.run(chunk);
+        series.push(Snapshot::with_schema(&schema, &machine, ""));
         if summary.halted {
             break;
         }
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn core_schema_is_clean_and_invariants_bind() {
-        let core = Core::new(CoreConfig::default(), {
+        let core = sim_cpu::Core::new(CoreConfig::default(), {
             let mut a = uarch_isa::Assembler::new("noop");
             a.halt();
             a.finish().unwrap()

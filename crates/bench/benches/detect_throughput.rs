@@ -68,7 +68,7 @@ fn merge_detect_keys(path: &str, keys: &[(&str, String)]) {
 
 fn bench_detect(c: &mut Criterion) {
     let spec = bench_spec();
-    let corpus = spec.collect_serial();
+    let corpus = spec.collect();
     let det = PerSpectron::train(&corpus, 42);
     let samples = corpus.total_samples();
 

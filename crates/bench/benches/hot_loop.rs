@@ -9,7 +9,7 @@
 //! CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sim_cpu::{Core, CoreConfig};
+use sim_cpu::{CoreConfig, Machine};
 use uarch_isa::Program;
 use workloads::spectre::{spectre_v1, SpectreV1Params};
 
@@ -43,8 +43,8 @@ fn bench_workload(c: &mut Criterion, name: &str, program: &Program) {
         let program = program.clone();
         group.bench_function(label, move |b| {
             b.iter(|| {
-                let mut core = Core::new(cfg(reference_scan, tick_skip), program.clone());
-                core.run(n)
+                let mut m = Machine::single_core(&cfg(reference_scan, tick_skip), program.clone());
+                m.run(n)
             })
         });
     }

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use perspectron::{CorpusSpec, ScenarioSpec};
-use sim_cpu::{Core, CoreConfig, Machine};
+use perspectron::{CollectedCorpus, CollectionSpec, Collector, CorpusSpec, ScenarioSpec};
+use sim_cpu::{CoreConfig, Machine};
 use sim_mem::HierarchyConfig;
 use uarch_stats::{SampleSink, Sampler, Snapshot};
 
@@ -60,6 +60,16 @@ fn scenario_spec() -> ScenarioSpec {
     spec
 }
 
+/// Collects `spec` on `threads` workers.
+fn collect(spec: &impl CollectionSpec, threads: usize) -> CollectedCorpus {
+    let mut collector = Collector::default();
+    collector.policy.threads = Some(threads);
+    collector
+        .collect(spec)
+        .into_result()
+        .expect("collection succeeds")
+}
+
 /// Core-count scaling of the raw simulator loop: the same benign kernel on
 /// a one-core and a two-core machine, compared by machine-wide committed
 /// instructions per host second. Perfect scaling would be 2.0 (two cores'
@@ -88,7 +98,7 @@ fn core_scaling(insts: u64) -> (f64, f64, f64) {
 /// "parallel" number. `PERSPECTRON_BENCH_THREADS` still overrides (an
 /// explicit request is honored as-is — the JSON flags the oversubscription
 /// instead of silently correcting it). Always clamped to the workload
-/// count, mirroring `try_collect_with_threads`.
+/// count, as the collector's fan-out does.
 fn worker_threads(n_workloads: usize) -> usize {
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let requested = std::env::var("PERSPECTRON_BENCH_THREADS")
@@ -112,27 +122,27 @@ impl SampleSink for NullSink {
 /// Allocation counts per sampled interval for the legacy snapshot-per-
 /// interval path vs. the schema-resolved streaming sampler.
 fn allocation_comparison(samples: u64) -> (f64, f64) {
-    let mut core = Core::new(
-        CoreConfig::default(),
+    let mut machine = Machine::single_core(
+        &CoreConfig::default(),
         workloads::benign::hmmer().expect("hmmer assembles"),
     );
-    core.run(10_000);
+    machine.run(10_000);
 
     // Legacy shape: every interval re-walks the stat tree into a fresh
     // Snapshot, allocating ~1159 dotted names plus the value vector.
     let before = allocations();
     for _ in 0..samples {
-        criterion::black_box(Snapshot::of(&core, ""));
+        criterion::black_box(Snapshot::of(&machine, ""));
     }
     let snapshot_allocs = (allocations() - before) as f64 / samples as f64;
 
     // Streaming shape: schema resolved once, value-only walks into
     // reusable buffers, rows emitted by reference.
-    let mut sampler = Sampler::new(&core, "");
+    let mut sampler = Sampler::new(&machine, "");
     let mut sink = NullSink { samples: 0 };
     let before = allocations();
     for i in 0..samples {
-        sampler.sample_into(&core, i * 10_000, &mut sink);
+        sampler.sample_into(&machine, i * 10_000, &mut sink);
     }
     let streaming_allocs = (allocations() - before) as f64 / samples as f64;
     (snapshot_allocs, streaming_allocs)
@@ -146,7 +156,7 @@ fn bench_pipeline(c: &mut Criterion) {
     // One measured pass each for the JSON report (criterion's own loop
     // below reports the steady-state timing).
     let start = Instant::now();
-    let serial = spec.collect_serial();
+    let serial = collect(&spec, 1);
     let serial_secs = start.elapsed().as_secs_f64();
     // With one worker the "parallel" pass is the serial execution plus
     // scope/channel overhead — a guaranteed sub-1.0 "speedup" that is
@@ -156,7 +166,7 @@ fn bench_pipeline(c: &mut Criterion) {
         ("skipped", serial_secs)
     } else {
         let start = Instant::now();
-        let parallel = spec.collect_with_threads(threads);
+        let parallel = collect(&spec, threads);
         let secs = start.elapsed().as_secs_f64();
         assert_eq!(serial.total_samples(), parallel.total_samples());
         ("measured", secs)
@@ -168,8 +178,8 @@ fn bench_pipeline(c: &mut Criterion) {
 
     // Single-core hot-loop throughput: one long simulated run, wall-clock
     // rates straight off the `RunSummary`.
-    let mut hot = Core::new(
-        CoreConfig::default(),
+    let mut hot = Machine::single_core(
+        &CoreConfig::default(),
         workloads::benign::hmmer().expect("hmmer assembles"),
     );
     let hot_summary = hot.run(spec.insts_per_workload.max(100_000));
@@ -183,9 +193,7 @@ fn bench_pipeline(c: &mut Criterion) {
     let scen = scenario_spec();
     let scen_threads = worker_threads(scen.scenarios.len());
     let start = Instant::now();
-    let xc = scen
-        .try_collect_with_threads(scen_threads)
-        .expect("two-core collection succeeds");
+    let xc = collect(&scen, scen_threads);
     let two_core_secs = start.elapsed().as_secs_f64();
     let two_core_samples = xc.total_samples() as u64;
     let (one_core_ips, two_core_ips, scaling) = core_scaling(spec.insts_per_workload.max(100_000));
@@ -240,18 +248,11 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("corpus_collection");
     group.throughput(Throughput::Elements(insts));
     group.sample_size(10);
-    group.bench_function("serial", |b| b.iter(|| spec.collect_serial()));
+    group.bench_function("serial", |b| b.iter(|| collect(&spec, 1)));
     if threads > 1 {
-        group.bench_function("parallel", |b| {
-            b.iter(|| spec.collect_with_threads(threads))
-        });
+        group.bench_function("parallel", |b| b.iter(|| collect(&spec, threads)));
     }
-    group.bench_function("two_core", |b| {
-        b.iter(|| {
-            scen.try_collect_with_threads(scen_threads)
-                .expect("two-core collection succeeds")
-        })
-    });
+    group.bench_function("two_core", |b| b.iter(|| collect(&scen, scen_threads)));
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 //! kernel and for an attack (attacks stress the squash/flush paths).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sim_cpu::{Core, CoreConfig};
+use sim_cpu::{CoreConfig, Machine};
 use workloads::spectre::{spectre_v1, SpectreV1Params};
 
 const INSTS: u64 = 50_000;
@@ -14,29 +14,29 @@ fn bench_simulator(c: &mut Criterion) {
 
     group.bench_function("benign_hmmer_50k_insts", |b| {
         b.iter(|| {
-            let mut core = Core::new(
-                CoreConfig::default(),
+            let mut m = Machine::single_core(
+                &CoreConfig::default(),
                 workloads::benign::hmmer().expect("hmmer assembles"),
             );
-            core.run(INSTS)
+            m.run(INSTS)
         })
     });
     group.bench_function("spectre_v1_50k_insts", |b| {
         b.iter(|| {
-            let mut core = Core::new(
-                CoreConfig::default(),
+            let mut m = Machine::single_core(
+                &CoreConfig::default(),
                 spectre_v1(SpectreV1Params::default()),
             );
-            core.run(INSTS)
+            m.run(INSTS)
         })
     });
     group.bench_function("stat_snapshot_1159", |b| {
-        let mut core = Core::new(
-            CoreConfig::default(),
+        let mut m = Machine::single_core(
+            &CoreConfig::default(),
             workloads::benign::hmmer().expect("hmmer assembles"),
         );
-        core.run(10_000);
-        b.iter(|| uarch_stats::Snapshot::of(&core, ""))
+        m.run(10_000);
+        b.iter(|| uarch_stats::Snapshot::of(&m, ""))
     });
     group.finish();
 }

@@ -2,7 +2,7 @@
 //! polymorphic Spectre variants (none seen in training). All variants
 //! should be flagged suspicious at the same sampling interval.
 
-use perspectron::trace::stream_trace;
+use perspectron::{Collector, Run};
 use perspectron_bench::{render_series, trained_detector};
 
 fn main() {
@@ -22,7 +22,9 @@ fn main() {
         // Online scoring: the detector rides the sample stream, no trace
         // is materialized.
         let mut monitor = detector.streaming();
-        stream_trace(&w, insts, 10_000, &mut monitor);
+        Collector::default()
+            .stream(Run::workload(&w, insts, 10_000), &mut monitor)
+            .expect("simulation streams");
         let series: Vec<f64> = monitor.verdicts().iter().map(|v| v.confidence).collect();
         println!("{}", render_series(&w.name, &series));
         match monitor.first_alarm() {

@@ -2,7 +2,7 @@
 //! reduced bandwidths (1.0x / 0.75x / 0.5x / 0.25x), plus the
 //! detected-before-first-leak check.
 
-use perspectron::trace::stream_trace;
+use perspectron::{Collector, Run};
 use perspectron_bench::{render_series, trained_detector};
 use uarch_isa::MarkKind;
 
@@ -22,7 +22,9 @@ fn main() {
         // Online scoring: verdicts arrive per interval while the core runs;
         // the returned marks give the ground-truth leak times.
         let mut monitor = detector.streaming();
-        let marks = stream_trace(&w, insts, 10_000, &mut monitor);
+        let marks = Collector::default()
+            .stream(Run::workload(&w, insts, 10_000), &mut monitor)
+            .expect("simulation streams");
         let series: Vec<f64> = monitor.verdicts().iter().map(|v| v.confidence).collect();
         println!(
             "{}",

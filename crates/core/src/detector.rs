@@ -232,8 +232,8 @@ impl PerSpectron {
 
     /// An online, per-interval detector sharing this detector's weights
     /// and encoding — plug it into a [`uarch_stats::SampleSink`] producer
-    /// (e.g. [`sim_cpu::Core::run_with_sink`]) to score every sampling
-    /// window the moment it closes.
+    /// (e.g. [`Collector::stream`](crate::trace::Collector::stream)) to
+    /// score every sampling window the moment it closes.
     pub fn streaming(&self) -> StreamingDetector {
         StreamingDetector::new(self)
     }

@@ -150,6 +150,16 @@ pub struct FaultPlan {
     components: Arc<Vec<ComponentColumns>>,
 }
 
+/// The default plan is quiet: it injects nothing, so it needs no schema.
+impl Default for FaultPlan {
+    fn default() -> Self {
+        Self {
+            spec: FaultSpec::none(),
+            components: Arc::default(),
+        }
+    }
+}
+
 /// One component's slice of the schema.
 #[derive(Debug, Clone)]
 struct ComponentColumns {
@@ -209,9 +219,9 @@ impl FaultPlan {
     /// exactly as they would have during collection.
     ///
     /// Because fault streams are keyed by `(plan seed, trace name)` only,
-    /// the result is byte-identical to
-    /// [`CorpusSpec::try_collect_faulted`](crate::trace::CorpusSpec::try_collect_faulted)
-    /// on the same clean rows — this is the cheap path for replaying
+    /// the result is byte-identical to collecting through a
+    /// [`Collector`](crate::trace::Collector) with this plan, on the same
+    /// clean rows — this is the cheap path for replaying
     /// faulted corpora at fleet scale (the `perspectrond --fault-plan`
     /// story), where the clean corpus already sits on disk.
     pub fn fault_corpus(
@@ -275,7 +285,7 @@ impl FaultLog {
 /// the row stream before it reaches the wrapped sink.
 ///
 /// Composes with any producer/consumer pair:
-/// `Core::run_with_sink(..., &mut plan.sink_for(name, detector))` scores a
+/// `Machine::run_with_sink(..., &mut plan.sink_for(name, detector))` scores a
 /// degraded sensor stream online; wrapping a
 /// [`SampleTrace`](uarch_stats::SampleTrace) collects a faulted corpus.
 /// With a quiet spec the adapter forwards the borrowed row untouched — no
@@ -527,7 +537,7 @@ mod tests {
             sample_interval: 10_000,
             workloads: all,
         };
-        let clean = spec.try_collect_serial().expect("clean collection");
+        let clean = spec.collect();
         let plan = FaultPlan::new(
             FaultSpec {
                 seed: 99,
@@ -538,8 +548,14 @@ mod tests {
             },
             clean.schema(),
         );
-        let at_collect = spec
-            .try_collect_faulted(&plan, 1)
+        let mut collector = crate::trace::Collector {
+            faults: plan.clone(),
+            ..crate::trace::Collector::default()
+        };
+        collector.policy.threads = Some(1);
+        let at_collect = collector
+            .collect(&spec)
+            .into_result()
             .expect("collect-time faulted corpus");
         let replayed = plan.fault_corpus(&clean);
         assert_eq!(replayed.traces.len(), at_collect.traces.len());

@@ -28,10 +28,11 @@
 //!    claim; the streaming path degrades gracefully (sanitized inputs,
 //!    per-interval [`stream::Degraded`] status) instead of misfiring.
 //!
-//! Collection itself is streaming and parallel: [`CorpusSpec::collect`]
-//! fans workloads out across threads (deterministic per-workload seeds,
-//! ordered merge) and each core pushes schema-resolved, value-only delta
-//! rows into columnar traces.
+//! Collection itself is streaming and parallel: one [`Collector`] runs
+//! every simulation on a [`sim_cpu::Machine`], fans runs out across
+//! threads (deterministic per-run seeds, ordered merge) and pushes
+//! schema-resolved, value-only delta rows into columnar traces or any
+//! caller sink.
 //!
 //! # Example
 //!
@@ -77,6 +78,6 @@ pub use stream::{
     StreamingFeaturizer,
 };
 pub use trace::{
-    core_seed, workload_seed, CollectedCorpus, CorpusSpec, LabeledTrace, ResiliencePolicy,
-    ResilientCorpus, ScenarioSpec, WorkloadFailure,
+    core_seed, workload_seed, CollectedCorpus, CollectionSpec, Collector, CorpusSpec, LabeledTrace,
+    ResiliencePolicy, ResilientCorpus, Run, ScenarioSpec, WorkloadFailure,
 };

@@ -200,14 +200,15 @@ struct PackedPath {
 /// [`SampleSink`] producer:
 ///
 /// ```no_run
-/// use perspectron::trace::stream_trace;
-/// use perspectron::{CorpusSpec, PerSpectron};
+/// use perspectron::{Collector, CorpusSpec, PerSpectron, Run};
 ///
 /// let corpus = CorpusSpec::quick().collect();
 /// let detector = PerSpectron::train(&corpus, 42);
 /// let mut monitor = detector.streaming();
 /// let suspect = &workloads::full_suite()[0];
-/// stream_trace(suspect, 300_000, 10_000, &mut monitor);
+/// Collector::default()
+///     .stream(Run::workload(suspect, 300_000, 10_000), &mut monitor)
+///     .expect("simulation streams");
 /// if let Some(v) = monitor.first_alarm() {
 ///     println!("alarm at {} insts (confidence {:.2})", v.at_inst, v.confidence);
 /// }
@@ -666,7 +667,7 @@ impl StreamSession {
 mod tests {
     use super::*;
     use crate::dataset::{Dataset, Encoding};
-    use crate::trace::{stream_trace, CorpusSpec};
+    use crate::trace::{Collector, CorpusSpec, Run};
     use std::sync::Arc;
 
     fn tiny_spec() -> CorpusSpec {
@@ -688,7 +689,12 @@ mod tests {
         let mut streamed: Vec<Vec<f64>> = Vec::new();
         for w in &spec.workloads {
             let mut f = StreamingFeaturizer::new(encoder.clone());
-            stream_trace(w, spec.insts_per_workload, spec.sample_interval, &mut f);
+            Collector::default()
+                .stream(
+                    Run::workload(w, spec.insts_per_workload, spec.sample_interval),
+                    &mut f,
+                )
+                .expect("simulation streams");
             streamed.extend(f.into_rows());
         }
         let batch: Vec<&Vec<f64>> = ds.samples.iter().map(|s| &s.x).collect();
@@ -704,7 +710,9 @@ mod tests {
         let corpus = spec.collect();
         let det = PerSpectron::train(&corpus, 7);
         let mut mon = det.streaming();
-        stream_trace(&spec.workloads[0], 60_000, 10_000, &mut mon);
+        Collector::default()
+            .stream(Run::workload(&spec.workloads[0], 60_000, 10_000), &mut mon)
+            .expect("simulation streams");
         assert!(!mon.verdicts().is_empty());
         assert_eq!(mon.degraded_intervals(), 0, "clean run must not degrade");
         assert!(mon.verdicts().iter().all(|v| v.degraded.is_none()));
@@ -839,11 +847,15 @@ mod tests {
         let det = PerSpectron::train(&corpus, 7);
         let mut mon = det.streaming();
         let w = &spec.workloads[0];
-        stream_trace(w, 30_000, 10_000, &mut mon);
+        Collector::default()
+            .stream(Run::workload(w, 30_000, 10_000), &mut mon)
+            .expect("simulation streams");
         let first = mon.verdicts().to_vec();
         assert!(!first.is_empty());
         mon.reset();
-        stream_trace(w, 30_000, 10_000, &mut mon);
+        Collector::default()
+            .stream(Run::workload(w, 30_000, 10_000), &mut mon)
+            .expect("simulation streams");
         assert_eq!(mon.verdicts(), &first[..], "reset must replay identically");
     }
 }

@@ -1,24 +1,31 @@
 //! Trace collection: running labeled workloads on the simulator and
 //! sampling all statistics at a fixed instruction granularity.
 //!
-//! Collection is streaming and parallel: each workload's core emits
-//! per-interval delta rows through a [`SampleSink`] (no post-hoc stat-tree
-//! walks), and [`CorpusSpec::collect`] fans the workloads out across
-//! scoped threads with deterministic per-workload seeds and an ordered
-//! merge — the parallel corpus is byte-for-byte identical to a serial one.
+//! Every simulation runs through one [`Collector`]. A spec —
+//! [`CorpusSpec`] for single-core workloads, [`ScenarioSpec`] for
+//! cross-core scenarios — lowers to a list of [`Run`]s, each a named set
+//! of programs with one program per core. The collector builds one
+//! [`Machine`] per run, seeds it from the run's name, and streams
+//! per-interval delta rows through a [`SampleSink`]: a columnar trace for
+//! [`Collector::collect`], or any caller sink for [`Collector::stream`].
 //!
-//! Collection is also *supervised*: every per-workload run executes under
+//! Collection is parallel and deterministic: runs fan out across scoped
+//! threads with name-derived seeds and an ordered merge, so a corpus is
+//! byte-for-byte identical at any thread count.
+//!
+//! Collection is also *supervised*: every run executes under
 //! `catch_unwind`, so one panicking simulation becomes a typed
 //! [`SimError::WorkloadPanicked`] instead of poisoning the whole thread
-//! scope, and [`CorpusSpec::try_collect_resilient`] adds a per-workload
-//! cycle budget (watchdog for runaway programs), one retry with a fresh
-//! noise seed, and a quarantine report ([`WorkloadFailure`]) in place of
-//! an abort — a partial corpus always comes back.
+//! scope. A [`ResiliencePolicy`] adds a per-run cycle budget (watchdog for
+//! runaway programs) and retries with a fresh noise seed, and failures
+//! land in a quarantine report ([`WorkloadFailure`]) next to the partial
+//! corpus instead of aborting it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use sim_cpu::{Core, CoreConfig, Machine, MarkEvent, SimError};
+use sim_cpu::{CoreConfig, Machine, MarkEvent, SimError};
 use sim_mem::HierarchyConfig;
+use uarch_isa::Program;
 use uarch_stats::{SampleSink, SampleTrace, Schema};
 use workloads::{Class, CoreScenario, Family, Workload};
 
@@ -116,220 +123,45 @@ impl CorpusSpec {
         self
     }
 
-    /// Runs every workload and collects its trace, fanning out across all
-    /// available cores. Identical output to [`CorpusSpec::collect_serial`].
+    /// Runs every workload on its own one-core machine and collects its
+    /// trace, fanning out across all available host cores.
     ///
     /// # Panics
     ///
-    /// Panics on a simulator error (see [`CorpusSpec::try_collect`]).
+    /// Panics on a simulator error; collect through a [`Collector`] to
+    /// handle errors or quarantine failing workloads.
     pub fn collect(&self) -> CollectedCorpus {
-        self.try_collect().expect("corpus collection failed")
-    }
-
-    /// Serial reference collection (one workload after another).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a simulator error (see [`CorpusSpec::try_collect_serial`]).
-    pub fn collect_serial(&self) -> CollectedCorpus {
-        self.try_collect_serial().expect("corpus collection failed")
-    }
-
-    /// Collects with an explicit worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a simulator error (see
-    /// [`CorpusSpec::try_collect_with_threads`]).
-    pub fn collect_with_threads(&self, threads: usize) -> CollectedCorpus {
-        self.try_collect_with_threads(threads)
+        Collector::default()
+            .collect(self)
+            .into_result()
             .expect("corpus collection failed")
-    }
-
-    /// Fallible variant of [`CorpusSpec::collect`]: fans out across all
-    /// available cores and reports the first simulator error instead of
-    /// panicking.
-    pub fn try_collect(&self) -> Result<CollectedCorpus, SimError> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.try_collect_with_threads(threads)
-    }
-
-    /// Fallible serial reference collection (one workload after another).
-    pub fn try_collect_serial(&self) -> Result<CollectedCorpus, SimError> {
-        self.try_collect_with_threads(1)
-    }
-
-    /// Fallible collection with an explicit worker-thread count.
-    ///
-    /// The workload list is pre-partitioned into contiguous chunks, one per
-    /// worker, and every worker writes its traces directly into its own
-    /// slice of the result — no shared cursor to contend on and no
-    /// post-join sort-merge. Seeds derive from the workload *name*, so the
-    /// corpus is independent of the thread count and byte-equal to the
-    /// serial path.
-    ///
-    /// Every per-workload run executes under `catch_unwind`: one
-    /// panicking simulation surfaces as [`SimError::WorkloadPanicked`]
-    /// for that workload (the first error wins, as with any other
-    /// [`SimError`]) instead of poisoning the whole thread scope.
-    pub fn try_collect_with_threads(&self, threads: usize) -> Result<CollectedCorpus, SimError> {
-        let slots = fan_out(&self.workloads, threads, |w| {
-            guard(&w.name, || {
-                try_collect_trace(w, self.insts_per_workload, self.sample_interval)
-            })
-        });
-        let traces = slots
-            .into_iter()
-            .zip(&self.workloads)
-            .map(|(s, w)| s.unwrap_or_else(|| Err(lost_worker(&w.name))))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CollectedCorpus {
-            traces,
-            sample_interval: self.sample_interval,
-        })
-    }
-
-    /// Collects a corpus through a [`FaultPlan`]: every workload's sample
-    /// stream passes through a fault-injecting
-    /// [`FaultySink`](crate::faults::FaultySink) before being recorded.
-    ///
-    /// Fault streams are keyed by `(plan seed, workload name)` only, so
-    /// the faulted corpus is byte-identical across any `threads` count —
-    /// exactly like the clean path. With a quiet spec this is
-    /// byte-identical to [`CorpusSpec::try_collect_with_threads`].
-    pub fn try_collect_faulted(
-        &self,
-        plan: &FaultPlan,
-        threads: usize,
-    ) -> Result<CollectedCorpus, SimError> {
-        let slots = fan_out(&self.workloads, threads, |w| {
-            guard(&w.name, || {
-                let mut core = Core::try_new(CoreConfig::default(), w.program.clone())?;
-                core.set_noise_seed(workload_seed(&w.name));
-                let mut sink = plan.sink_for(&w.name, SampleTrace::new(core.stat_schema()));
-                core.run_with_sink(self.insts_per_workload, self.sample_interval, &mut sink)?;
-                Ok(LabeledTrace {
-                    name: w.name.clone(),
-                    class: w.class,
-                    family: w.family,
-                    trace: sink.into_inner(),
-                    marks: core.marks().to_vec(),
-                })
-            })
-        });
-        let traces = slots
-            .into_iter()
-            .zip(&self.workloads)
-            .map(|(s, w)| s.unwrap_or_else(|| Err(lost_worker(&w.name))))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CollectedCorpus {
-            traces,
-            sample_interval: self.sample_interval,
-        })
-    }
-
-    /// Supervised, non-aborting collection: runs every workload under a
-    /// watchdog and a panic guard, retries failures once with a fresh
-    /// noise seed, and returns whatever could be collected plus a
-    /// quarantine report — never an abort, never a hang.
-    ///
-    /// This is the deployment-shaped collector: a production detector
-    /// cannot lose its whole training corpus because one workload
-    /// deadlocks ([`SimError::CycleBudgetExceeded`] via
-    /// [`ResiliencePolicy::cycle_budget`]) or trips a simulator panic
-    /// ([`SimError::WorkloadPanicked`]).
-    pub fn try_collect_resilient(&self, policy: &ResiliencePolicy) -> ResilientCorpus {
-        self.collect_resilient_with(policy, |w, seed| {
-            let cfg = CoreConfig {
-                cycle_budget: policy.cycle_budget,
-                ..CoreConfig::default()
-            };
-            let mut core = Core::try_new(cfg, w.program.clone())?;
-            core.set_noise_seed(seed);
-            let mut trace = SampleTrace::new(core.stat_schema());
-            core.run_with_sink(self.insts_per_workload, self.sample_interval, &mut trace)?;
-            Ok(LabeledTrace {
-                name: w.name.clone(),
-                class: w.class,
-                family: w.family,
-                trace,
-                marks: core.marks().to_vec(),
-            })
-        })
-    }
-
-    /// [`CorpusSpec::try_collect_resilient`] with an injectable
-    /// per-workload runner, so the supervision machinery (panic guard,
-    /// retry, quarantine) can be tested against deliberately failing
-    /// runs.
-    pub(crate) fn collect_resilient_with<F>(
-        &self,
-        policy: &ResiliencePolicy,
-        runner: F,
-    ) -> ResilientCorpus
-    where
-        F: Fn(&Workload, u64) -> Result<LabeledTrace, SimError> + Sync,
-    {
-        let threads = policy
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let attempts_allowed = policy.max_attempts.max(1);
-        let slots = fan_out(&self.workloads, threads, |w| {
-            let mut attempts = 0;
-            loop {
-                attempts += 1;
-                // Retries re-seed the noise RNG: a fresh stream, still
-                // deterministic (derived from the name and attempt only).
-                let seed = retry_seed(&w.name, attempts - 1);
-                match guard(&w.name, || runner(w, seed)) {
-                    Ok(trace) => return Ok(trace),
-                    Err(error) if attempts >= attempts_allowed => {
-                        return Err(WorkloadFailure {
-                            name: w.name.clone(),
-                            family: w.family,
-                            attempts,
-                            error,
-                        })
-                    }
-                    Err(_) => {}
-                }
-            }
-        });
-        let mut traces = Vec::with_capacity(self.workloads.len());
-        let mut failures = Vec::new();
-        for (slot, w) in slots.into_iter().zip(&self.workloads) {
-            match slot {
-                Some(Ok(trace)) => traces.push(trace),
-                Some(Err(failure)) => failures.push(failure),
-                None => failures.push(WorkloadFailure {
-                    name: w.name.clone(),
-                    family: w.family,
-                    attempts: 0,
-                    error: lost_worker(&w.name),
-                }),
-            }
-        }
-        ResilientCorpus {
-            corpus: CollectedCorpus {
-                traces,
-                sample_interval: self.sample_interval,
-            },
-            failures,
-        }
     }
 }
 
-/// How [`CorpusSpec::try_collect_resilient`] supervises its workers.
+impl CollectionSpec for CorpusSpec {
+    fn sample_interval(&self) -> u64 {
+        self.sample_interval
+    }
+
+    fn runs(&self) -> Vec<Run<'_>> {
+        self.workloads
+            .iter()
+            .map(|w| Run::workload(w, self.insts_per_workload, self.sample_interval))
+            .collect()
+    }
+}
+
+/// How a [`Collector`] supervises its runs.
 #[derive(Debug, Clone)]
 pub struct ResiliencePolicy {
     /// Worker threads (`None`: all available cores).
     pub threads: Option<usize>,
-    /// Per-workload simulated-cycle budget
+    /// Per-run simulated-cycle budget
     /// ([`CoreConfig::cycle_budget`]); the watchdog against runaway or
     /// deadlocked programs. `None` disables.
     pub cycle_budget: Option<u64>,
-    /// Total attempts per workload (first run + retries). The default of
-    /// 2 retries once with a fresh noise seed.
+    /// Total attempts per run (first run + retries). The default of 1
+    /// never retries; 2 retries once with a fresh noise seed.
     pub max_attempts: u32,
 }
 
@@ -338,7 +170,7 @@ impl Default for ResiliencePolicy {
         Self {
             threads: None,
             cycle_budget: None,
-            max_attempts: 2,
+            max_attempts: 1,
         }
     }
 }
@@ -383,6 +215,15 @@ impl ResilientCorpus {
     /// Whether every requested workload produced a trace.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// The corpus if every workload produced a trace, otherwise the error
+    /// of the first failure in corpus order.
+    pub fn into_result(self) -> Result<CollectedCorpus, SimError> {
+        match self.failures.into_iter().next() {
+            Some(failure) => Err(failure.error),
+            None => Ok(self.corpus),
+        }
     }
 
     /// A one-line quarantine summary for logs and monitors.
@@ -527,128 +368,235 @@ impl ScenarioSpec {
     }
 
     /// Runs every scenario and collects its machine trace, fanning out
-    /// across all available host cores.
+    /// across all available host cores. Each scenario's machine runs
+    /// serially on its worker: the cores tick in lockstep.
     ///
     /// # Panics
     ///
-    /// Panics on a simulator error (see [`ScenarioSpec::try_collect`]).
+    /// Panics on a simulator error; collect through a [`Collector`] to
+    /// handle errors or quarantine failing scenarios.
     pub fn collect(&self) -> CollectedCorpus {
-        self.try_collect().expect("scenario collection failed")
+        Collector::default()
+            .collect(self)
+            .into_result()
+            .expect("scenario collection failed")
+    }
+}
+
+impl CollectionSpec for ScenarioSpec {
+    fn sample_interval(&self) -> u64 {
+        self.sample_interval
     }
 
-    /// Fallible variant of [`ScenarioSpec::collect`].
-    pub fn try_collect(&self) -> Result<CollectedCorpus, SimError> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.try_collect_with_threads(threads)
+    fn runs(&self) -> Vec<Run<'_>> {
+        self.scenarios
+            .iter()
+            .map(|s| Run::scenario(s, self.insts_per_scenario, self.sample_interval))
+            .collect()
+    }
+}
+
+/// One simulation: a named set of programs, one per core, run for
+/// `insts` machine-wide committed instructions and sampled every
+/// `interval`. A [`Workload`] lowers to a one-core run, a
+/// [`CoreScenario`] to one core per program.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// The run's name; keys its noise seed and its fault stream.
+    pub name: &'a str,
+    /// Ground-truth class.
+    pub class: Class,
+    /// Attack family (or benign).
+    pub family: Family,
+    /// One program per core.
+    pub programs: &'a [Program],
+    /// Machine-wide instructions to simulate.
+    pub insts: u64,
+    /// Sampling interval in machine-wide committed instructions.
+    pub interval: u64,
+}
+
+impl<'a> Run<'a> {
+    /// `w` alone on a one-core machine.
+    pub fn workload(w: &'a Workload, insts: u64, interval: u64) -> Self {
+        Self {
+            name: &w.name,
+            class: w.class,
+            family: w.family,
+            programs: std::slice::from_ref(&w.program),
+            insts,
+            interval,
+        }
     }
 
-    /// Fallible collection with an explicit worker-thread count. One
-    /// worker per scenario chunk; each scenario's machine runs serially on
-    /// its worker (the machine itself is single-threaded by design — the
-    /// cores tick in lockstep).
-    pub fn try_collect_with_threads(&self, threads: usize) -> Result<CollectedCorpus, SimError> {
-        let slots = fan_out(&self.scenarios, threads, |s| {
-            guard(&s.name, || {
-                try_collect_scenario(s, self.insts_per_scenario, self.sample_interval)
-            })
+    /// `s` on a machine with one core per program. The trace's marks are
+    /// the *foreground* core's (core 0 — the attacker in malicious
+    /// scenarios).
+    pub fn scenario(s: &'a CoreScenario, insts: u64, interval: u64) -> Self {
+        Self {
+            name: &s.name,
+            class: s.class,
+            family: s.family,
+            programs: &s.programs,
+            insts,
+            interval,
+        }
+    }
+}
+
+/// What a [`Collector`] collects: runs in corpus order that share one
+/// sampling interval.
+pub trait CollectionSpec {
+    /// The sampling interval of every run.
+    fn sample_interval(&self) -> u64;
+    /// The runs, in corpus order.
+    fn runs(&self) -> Vec<Run<'_>>;
+}
+
+/// Runs simulations and collects their samples: the one driver behind
+/// every corpus, scenario trace and live stream.
+///
+/// [`Collector::default`] is the clean path: all host cores, no cycle
+/// budget, one attempt per run and the quiet fault plan. The thread count
+/// never changes a row; only the fault plan and a retry's fresh seed do.
+#[derive(Debug, Clone, Default)]
+pub struct Collector {
+    /// Worker threads, per-run cycle budget and attempts per run.
+    pub policy: ResiliencePolicy,
+    /// Faults injected into every run's sample stream, keyed by
+    /// `(plan seed, run name)`.
+    pub faults: FaultPlan,
+}
+
+impl Collector {
+    /// Runs every run of `spec` under supervision and collects the traces.
+    ///
+    /// Seeds derive from each run's name (and the attempt, for retries),
+    /// so the corpus is byte-identical at any thread count. A run that
+    /// panics, exceeds the cycle budget or fails otherwise on every
+    /// attempt lands in the quarantine report; the rest still collect.
+    /// Use [`ResilientCorpus::into_result`] to treat any failure as an
+    /// error instead.
+    pub fn collect(&self, spec: &impl CollectionSpec) -> ResilientCorpus {
+        self.supervise(spec, |run, seed| self.trace(run, seed))
+    }
+
+    /// Runs one simulation, streaming each sampled interval straight into
+    /// `sink` (an online detector, a featurizer, a channel) instead of
+    /// materializing a trace, and returns core 0's committed marks.
+    ///
+    /// Rows pass through the fault plan on the way. The run is attempted
+    /// once, with the first attempt's seed, so the sink sees exactly the
+    /// rows [`Collector::collect`] would record for the same run.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the machine cannot be built, the interval is zero, or
+    /// the cycle budget runs out.
+    pub fn stream(
+        &self,
+        run: Run<'_>,
+        sink: &mut dyn SampleSink,
+    ) -> Result<Vec<MarkEvent>, SimError> {
+        let (_, marks) = self.simulate(&run, workload_seed(run.name), |_| sink)?;
+        Ok(marks)
+    }
+
+    /// The supervision loop: fans the runs out over worker threads and
+    /// runs each under a panic guard, retrying failures with a fresh
+    /// seed until the policy's attempts run out. `runner` is a parameter
+    /// so tests can substitute deliberately failing runs.
+    fn supervise<F>(&self, spec: &impl CollectionSpec, runner: F) -> ResilientCorpus
+    where
+        F: Fn(&Run<'_>, u64) -> Result<LabeledTrace, SimError> + Sync,
+    {
+        let threads = self
+            .policy
+            .threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let attempts_allowed = self.policy.max_attempts.max(1);
+        let runs = spec.runs();
+        let slots = fan_out(&runs, threads, |run| {
+            let mut attempts = 0;
+            loop {
+                attempts += 1;
+                // Retries re-seed the noise RNG: a fresh stream, still
+                // deterministic (derived from the name and attempt only).
+                let seed = retry_seed(run.name, attempts - 1);
+                match guard(run.name, || runner(run, seed)) {
+                    Ok(trace) => return Ok(trace),
+                    Err(error) if attempts >= attempts_allowed => {
+                        return Err(WorkloadFailure {
+                            name: run.name.to_string(),
+                            family: run.family,
+                            attempts,
+                            error,
+                        })
+                    }
+                    Err(_) => {}
+                }
+            }
         });
-        let traces = slots
-            .into_iter()
-            .zip(&self.scenarios)
-            .map(|(slot, s)| slot.unwrap_or_else(|| Err(lost_worker(&s.name))))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CollectedCorpus {
-            traces,
-            sample_interval: self.sample_interval,
+        let mut traces = Vec::with_capacity(runs.len());
+        let mut failures = Vec::new();
+        for (slot, run) in slots.into_iter().zip(&runs) {
+            match slot {
+                Some(Ok(trace)) => traces.push(trace),
+                Some(Err(failure)) => failures.push(failure),
+                None => failures.push(WorkloadFailure {
+                    name: run.name.to_string(),
+                    family: run.family,
+                    attempts: 0,
+                    error: lost_worker(run.name),
+                }),
+            }
+        }
+        ResilientCorpus {
+            corpus: CollectedCorpus {
+                traces,
+                sample_interval: spec.sample_interval(),
+            },
+            failures,
+        }
+    }
+
+    /// One attempt of one run, recorded into a columnar trace.
+    fn trace(&self, run: &Run<'_>, seed: u64) -> Result<LabeledTrace, SimError> {
+        let (trace, marks) =
+            self.simulate(run, seed, |m: &Machine| SampleTrace::new(m.stat_schema()))?;
+        Ok(LabeledTrace {
+            name: run.name.to_string(),
+            class: run.class,
+            family: run.family,
+            trace,
+            marks,
         })
     }
-}
 
-/// Runs one cross-core scenario on a fresh [`Machine`] and samples the
-/// machine-wide statistics (per-core `coreN.*` banks plus the shared
-/// uncore groups). The trace's marks are the *foreground* core's (core 0
-/// — the attacker in malicious scenarios).
-pub fn try_collect_scenario(
-    s: &CoreScenario,
-    insts: u64,
-    interval: u64,
-) -> Result<LabeledTrace, SimError> {
-    let mut machine = Machine::try_new(
-        &CoreConfig::default(),
-        &HierarchyConfig::default(),
-        s.programs.clone(),
-    )?;
-    let base = workload_seed(&s.name);
-    for i in 0..machine.n_cores() {
-        machine.core_mut(i).set_noise_seed(core_seed(base, i));
+    /// The one place a simulation runs: builds a machine with one core per
+    /// program under the policy's cycle budget, seeds core `i` with
+    /// `core_seed(seed, i)`, and samples the run into the sink `make_sink`
+    /// builds for that machine, through the fault plan. Returns the sink
+    /// and core 0's marks.
+    fn simulate<S: SampleSink>(
+        &self,
+        run: &Run<'_>,
+        seed: u64,
+        make_sink: impl FnOnce(&Machine) -> S,
+    ) -> Result<(S, Vec<MarkEvent>), SimError> {
+        let cfg = CoreConfig {
+            cycle_budget: self.policy.cycle_budget,
+            ..CoreConfig::default()
+        };
+        let mut machine =
+            Machine::try_new(&cfg, &HierarchyConfig::default(), run.programs.to_vec())?;
+        for i in 0..machine.n_cores() {
+            machine.core_mut(i).set_noise_seed(core_seed(seed, i));
+        }
+        let mut sink = self.faults.sink_for(run.name, make_sink(&machine));
+        machine.run_with_sink(run.insts, run.interval, &mut sink)?;
+        Ok((sink.into_inner(), machine.core(0).marks().to_vec()))
     }
-    let mut trace = SampleTrace::new(machine.stat_schema());
-    machine.run_with_sink(insts, interval, &mut trace)?;
-    Ok(LabeledTrace {
-        name: s.name.clone(),
-        class: s.class,
-        family: s.family,
-        trace,
-        marks: machine.core(0).marks().to_vec(),
-    })
-}
-
-/// Runs one workload and samples its statistics, streaming each interval
-/// into a columnar trace.
-///
-/// # Panics
-///
-/// Panics on a simulator error (see [`try_collect_trace`]).
-pub fn collect_trace(w: &Workload, insts: u64, interval: u64) -> LabeledTrace {
-    try_collect_trace(w, insts, interval).expect("trace collection failed")
-}
-
-/// Fallible variant of [`collect_trace`].
-pub fn try_collect_trace(
-    w: &Workload,
-    insts: u64,
-    interval: u64,
-) -> Result<LabeledTrace, SimError> {
-    let mut core = Core::try_new(CoreConfig::default(), w.program.clone())?;
-    core.set_noise_seed(workload_seed(&w.name));
-    let mut trace = SampleTrace::new(core.stat_schema());
-    core.run_with_sink(insts, interval, &mut trace)?;
-    Ok(LabeledTrace {
-        name: w.name.clone(),
-        class: w.class,
-        family: w.family,
-        trace,
-        marks: core.marks().to_vec(),
-    })
-}
-
-/// Runs one workload, streaming each sampled interval straight into an
-/// arbitrary sink (an online detector, a featurizer, a channel) instead of
-/// materializing a trace. Returns the committed marks.
-///
-/// # Panics
-///
-/// Panics on a simulator error (see [`try_stream_trace`]).
-pub fn stream_trace(
-    w: &Workload,
-    insts: u64,
-    interval: u64,
-    sink: &mut dyn SampleSink,
-) -> Vec<MarkEvent> {
-    try_stream_trace(w, insts, interval, sink).expect("trace streaming failed")
-}
-
-/// Fallible variant of [`stream_trace`].
-pub fn try_stream_trace(
-    w: &Workload,
-    insts: u64,
-    interval: u64,
-    sink: &mut dyn SampleSink,
-) -> Result<Vec<MarkEvent>, SimError> {
-    let mut core = Core::try_new(CoreConfig::default(), w.program.clone())?;
-    core.set_noise_seed(workload_seed(&w.name));
-    core.run_with_sink(insts, interval, sink)?;
-    Ok(core.marks().to_vec())
 }
 
 /// A collected corpus: one trace per workload, sharing a schema.
@@ -683,7 +631,6 @@ impl CollectedCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultSpec;
 
     fn tiny_spec() -> CorpusSpec {
         // Two workloads keep this test fast.
@@ -693,6 +640,22 @@ mod tests {
             insts_per_workload: 60_000,
             sample_interval: 10_000,
             workloads: all,
+        }
+    }
+
+    fn with_threads(threads: usize) -> Collector {
+        let mut c = Collector::default();
+        c.policy.threads = Some(threads);
+        c
+    }
+
+    fn assert_same_traces(a: &CollectedCorpus, b: &CollectedCorpus) {
+        assert_eq!(a.traces.len(), b.traces.len());
+        for (a, b) in a.traces.iter().zip(&b.traces) {
+            assert_eq!(a.name, b.name, "merge must preserve spec order");
+            assert_eq!(a.trace.flat_values(), b.trace.flat_values(), "{}", a.name);
+            assert_eq!(a.trace.instruction_counts(), b.trace.instruction_counts());
+            assert_eq!(a.marks, b.marks);
         }
     }
 
@@ -714,15 +677,9 @@ mod tests {
     #[test]
     fn parallel_collection_is_byte_equal_to_serial() {
         let spec = tiny_spec();
-        let serial = spec.collect_serial();
-        let parallel = spec.collect_with_threads(2);
-        assert_eq!(serial.traces.len(), parallel.traces.len());
-        for (a, b) in serial.traces.iter().zip(&parallel.traces) {
-            assert_eq!(a.name, b.name, "merge must preserve spec order");
-            assert_eq!(a.trace.flat_values(), b.trace.flat_values());
-            assert_eq!(a.trace.instruction_counts(), b.trace.instruction_counts());
-            assert_eq!(a.marks, b.marks);
-        }
+        let serial = with_threads(1).collect(&spec).into_result().unwrap();
+        let parallel = with_threads(2).collect(&spec).into_result().unwrap();
+        assert_same_traces(&serial, &parallel);
     }
 
     #[test]
@@ -779,15 +736,19 @@ mod tests {
     #[test]
     fn resilient_collection_quarantines_a_panicking_workload() {
         let spec = tiny_spec();
-        let policy = ResiliencePolicy {
-            threads: Some(2),
-            ..ResiliencePolicy::default()
+        let collector = Collector {
+            policy: ResiliencePolicy {
+                threads: Some(2),
+                max_attempts: 2,
+                ..ResiliencePolicy::default()
+            },
+            ..Collector::default()
         };
-        let result = spec.collect_resilient_with(&policy, |w, _seed| {
-            if w.name == "bzip2" {
-                panic!("simulated sensor wedge in {}", w.name);
+        let result = collector.supervise(&spec, |run, seed| {
+            if run.name == "bzip2" {
+                panic!("simulated sensor wedge in {}", run.name);
             }
-            try_collect_trace(w, spec.insts_per_workload, spec.sample_interval)
+            collector.trace(run, seed)
         });
         assert!(!result.is_complete());
         assert_eq!(result.corpus.traces.len(), 1);
@@ -795,7 +756,7 @@ mod tests {
         assert_eq!(result.failures.len(), 1);
         let failure = &result.failures[0];
         assert_eq!(failure.name, "bzip2");
-        assert_eq!(failure.attempts, 2, "default policy retries once");
+        assert_eq!(failure.attempts, 2, "the policy retries once");
         assert!(
             matches!(
                 &failure.error,
@@ -806,64 +767,40 @@ mod tests {
             failure.error
         );
         assert!(result.quarantine_summary().contains("1 quarantined"));
+        assert!(matches!(
+            result.into_result(),
+            Err(SimError::WorkloadPanicked { workload, .. }) if workload == "bzip2"
+        ));
     }
 
     #[test]
     fn resilient_retry_recovers_a_transient_failure() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let spec = tiny_spec();
-        let policy = ResiliencePolicy {
-            threads: Some(1),
-            ..ResiliencePolicy::default()
+        let collector = Collector {
+            policy: ResiliencePolicy {
+                threads: Some(1),
+                max_attempts: 2,
+                ..ResiliencePolicy::default()
+            },
+            ..Collector::default()
         };
         let bzip2_calls = AtomicU32::new(0);
-        let result = spec.collect_resilient_with(&policy, |w, seed| {
-            if w.name == "bzip2" && bzip2_calls.fetch_add(1, Ordering::SeqCst) == 0 {
+        let result = collector.supervise(&spec, |run, seed| {
+            if run.name == "bzip2" && bzip2_calls.fetch_add(1, Ordering::SeqCst) == 0 {
                 // First attempt fails; the retry must arrive with a
                 // different (but still name-derived) seed.
                 assert_eq!(seed, workload_seed("bzip2"));
                 panic!("transient fault");
             }
-            if w.name == "bzip2" {
+            if run.name == "bzip2" {
                 assert_ne!(seed, workload_seed("bzip2"), "retry must re-seed");
             }
-            try_collect_trace(w, spec.insts_per_workload, spec.sample_interval)
+            collector.trace(run, seed)
         });
         assert!(result.is_complete(), "{}", result.quarantine_summary());
         assert_eq!(result.corpus.traces.len(), 2);
         assert!(result.quarantine_summary().contains("quarantine empty"));
-    }
-
-    #[test]
-    fn resilient_collection_on_healthy_workloads_matches_plain_collection() {
-        let spec = tiny_spec();
-        let plain = spec.collect_serial();
-        let resilient = spec.try_collect_resilient(&ResiliencePolicy {
-            threads: Some(2),
-            cycle_budget: Some(100_000_000),
-            ..ResiliencePolicy::default()
-        });
-        assert!(resilient.is_complete());
-        for (a, b) in plain.traces.iter().zip(&resilient.corpus.traces) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.trace.flat_values(), b.trace.flat_values());
-            assert_eq!(a.marks, b.marks);
-        }
-    }
-
-    #[test]
-    fn quiet_fault_plan_collection_is_byte_equal_to_clean() {
-        let spec = tiny_spec();
-        let clean = spec.collect_serial();
-        let plan = FaultPlan::new(FaultSpec::none(), clean.schema());
-        let faulted = spec
-            .try_collect_faulted(&plan, 2)
-            .expect("quiet plan collects");
-        for (a, b) in clean.traces.iter().zip(&faulted.traces) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.trace.flat_values(), b.trace.flat_values());
-            assert_eq!(a.trace.instruction_counts(), b.trace.instruction_counts());
-        }
     }
 
     #[test]
@@ -889,24 +826,34 @@ mod tests {
         }
     }
 
+    /// Two-core scenario traces are the same at any thread count, and
+    /// streaming a scenario into a caller's sink yields exactly the trace
+    /// collection records for it.
     #[test]
-    fn scenario_collection_is_thread_count_invariant() {
+    fn scenario_collection_and_streaming_agree_at_any_thread_count() {
         let spec = tiny_scenario_spec();
-        let serial = spec.try_collect_with_threads(1).expect("serial collects");
-        let parallel = spec.try_collect_with_threads(2).expect("parallel collects");
+        let serial = with_threads(1).collect(&spec).into_result().unwrap();
+        let parallel = with_threads(2).collect(&spec).into_result().unwrap();
         assert_eq!(serial.traces.len(), 2);
-        for (a, b) in serial.traces.iter().zip(&parallel.traces) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.trace.flat_values(), b.trace.flat_values(), "{}", a.name);
-            assert_eq!(a.marks, b.marks);
+        assert_same_traces(&serial, &parallel);
+        for (run, collected) in spec.runs().into_iter().zip(&serial.traces) {
+            assert_eq!(run.programs.len(), 2, "{} runs two cores", run.name);
+            let mut streamed = SampleTrace::new(collected.trace.schema().clone());
+            let marks = Collector::default()
+                .stream(run, &mut streamed)
+                .expect("streams");
+            assert_eq!(streamed.flat_values(), collected.trace.flat_values());
+            assert_eq!(
+                streamed.instruction_counts(),
+                collected.trace.instruction_counts()
+            );
+            assert_eq!(marks, collected.marks);
         }
     }
 
     #[test]
     fn scenario_traces_carry_namespaced_and_shared_columns() {
-        let corpus = tiny_scenario_spec()
-            .try_collect_with_threads(2)
-            .expect("collects");
+        let corpus = tiny_scenario_spec().collect();
         let schema = corpus.schema();
         assert!(schema.index_of("core0.commit.NonSpecStalls").is_some());
         assert!(schema.index_of("core1.dcache.demand_misses").is_some());

@@ -21,7 +21,7 @@ fn tmp_path(tag: &str) -> PathBuf {
 fn tiny_corpus() -> perspectron::CollectedCorpus {
     let mut spec = CorpusSpec::quick();
     spec.workloads.truncate(3);
-    spec.collect_serial()
+    spec.collect()
 }
 
 #[test]

@@ -15,9 +15,9 @@
 
 use proptest::prelude::*;
 
-use perspectron::trace::stream_trace;
 use perspectron::{
-    CollectedCorpus, CorpusSpec, FaultPlan, FaultSpec, PerSpectron, ResiliencePolicy,
+    CollectedCorpus, Collector, CorpusSpec, FaultPlan, FaultSpec, PerSpectron, ResiliencePolicy,
+    Run,
 };
 use sim_cpu::SimError;
 use uarch_isa::{Assembler, Reg};
@@ -57,6 +57,19 @@ fn wedged_workload() -> Workload {
     }
 }
 
+/// Collects `spec` through `plan` on `threads` workers, clean otherwise.
+fn collect_faulted(spec: &CorpusSpec, plan: &FaultPlan, threads: usize) -> CollectedCorpus {
+    let mut collector = Collector {
+        faults: plan.clone(),
+        ..Collector::default()
+    };
+    collector.policy.threads = Some(threads);
+    collector
+        .collect(spec)
+        .into_result()
+        .expect("faulted collection")
+}
+
 /// Bitwise value comparison: corrupted traces legitimately contain NaN,
 /// which `==` would call unequal even when the bytes match.
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -79,6 +92,7 @@ fn assert_corpora_byte_equal(a: &CollectedCorpus, b: &CollectedCorpus, what: &st
             "{what}: instruction counts of {}",
             ta.name
         );
+        assert_eq!(ta.marks, tb.marks, "{what}: marks of {}", ta.name);
     }
 }
 
@@ -95,7 +109,7 @@ proptest! {
         jitter in 0u64..500,
     ) {
         let spec = tiny_spec();
-        let clean = spec.try_collect_serial().expect("clean collection");
+        let clean = spec.collect();
         let plan = FaultPlan::new(
             FaultSpec {
                 seed,
@@ -106,9 +120,9 @@ proptest! {
             },
             clean.schema(),
         );
-        let one = spec.try_collect_faulted(&plan, 1).expect("1 thread");
-        let two = spec.try_collect_faulted(&plan, 2).expect("2 threads");
-        let four = spec.try_collect_faulted(&plan, 4).expect("4 threads");
+        let one = collect_faulted(&spec, &plan, 1);
+        let two = collect_faulted(&spec, &plan, 2);
+        let four = collect_faulted(&spec, &plan, 4);
         assert_corpora_byte_equal(&one, &two, "1 vs 2 threads");
         assert_corpora_byte_equal(&one, &four, "1 vs 4 threads");
     }
@@ -122,7 +136,7 @@ proptest! {
         corruption in 0.0f64..0.9,
     ) {
         let spec = tiny_spec();
-        let corpus = spec.try_collect_serial().expect("clean collection");
+        let corpus = spec.collect();
         let detector = PerSpectron::train(&corpus, 42);
         let plan = FaultPlan::new(
             FaultSpec {
@@ -136,7 +150,9 @@ proptest! {
         );
         for w in &spec.workloads {
             let mut sink = plan.sink_for(&w.name, detector.streaming());
-            stream_trace(w, spec.insts_per_workload, spec.sample_interval, &mut sink);
+            Collector::default()
+        .stream(Run::workload(w, spec.insts_per_workload, spec.sample_interval), &mut sink)
+        .expect("simulation streams");
             let monitor = sink.into_inner();
             for v in monitor.verdicts() {
                 prop_assert!(
@@ -158,12 +174,15 @@ proptest! {
 fn infinite_loop_workload_is_quarantined_not_hung() {
     let mut spec = tiny_spec();
     spec.workloads.insert(1, wedged_workload());
-    let policy = ResiliencePolicy {
-        threads: Some(2),
-        cycle_budget: Some(400_000),
-        ..ResiliencePolicy::default()
+    let collector = Collector {
+        policy: ResiliencePolicy {
+            threads: Some(2),
+            cycle_budget: Some(400_000),
+            max_attempts: 2,
+        },
+        ..Collector::default()
     };
-    let result = spec.try_collect_resilient(&policy);
+    let result = collector.collect(&spec);
     assert!(!result.is_complete());
     assert_eq!(result.corpus.traces.len(), 2, "healthy workloads survive");
     assert!(result
@@ -192,18 +211,24 @@ fn infinite_loop_workload_is_quarantined_not_hung() {
     assert!(report.confusion.accuracy() > 0.5);
 }
 
-/// The same budget that quarantines a spin loop does not fire on healthy
-/// workloads: the full corpus collects and quarantine stays empty.
+/// A budget does not fire on healthy workloads: the full corpus collects,
+/// quarantine stays empty, and the supervised corpus is byte-equal to the
+/// clean one.
 #[test]
 fn cycle_budget_leaves_healthy_workloads_alone() {
     let spec = tiny_spec();
-    let result = spec.try_collect_resilient(&ResiliencePolicy {
-        threads: Some(2),
-        cycle_budget: Some(100_000_000),
-        ..ResiliencePolicy::default()
-    });
+    let collector = Collector {
+        policy: ResiliencePolicy {
+            threads: Some(2),
+            cycle_budget: Some(100_000_000),
+            ..ResiliencePolicy::default()
+        },
+        ..Collector::default()
+    };
+    let result = collector.collect(&spec);
     assert!(result.is_complete(), "{}", result.quarantine_summary());
     assert_eq!(result.corpus.traces.len(), 2);
+    assert_corpora_byte_equal(&spec.collect(), &result.corpus, "budgeted vs clean");
 }
 
 /// With the quiet spec, the entire faulted path — sink adapter included —
@@ -213,22 +238,27 @@ fn cycle_budget_leaves_healthy_workloads_alone() {
 #[test]
 fn quiet_fault_plan_is_bit_identical_end_to_end() {
     let spec = tiny_spec();
-    let clean = spec.try_collect_serial().expect("clean collection");
+    let clean = spec.collect();
     let plan = FaultPlan::new(FaultSpec::none(), clean.schema());
-    let faulted = spec.try_collect_faulted(&plan, 2).expect("quiet plan");
+    let faulted = collect_faulted(&spec, &plan, 2);
     assert_corpora_byte_equal(&clean, &faulted, "quiet plan vs clean");
 
     let detector = PerSpectron::train(&clean, 42);
     let w = &spec.workloads[0];
     let mut bare = detector.streaming();
-    stream_trace(w, spec.insts_per_workload, spec.sample_interval, &mut bare);
+    Collector::default()
+        .stream(
+            Run::workload(w, spec.insts_per_workload, spec.sample_interval),
+            &mut bare,
+        )
+        .expect("simulation streams");
     let mut wrapped = plan.sink_for(&w.name, detector.streaming());
-    stream_trace(
-        w,
-        spec.insts_per_workload,
-        spec.sample_interval,
-        &mut wrapped,
-    );
+    Collector::default()
+        .stream(
+            Run::workload(w, spec.insts_per_workload, spec.sample_interval),
+            &mut wrapped,
+        )
+        .expect("simulation streams");
     assert!(!wrapped.log().any(), "quiet plan must log no faults");
     let wrapped = wrapped.into_inner();
     assert_eq!(bare.verdicts(), wrapped.verdicts());
@@ -240,7 +270,7 @@ fn quiet_fault_plan_is_bit_identical_end_to_end() {
 #[test]
 fn heavy_dropout_surfaces_degraded_intervals() {
     let spec = tiny_spec();
-    let corpus = spec.try_collect_serial().expect("clean collection");
+    let corpus = spec.collect();
     let detector = PerSpectron::train(&corpus, 42);
     let plan = FaultPlan::new(
         FaultSpec {
@@ -254,7 +284,12 @@ fn heavy_dropout_surfaces_degraded_intervals() {
     );
     let w = &spec.workloads[0];
     let mut sink = plan.sink_for(&w.name, detector.streaming());
-    stream_trace(w, spec.insts_per_workload, spec.sample_interval, &mut sink);
+    Collector::default()
+        .stream(
+            Run::workload(w, spec.insts_per_workload, spec.sample_interval),
+            &mut sink,
+        )
+        .expect("simulation streams");
     assert!(sink.log().any(), "a 90% dropout plan must actually fire");
     let monitor = sink.into_inner();
     assert!(

@@ -9,7 +9,7 @@
 //! the recomputed values on mismatch.
 
 use perspectron::{CorpusSpec, ScenarioSpec};
-use sim_cpu::{Core, CoreConfig};
+use sim_cpu::{CoreConfig, Machine};
 use workloads::{CoreScenario, Family};
 
 /// FNV-1a over the full quick-corpus byte stream (schema names, per-trace
@@ -45,7 +45,7 @@ impl Fnv {
 
 #[test]
 fn quick_corpus_rows_match_the_pre_decomposition_golden_hash() {
-    let corpus = CorpusSpec::quick().collect_serial();
+    let corpus = CorpusSpec::quick().collect();
     let h = corpus_fnv(&corpus);
     assert_eq!(
         h, GOLDEN_QUICK_CORPUS_FNV,
@@ -82,11 +82,10 @@ fn corpus_fnv(corpus: &perspectron::CollectedCorpus) -> u64 {
 }
 
 /// The multi-core refactor's bit-identity gate: collecting the quick
-/// corpus through the `Machine` path — every workload wrapped as a
-/// one-core scenario, private L1s behind the shared (mutex-held) uncore,
-/// the machine run loop and machine stat walk — must reproduce the exact
-/// pre-refactor golden hash: same 1159 flat names, same row bits, same
-/// marks.
+/// corpus as scenarios — every workload wrapped as a one-core scenario,
+/// private L1s behind the shared (mutex-held) uncore, the machine run
+/// loop and machine stat walk — must reproduce the exact pre-refactor
+/// golden hash: same 1159 flat names, same row bits, same marks.
 #[test]
 fn quick_corpus_through_the_machine_path_matches_the_same_golden_hash() {
     let spec = CorpusSpec::quick();
@@ -104,9 +103,7 @@ fn quick_corpus_through_the_machine_path_matches_the_same_golden_hash() {
             })
             .collect(),
     };
-    let corpus = scenarios
-        .try_collect_with_threads(1)
-        .expect("machine-path collection succeeds");
+    let corpus = scenarios.collect();
     assert_eq!(
         corpus_fnv(&corpus),
         GOLDEN_QUICK_CORPUS_FNV,
@@ -125,9 +122,11 @@ fn spectre_run_summary_matches_the_pre_decomposition_golden() {
         .find(|w| w.family == Family::SpectreV1)
         .expect("quick suite includes a Spectre V1 workload");
 
-    let mut core = Core::new(CoreConfig::default(), w.program.clone());
-    core.set_noise_seed(perspectron::trace::workload_seed(&w.name));
-    let summary = core.run(120_000);
+    let mut machine = Machine::single_core(&CoreConfig::default(), w.program.clone());
+    machine
+        .core_mut(0)
+        .set_noise_seed(perspectron::trace::workload_seed(&w.name));
+    let summary = machine.run(120_000);
 
     assert_eq!(
         (summary.committed, summary.cycles, summary.halted),

@@ -13,10 +13,9 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use mlkit::{BitRow, Classifier, PackedPerceptron, Perceptron};
-use perspectron::trace::stream_trace;
 use perspectron::{
-    CollectedCorpus, CorpusSpec, Dataset, Encoding, FaultPlan, FaultSpec, InferencePath,
-    PerSpectron, StreamingDetector,
+    CollectedCorpus, Collector, CorpusSpec, Dataset, Encoding, FaultPlan, FaultSpec, InferencePath,
+    PerSpectron, Run, StreamingDetector,
 };
 use uarch_stats::SampleSink;
 
@@ -34,7 +33,7 @@ fn tiny_spec() -> CorpusSpec {
 
 fn corpus() -> &'static CollectedCorpus {
     static C: OnceLock<CollectedCorpus> = OnceLock::new();
-    C.get_or_init(|| tiny_spec().collect_serial())
+    C.get_or_init(|| tiny_spec().collect())
 }
 
 fn detector() -> &'static PerSpectron {
@@ -113,18 +112,18 @@ fn streaming_packed_matches_streaming_scalar_on_clean_runs() {
         let mut packed = det.streaming_packed();
         assert_eq!(scalar.inference_path(), InferencePath::Scalar);
         assert_eq!(packed.inference_path(), InferencePath::Packed);
-        stream_trace(
-            w,
-            spec.insts_per_workload,
-            spec.sample_interval,
-            &mut scalar,
-        );
-        stream_trace(
-            w,
-            spec.insts_per_workload,
-            spec.sample_interval,
-            &mut packed,
-        );
+        Collector::default()
+            .stream(
+                Run::workload(w, spec.insts_per_workload, spec.sample_interval),
+                &mut scalar,
+            )
+            .expect("simulation streams");
+        Collector::default()
+            .stream(
+                Run::workload(w, spec.insts_per_workload, spec.sample_interval),
+                &mut packed,
+            )
+            .expect("simulation streams");
         packed.flush();
         assert_eq!(packed.pending_intervals(), 0, "flush drains the batch");
         assert_verdicts_bit_equal(&scalar, &packed, &w.name);
@@ -190,18 +189,18 @@ fn heavy_faults_degrade_both_paths_identically() {
     for w in &spec.workloads {
         let mut scalar = plan.sink_for(&w.name, det.streaming());
         let mut packed = plan.sink_for(&w.name, det.streaming_packed());
-        stream_trace(
-            w,
-            spec.insts_per_workload,
-            spec.sample_interval,
-            &mut scalar,
-        );
-        stream_trace(
-            w,
-            spec.insts_per_workload,
-            spec.sample_interval,
-            &mut packed,
-        );
+        Collector::default()
+            .stream(
+                Run::workload(w, spec.insts_per_workload, spec.sample_interval),
+                &mut scalar,
+            )
+            .expect("simulation streams");
+        Collector::default()
+            .stream(
+                Run::workload(w, spec.insts_per_workload, spec.sample_interval),
+                &mut packed,
+            )
+            .expect("simulation streams");
         let scalar = scalar.into_inner();
         let mut packed = packed.into_inner();
         packed.flush();
@@ -360,8 +359,12 @@ proptest! {
         let w = &spec.workloads[0];
         let mut scalar = plan.sink_for(&w.name, det.streaming());
         let mut packed = plan.sink_for(&w.name, det.streaming_packed());
-        stream_trace(w, spec.insts_per_workload, spec.sample_interval, &mut scalar);
-        stream_trace(w, spec.insts_per_workload, spec.sample_interval, &mut packed);
+        Collector::default()
+        .stream(Run::workload(w, spec.insts_per_workload, spec.sample_interval), &mut scalar)
+        .expect("simulation streams");
+        Collector::default()
+        .stream(Run::workload(w, spec.insts_per_workload, spec.sample_interval), &mut packed)
+        .expect("simulation streams");
         let scalar = scalar.into_inner();
         let mut packed = packed.into_inner();
         packed.flush();

@@ -7,18 +7,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sim_cpu::{Core, CoreConfig, Machine};
+use sim_cpu::{CoreConfig, Machine};
 use sim_mem::HierarchyConfig;
 use uarch_stats::{ComponentId, ComponentRegistry};
 
 /// The schema as the collector sees it: all 1159 flat stat names.
 fn schema_names() -> Vec<String> {
-    let core = Core::new(CoreConfig::default(), {
-        let mut a = uarch_isa::Assembler::new("schema-probe");
-        a.halt();
-        a.finish().expect("probe assembles")
-    });
-    core.stat_schema().names().to_vec()
+    let mut a = uarch_isa::Assembler::new("schema-probe");
+    a.halt();
+    let machine =
+        Machine::single_core(&CoreConfig::default(), a.finish().expect("probe assembles"));
+    machine.stat_schema().names().to_vec()
 }
 
 /// The legacy prefix parser `component_of` used before the registry

@@ -6,8 +6,9 @@
 use std::sync::{Arc, OnceLock};
 
 use perspectron::stream::StreamingFeaturizer;
-use perspectron::trace::stream_trace;
-use perspectron::{CollectedCorpus, CorpusSpec, Dataset, Encoding, PerSpectron, RowEncoder};
+use perspectron::{
+    CollectedCorpus, Collector, CorpusSpec, Dataset, Encoding, PerSpectron, RowEncoder, Run,
+};
 
 fn spec() -> CorpusSpec {
     CorpusSpec::quick()
@@ -15,13 +16,22 @@ fn spec() -> CorpusSpec {
 
 fn serial_corpus() -> &'static CollectedCorpus {
     static C: OnceLock<CollectedCorpus> = OnceLock::new();
-    C.get_or_init(|| spec().collect_serial())
+    C.get_or_init(|| collect_with_threads(1))
+}
+
+fn collect_with_threads(threads: usize) -> CollectedCorpus {
+    let mut collector = Collector::default();
+    collector.policy.threads = Some(threads);
+    collector
+        .collect(&spec())
+        .into_result()
+        .expect("quick corpus collects")
 }
 
 #[test]
 fn parallel_collection_is_byte_equal_to_serial_on_quick() {
     let serial = serial_corpus();
-    let parallel = spec().collect_with_threads(4);
+    let parallel = collect_with_threads(4);
     assert_eq!(serial.traces.len(), parallel.traces.len());
     for (a, b) in serial.traces.iter().zip(&parallel.traces) {
         assert_eq!(a.name, b.name, "ordered merge must preserve spec order");
@@ -47,7 +57,12 @@ fn streaming_features_are_bit_identical_to_batch_on_quick() {
     let mut streamed: Vec<Vec<f64>> = Vec::with_capacity(ds.len());
     for w in &spec().workloads {
         let mut f = StreamingFeaturizer::new(encoder.clone());
-        stream_trace(w, spec().insts_per_workload, spec().sample_interval, &mut f);
+        Collector::default()
+            .stream(
+                Run::workload(w, spec().insts_per_workload, spec().sample_interval),
+                &mut f,
+            )
+            .expect("simulation streams");
         streamed.extend(f.into_rows());
     }
 
@@ -68,12 +83,12 @@ fn streaming_verdicts_match_batch_confidence_series_on_quick() {
     for (w, t) in spec().workloads.iter().zip(&corpus.traces) {
         let batch: Vec<f64> = detector.confidence_series(t);
         let mut monitor = detector.streaming();
-        stream_trace(
-            w,
-            spec().insts_per_workload,
-            spec().sample_interval,
-            &mut monitor,
-        );
+        Collector::default()
+            .stream(
+                Run::workload(w, spec().insts_per_workload, spec().sample_interval),
+                &mut monitor,
+            )
+            .expect("simulation streams");
         let verdicts = monitor.verdicts();
         assert_eq!(
             verdicts.len(),

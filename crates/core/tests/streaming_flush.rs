@@ -20,7 +20,7 @@ fn tiny_spec() -> CorpusSpec {
 
 fn corpus() -> &'static CollectedCorpus {
     static C: OnceLock<CollectedCorpus> = OnceLock::new();
-    C.get_or_init(|| tiny_spec().collect_serial())
+    C.get_or_init(|| tiny_spec().collect())
 }
 
 fn detector() -> &'static PerSpectron {

@@ -87,8 +87,9 @@ pub struct CoreConfig {
     /// effective on the fast path (`reference_scan = false`).
     pub tick_skip: bool,
     /// Watchdog: total simulated cycles this core may ever run. When the
-    /// clock reaches the budget, [`Core::run`](crate::Core::run) stops
-    /// stepping and [`Core::run_with_sink`](crate::Core::run_with_sink)
+    /// machine clock reaches the tightest budget of its cores,
+    /// [`Machine::run`](crate::Machine::run) stops stepping and
+    /// [`Machine::run_with_sink`](crate::Machine::run_with_sink)
     /// reports [`SimError::CycleBudgetExceeded`] — the escape hatch for
     /// runaway or deadlocked workloads in supervised corpus collection.
     /// `None` (the default) leaves the run loop untouched, preserving

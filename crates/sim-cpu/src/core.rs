@@ -12,12 +12,10 @@
 //! the caches — the side-channel), and squash walks undo the rename map,
 //! the call stack, the RAS and the global history.
 
-use std::time::Instant;
-
 use sim_mem::{HierarchyConfig, MemoryHierarchy};
 use uarch_isa::{MarkKind, Program, Reg};
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{SampleSink, Sampler, Schema, StatGroup, StatVisitor};
+use uarch_stats::{StatGroup, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::decoded::DecodedProgram;
@@ -52,24 +50,6 @@ pub struct MarkEvent {
     pub at_inst: u64,
     /// Cycle when the mark committed.
     pub at_cycle: u64,
-}
-
-/// Outcome of a [`Core::run`] call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunSummary {
-    /// Instructions committed in total.
-    pub committed: u64,
-    /// Cycles simulated in total.
-    pub cycles: u64,
-    /// Whether the program halted.
-    pub halted: bool,
-    /// Wall-clock throughput of this call: committed instructions per
-    /// host second (0.0 when the call committed nothing or the clock
-    /// resolution swallowed it).
-    pub insts_per_sec: f64,
-    /// Wall-clock throughput of this call: simulated cycles per host
-    /// second.
-    pub sim_cycles_per_sec: f64,
 }
 
 /// A borrowed view of every statistic group of the core, assembled from
@@ -170,9 +150,11 @@ impl StallPlan {
     }
 }
 
-/// The simulated machine: one out-of-order core plus its memory hierarchy.
+/// One out-of-order core plus its memory hierarchy.
 ///
-/// The core owns the shared machine resources (instruction window, register
+/// A core only steps; [`Machine`](crate::machine::Machine) drives it,
+/// including tick-skipping and sampling, and a standalone program runs on
+/// a one-core machine. The core owns the shared machine resources (instruction window, register
 /// file, predictors, memory) and the stage components; each cycle it lends
 /// slices of that state to the stages through their ports.
 pub struct Core {
@@ -219,30 +201,10 @@ impl Core {
         Self::try_new(cfg, program).expect("valid core configuration")
     }
 
-    /// Builds a core with an explicit memory hierarchy configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid (see [`CoreConfig::validate`]); use
-    /// [`Core::try_with_hierarchy`] to handle configuration errors.
-    pub fn with_hierarchy(cfg: CoreConfig, program: Program, hcfg: HierarchyConfig) -> Self {
-        Self::try_with_hierarchy(cfg, program, hcfg).expect("valid core configuration")
-    }
-
     /// Builds a core running `program` on a default memory hierarchy,
     /// reporting configuration errors instead of panicking.
     pub fn try_new(cfg: CoreConfig, program: Program) -> Result<Self, SimError> {
-        Self::try_with_hierarchy(cfg, program, HierarchyConfig::default())
-    }
-
-    /// Builds a core with an explicit memory hierarchy configuration,
-    /// reporting configuration errors instead of panicking.
-    pub fn try_with_hierarchy(
-        cfg: CoreConfig,
-        program: Program,
-        hcfg: HierarchyConfig,
-    ) -> Result<Self, SimError> {
-        let mem = MemoryHierarchy::try_new(hcfg)?;
+        let mem = MemoryHierarchy::try_new(HierarchyConfig::default())?;
         Self::try_with_parts(cfg, program, mem)
     }
 
@@ -372,121 +334,7 @@ impl Core {
         self.mem.randomize_indexing(key);
     }
 
-    /// Runs until the program halts or `max_insts` more instructions commit.
-    /// Returns a summary of total progress.
-    ///
-    /// When `CoreConfig::tick_skip` is set (the default on the fast path)
-    /// the run loop jumps over stretches of cycles in which every stage is
-    /// provably stalled — typically the whole window waiting on a DRAM
-    /// fill — crediting the exact per-cycle stall statistics the stepped
-    /// loop would have recorded.
-    pub fn run(&mut self, max_insts: u64) -> RunSummary {
-        let started = Instant::now();
-        let committed_before = self.committed;
-        let cycles_before = self.cycle;
-        let target = self.committed.saturating_add(max_insts);
-        let mut cycle_cap = self.cycle + max_insts.saturating_mul(40) + 2_000_000;
-        if let Some(budget) = self.cfg.cycle_budget {
-            cycle_cap = cycle_cap.min(budget);
-        }
-        let skip = self.cfg.tick_skip && !self.cfg.reference_scan;
-        while !self.halted && self.committed < target && self.cycle < cycle_cap {
-            if skip {
-                self.skip_stalled_cycles(cycle_cap);
-                if self.cycle >= cycle_cap {
-                    break;
-                }
-            }
-            self.step();
-        }
-        let secs = started.elapsed().as_secs_f64();
-        let rate = |delta: u64| if secs > 0.0 { delta as f64 / secs } else { 0.0 };
-        RunSummary {
-            committed: self.committed,
-            cycles: self.cycle,
-            halted: self.halted,
-            insts_per_sec: rate(self.committed - committed_before),
-            sim_cycles_per_sec: rate(self.cycle - cycles_before),
-        }
-    }
-
-    /// Resolves the core's full statistic schema (all 1159 dotted names)
-    /// without sampling. The returned schema shares storage with every
-    /// clone, so it is cheap to hand to sinks and worker threads.
-    pub fn stat_schema(&self) -> Schema {
-        Schema::of(self, "")
-    }
-
-    /// Runs until the program halts or `insts` instructions commit,
-    /// emitting one per-interval stat-delta row to `sink` every `interval`
-    /// committed instructions — the paper's online sampling unit, observed
-    /// as it happens instead of materialized after the run.
-    ///
-    /// The sampler's baseline is the core's *current* counters, so deltas
-    /// cover exactly the instructions executed by this call. Sampling stops
-    /// early if the program halts or stalls before reaching the next
-    /// interval boundary (a final partial window is never emitted, matching
-    /// the batch collector).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ZeroSampleInterval`] when `interval` is zero,
-    /// and [`SimError::CycleBudgetExceeded`] when a configured
-    /// [`CoreConfig::cycle_budget`] runs out before the run halts or
-    /// reaches its instruction target (the supervised-collection watchdog
-    /// for runaway workloads).
-    pub fn run_with_sink(
-        &mut self,
-        insts: u64,
-        interval: u64,
-        sink: &mut dyn SampleSink,
-    ) -> Result<RunSummary, SimError> {
-        if interval == 0 {
-            return Err(SimError::ZeroSampleInterval);
-        }
-        let started = Instant::now();
-        let committed_before = self.committed;
-        let cycles_before = self.cycle;
-        let mut sampler = Sampler::new(&*self, "");
-        let mut next = interval;
-        let mut summary = RunSummary {
-            committed: self.committed,
-            cycles: self.cycle,
-            halted: self.halted,
-            insts_per_sec: 0.0,
-            sim_cycles_per_sec: 0.0,
-        };
-        let mut cut_short = false;
-        while next <= insts {
-            summary = self.run(next - self.committed_insts());
-            if self.halted() || self.committed_insts() < next {
-                // Program ended, stalled, or hit the watchdog.
-                cut_short = !self.halted();
-                break;
-            }
-            sampler.sample_into(&*self, self.committed_insts(), sink);
-            next += interval;
-        }
-        if let Some(budget) = self.cfg.cycle_budget {
-            if cut_short && self.cycle >= budget {
-                return Err(SimError::CycleBudgetExceeded {
-                    budget,
-                    cycles: self.cycle,
-                    committed: self.committed,
-                });
-            }
-        }
-        // Per-chunk rates from the inner `run` calls exclude sampling
-        // overhead; report whole-call throughput instead.
-        let secs = started.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            summary.insts_per_sec = (self.committed - committed_before) as f64 / secs;
-            summary.sim_cycles_per_sec = (self.cycle - cycles_before) as f64 / secs;
-        }
-        Ok(summary)
-    }
-
-    /// Advances the machine one cycle.
+    /// Advances the core one cycle.
     ///
     /// Stages tick oldest-first (commit → execute → issue → rename →
     /// decode → fetch), exactly as the monolithic core sequenced them. A
@@ -573,29 +421,6 @@ impl Core {
         });
 
         self.end_of_cycle();
-    }
-
-    /// Advances the clock past cycles in which every pipeline stage is
-    /// provably stalled, crediting per skipped cycle exactly the stall
-    /// statistics the stepped loop would have recorded.
-    ///
-    /// A skip is only taken when every stage's tick would be a pure
-    /// stall — same counters incremented every cycle, zero machine-state
-    /// mutation. Any stage that could make progress (or perform a
-    /// one-time mutation, like commit authorizing a non-speculative
-    /// head) makes this a no-op and the caller falls back to `step`.
-    /// The clock jumps to the earliest event that can unstall anything:
-    /// the next execute completion or a timed fetch stall expiring.
-    ///
-    /// The analysis ([`Core::stall_plan`]) and the per-cycle crediting
-    /// ([`Core::credit_stall_cycles`]) are split so a multi-core
-    /// [`Machine`](crate::machine::Machine) can skip only when *every*
-    /// active core is stalled, jumping all of them to the earliest wake.
-    fn skip_stalled_cycles(&mut self, cycle_cap: u64) {
-        if let Some(plan) = self.stall_plan() {
-            let skip_to = plan.wake(cycle_cap).min(cycle_cap);
-            self.credit_stall_cycles(&plan, skip_to);
-        }
     }
 
     /// Analyzes whether every stage is provably stalled this cycle.
@@ -932,13 +757,14 @@ impl StatGroup for Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
     use uarch_isa::Assembler;
 
-    fn run_program(a: Assembler, max: u64) -> Core {
+    fn run_program(a: Assembler, max: u64) -> Machine {
         let p = a.finish().expect("assembles");
-        let mut core = Core::new(CoreConfig::default(), p);
-        core.run(max);
-        core
+        let mut m = Machine::single_core(&CoreConfig::default(), p);
+        m.run(max);
+        m
     }
 
     #[test]
@@ -949,7 +775,8 @@ mod tests {
         a.add(Reg::R3, Reg::R1, Reg::R2);
         a.mul(Reg::R4, Reg::R3, Reg::R3);
         a.halt();
-        let core = run_program(a, 100);
+        let m = run_program(a, 100);
+        let core = m.core(0);
         assert!(core.halted());
         assert_eq!(core.reg(Reg::R3), 12);
         assert_eq!(core.reg(Reg::R4), 144);
@@ -967,7 +794,8 @@ mod tests {
         a.addi(Reg::R2, Reg::R2, 1);
         a.blt(Reg::R2, Reg::R3, top);
         a.halt();
-        let core = run_program(a, 1000);
+        let m = run_program(a, 1000);
+        let core = m.core(0);
         assert!(core.halted());
         assert_eq!(core.reg(Reg::R1), 55);
         assert!(core.stats().commit.branches.value() >= 10);
@@ -982,7 +810,8 @@ mod tests {
         a.store(Reg::R2, Reg::R1, 8);
         a.load(Reg::R3, Reg::R1, 8);
         a.halt();
-        let core = run_program(a, 100);
+        let m = run_program(a, 100);
+        let core = m.core(0);
         assert_eq!(core.reg(Reg::R3), 0xabcd);
         assert_eq!(core.mem().memory().read(0x1008, 8), 0xabcd);
     }
@@ -995,7 +824,8 @@ mod tests {
         a.store(Reg::R2, Reg::R1, 0);
         a.load(Reg::R3, Reg::R1, 0);
         a.halt();
-        let core = run_program(a, 100);
+        let m = run_program(a, 100);
+        let core = m.core(0);
         assert_eq!(core.reg(Reg::R3), 99);
         assert!(core.stats().iew.lsq.forw_loads.value() >= 1);
     }
@@ -1014,7 +844,8 @@ mod tests {
         a.ret();
         a.bind(end);
         a.halt();
-        let core = run_program(a, 100);
+        let m = run_program(a, 100);
+        let core = m.core(0);
         assert_eq!(core.reg(Reg::R1), 111);
         assert!(core.stats().commit.function_calls.value() >= 1);
     }
@@ -1047,7 +878,8 @@ mod tests {
         a.blt(Reg::R2, Reg::R3, top);
         a.load(Reg::R7, Reg::R10, 0); // architectural touch for sanity
         a.halt();
-        let core = run_program(a, 10_000);
+        let m = run_program(a, 10_000);
+        let core = m.core(0);
         assert!(core.halted());
         assert_eq!(core.reg(Reg::R2), 100);
         assert!(
@@ -1075,14 +907,15 @@ mod tests {
         a.bind(handler);
         a.li(Reg::R20, 1);
         a.halt();
-        let core = run_program(a, 1000);
+        let m = run_program(a, 1000);
+        let core = m.core(0);
         assert!(core.halted());
         assert_eq!(core.reg(Reg::R20), 1, "fault handler ran");
         assert_eq!(core.stats().commit.faults.value(), 1);
         // The dependent line (0x1000 + 0x42*64) was touched speculatively.
         assert!(
             core.mem().l1d().probe(0x1000 + 0x42 * 64).is_some()
-                || core.mem().l2().probe(0x1000 + 0x42 * 64).is_some(),
+                || m.with_uncore(|u| u.l2().probe(0x1000 + 0x42 * 64).is_some()),
             "Meltdown window must leave a cache footprint"
         );
     }
@@ -1104,7 +937,8 @@ mod tests {
         a.fence();
         a.rdcycle(Reg::R12);
         a.halt();
-        let core = run_program(a, 1000);
+        let m = run_program(a, 1000);
+        let core = m.core(0);
         let t_cached = core.reg(Reg::R11) - core.reg(Reg::R10);
         let t_absent = core.reg(Reg::R12) - core.reg(Reg::R11);
         assert!(
@@ -1128,7 +962,8 @@ mod tests {
         a.bind(f);
         a.set_ret(Reg::R9); // replace return address with `end`
         a.ret(); // architecturally returns to end; RAS predicts gadget
-        let core = run_program(a, 1000);
+        let m = run_program(a, 1000);
+        let core = m.core(0);
         assert!(core.halted());
         assert!(
             core.stats().bpred.ras_incorrect.value() >= 1,
@@ -1151,7 +986,8 @@ mod tests {
         a.bnez(Reg::R1, top);
         a.rdcycle(Reg::R2);
         a.halt();
-        let core = run_program(a, 10_000);
+        let m = run_program(a, 10_000);
+        let core = m.core(0);
         assert!(core.reg(Reg::R2) > 0);
         assert!(core.stats().rename.temp_serializing_insts.value() >= 1);
     }
@@ -1168,7 +1004,8 @@ mod tests {
             }
         }
         a.halt();
-        let core = run_program(a, 100);
+        let m = run_program(a, 100);
+        let core = m.core(0);
         assert!(core.stats().fetch.pending_quiesce_stall_cycles.value() > 0);
         assert_eq!(core.stats().commit.membars.value(), 4);
     }
@@ -1192,8 +1029,8 @@ mod tests {
         a.li(Reg::R1, 0x1000);
         a.load(Reg::R2, Reg::R1, 0);
         a.halt();
-        let core = run_program(a, 100);
-        let snap = uarch_stats::Snapshot::of(&core, "");
+        let m = run_program(a, 100);
+        let snap = uarch_stats::Snapshot::of(&m, "");
         assert!(snap.get("fetch.SquashCycles").is_some());
         assert!(snap.get("dcache.ReadReq_misses").is_some());
         assert!(snap.get("numCycles").unwrap() > 0.0);
@@ -1210,91 +1047,6 @@ mod tests {
         };
         let err = Core::try_new(cfg, p).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }));
-    }
-
-    #[test]
-    fn zero_sample_interval_is_a_typed_error() {
-        struct NullSink;
-        impl SampleSink for NullSink {
-            fn on_sample(&mut self, _insts: u64, _row: &[f64]) {}
-        }
-        let mut a = Assembler::new("t");
-        a.halt();
-        let mut core = Core::new(CoreConfig::default(), a.finish().unwrap());
-        assert!(matches!(
-            core.run_with_sink(100, 0, &mut NullSink),
-            Err(SimError::ZeroSampleInterval)
-        ));
-    }
-
-    #[test]
-    fn cycle_budget_watchdog_stops_a_spinning_program() {
-        struct NullSink;
-        impl SampleSink for NullSink {
-            fn on_sample(&mut self, _insts: u64, _row: &[f64]) {}
-        }
-        // An infinite loop: commits instructions forever, never halts.
-        let mut a = Assembler::new("spin");
-        let top = a.label();
-        a.bind(top);
-        a.addi(Reg::R1, Reg::R1, 1);
-        a.jmp(top);
-        let p = a.finish().unwrap();
-
-        let cfg = CoreConfig {
-            cycle_budget: Some(50_000),
-            ..CoreConfig::default()
-        };
-        let mut core = Core::try_new(cfg, p).unwrap();
-        let err = core
-            .run_with_sink(100_000_000, 10_000, &mut NullSink)
-            .unwrap_err();
-        match err {
-            SimError::CycleBudgetExceeded {
-                budget,
-                cycles,
-                committed,
-            } => {
-                assert_eq!(budget, 50_000);
-                assert!(cycles >= 50_000, "watchdog fired at {cycles}");
-                assert!(committed > 0, "the loop was making (futile) progress");
-            }
-            other => panic!("expected CycleBudgetExceeded, got {other:?}"),
-        }
-        assert!(!core.halted());
-    }
-
-    #[test]
-    fn cycle_budget_does_not_fire_on_a_completing_run() {
-        struct CountSink(u64);
-        impl SampleSink for CountSink {
-            fn on_sample(&mut self, _insts: u64, _row: &[f64]) {
-                self.0 += 1;
-            }
-        }
-        let w = workloads_free_program();
-        // Generous budget: the run finishes well inside it.
-        let cfg = CoreConfig {
-            cycle_budget: Some(100_000_000),
-            ..CoreConfig::default()
-        };
-        let mut core = Core::try_new(cfg, w).unwrap();
-        let mut sink = CountSink(0);
-        let summary = core.run_with_sink(5_000, 1_000, &mut sink).unwrap();
-        assert!(summary.committed >= 5_000);
-        assert_eq!(sink.0, 5, "all five intervals sampled");
-    }
-
-    /// A small self-contained arithmetic program for budget tests.
-    fn workloads_free_program() -> Program {
-        let mut a = Assembler::new("arith");
-        a.li(Reg::R1, 40_000);
-        let top = a.label();
-        a.bind(top);
-        a.subi(Reg::R1, Reg::R1, 1);
-        a.bnez(Reg::R1, top);
-        a.halt();
-        a.finish().unwrap()
     }
 
     #[test]

@@ -15,17 +15,19 @@
 //! # Example
 //!
 //! ```
-//! use sim_cpu::{Core, CoreConfig};
+//! use sim_cpu::{CoreConfig, Machine};
+//! use sim_mem::HierarchyConfig;
 //! use uarch_isa::{Assembler, Reg};
 //!
 //! let mut a = Assembler::new("demo");
 //! a.li(Reg::R1, 21);
 //! a.add(Reg::R2, Reg::R1, Reg::R1);
 //! a.halt();
-//! let mut core = Core::new(CoreConfig::default(), a.finish().unwrap());
-//! let summary = core.run(100);
+//! let program = a.finish().unwrap();
+//! let mut m = Machine::single_core(&CoreConfig::default(), program);
+//! let summary = m.run(100);
 //! assert!(summary.halted);
-//! assert_eq!(core.reg(Reg::R2), 42);
+//! assert_eq!(m.core(0).reg(Reg::R2), 42);
 //! ```
 
 #![warn(missing_docs)]
@@ -41,10 +43,10 @@ pub mod pipeline;
 pub mod stats;
 pub mod tlb;
 
-pub use crate::core::{Core, CoreStatsView, MarkEvent, RunSummary, KERNEL_SPACE_BASE};
+pub use crate::core::{Core, CoreStatsView, MarkEvent, KERNEL_SPACE_BASE};
 pub use config::CoreConfig;
 pub use decoded::{DecodedInst, DecodedProgram};
 pub use error::SimError;
-pub use machine::Machine;
+pub use machine::{Machine, RunSummary};
 pub use pipeline::{PipelineComponent, SquashRequest, TrapRequest};
 pub use stats::stat_invariants;

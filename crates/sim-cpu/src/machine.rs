@@ -19,10 +19,12 @@
 //! loop would have recorded. One busy core vetoes the skip for the whole
 //! machine.
 //!
-//! A single-core machine is bit-identical to a standalone [`Core`]: the
-//! shared uncore arms no snooping or arbiter accounting for one core, the
-//! statistic walk emits the historical flat layout (1159 names), and the
-//! run loop degenerates to exactly the standalone loop. Multi-core
+//! The machine is the simulator's only driver: a standalone program runs
+//! on a one-core machine. That machine is bit-identical to stepping a
+//! lone [`Core`] by hand: the shared uncore arms no snooping or arbiter
+//! accounting for one core, the statistic walk emits the historical flat
+//! layout (1159 names), and tick-skipping only credits the stall
+//! statistics the stepped cycles would have recorded. Multi-core
 //! machines namespace each core's statistics under `core0.`, `core1.`, …
 //! while the shared uncore groups stay unprefixed.
 
@@ -34,9 +36,27 @@ use uarch_isa::Program;
 use uarch_stats::{SampleSink, Sampler, Schema, StatGroup, StatVisitor};
 
 use crate::config::CoreConfig;
-use crate::core::{Core, RunSummary};
+use crate::core::Core;
 use crate::error::SimError;
 use crate::pipeline::join_prefix;
+
+/// Outcome of a [`Machine::run`] or [`Machine::run_with_sink`] call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSummary {
+    /// Instructions committed in total, machine-wide.
+    pub committed: u64,
+    /// Machine cycles simulated in total.
+    pub cycles: u64,
+    /// Whether every program halted.
+    pub halted: bool,
+    /// Wall-clock throughput of this call: committed instructions per
+    /// host second (0.0 when the call committed nothing or the clock
+    /// resolution swallowed it).
+    pub insts_per_sec: f64,
+    /// Wall-clock throughput of this call: simulated cycles per host
+    /// second.
+    pub sim_cycles_per_sec: f64,
+}
 
 /// N out-of-order cores in lockstep around one shared uncore.
 pub struct Machine {
@@ -65,17 +85,45 @@ impl Machine {
         hcfg: &HierarchyConfig,
         programs: Vec<Program>,
     ) -> Result<Self, SimError> {
-        if programs.is_empty() {
+        Self::build(cfg, hcfg, programs.into_iter())
+    }
+
+    /// Builds a machine, panicking on configuration errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Machine::try_new`] would return an error.
+    pub fn new(cfg: &CoreConfig, hcfg: &HierarchyConfig, programs: Vec<Program>) -> Self {
+        Self::try_new(cfg, hcfg, programs).expect("valid machine configuration")
+    }
+
+    /// Builds a one-core machine running `program` on the default memory
+    /// hierarchy: how a standalone program runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is invalid (see [`CoreConfig::validate`]).
+    pub fn single_core(cfg: &CoreConfig, program: Program) -> Self {
+        Self::build(cfg, &HierarchyConfig::default(), std::iter::once(program))
+            .expect("valid machine configuration")
+    }
+
+    fn build(
+        cfg: &CoreConfig,
+        hcfg: &HierarchyConfig,
+        programs: impl ExactSizeIterator<Item = Program>,
+    ) -> Result<Self, SimError> {
+        let n = programs.len();
+        if n == 0 {
             return Err(SimError::InvalidConfig {
                 param: "n_cores",
                 value: 0,
                 reason: "a machine needs at least one core",
             });
         }
-        let n = programs.len();
         let uncore = Arc::new(Mutex::new(Uncore::try_new(hcfg, n).map_err(SimError::Mem)?));
         let mut cores = Vec::with_capacity(n);
-        for (i, program) in programs.into_iter().enumerate() {
+        for (i, program) in programs.enumerate() {
             let mem = MemoryHierarchy::try_shared(
                 hcfg.l1i.clone(),
                 hcfg.l1d.clone(),
@@ -90,15 +138,6 @@ impl Machine {
             uncore,
             cycle: 0,
         })
-    }
-
-    /// Builds a machine, panicking on configuration errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Machine::try_new`] would return an error.
-    pub fn new(cfg: &CoreConfig, hcfg: &HierarchyConfig, programs: Vec<Program>) -> Self {
-        Self::try_new(cfg, hcfg, programs).expect("valid machine configuration")
     }
 
     /// Number of cores.
@@ -168,15 +207,25 @@ impl Machine {
     }
 
     /// Runs until every program halts or `max_insts` more instructions
-    /// commit machine-wide. Mirrors [`Core::run`], including the cycle cap
-    /// and the tick-skip fast path; with one core the loop is exactly the
-    /// standalone loop.
+    /// commit machine-wide. Returns a summary of total progress.
+    ///
+    /// The run stops early at a cycle cap of 40 cycles per requested
+    /// instruction plus two million, or at the tightest configured
+    /// [`CoreConfig::cycle_budget`]. When every core enables
+    /// [`CoreConfig::tick_skip`] (the default), the loop jumps over
+    /// stretches of cycles in which every active core is provably stalled
+    /// — typically whole windows waiting on a DRAM fill — crediting the
+    /// exact per-cycle stall statistics the stepped loop would have
+    /// recorded.
     pub fn run(&mut self, max_insts: u64) -> RunSummary {
         let started = Instant::now();
         let committed_before = self.total_committed();
         let cycles_before = self.cycle;
         let target = committed_before.saturating_add(max_insts);
-        let mut cycle_cap = self.cycle + max_insts.saturating_mul(40) + 2_000_000;
+        let mut cycle_cap = self
+            .cycle
+            .saturating_add(max_insts.saturating_mul(40))
+            .saturating_add(2_000_000);
         if let Some(budget) = self.cycle_budget() {
             cycle_cap = cycle_cap.min(budget);
         }
@@ -217,34 +266,27 @@ impl Machine {
     /// stalled. Any core that could make progress vetoes the whole skip;
     /// otherwise all active cores jump to the earliest wake event across
     /// the machine, each crediting its exact per-cycle stall statistics.
+    ///
+    /// The plans are not kept between the veto pass and the credit pass:
+    /// a core's plan is a pure function of state the veto pass leaves
+    /// alone, so recomputing it costs one analysis per successful skip and
+    /// keeps the per-cycle check free of allocation.
     fn skip_stalled(&mut self, cycle_cap: u64) {
-        let mut plans = Vec::with_capacity(self.cores.len());
-        for core in &mut self.cores {
-            if core.halted() {
-                plans.push(None);
-                continue;
-            }
+        let mut wake = cycle_cap;
+        for core in self.cores.iter_mut().filter(|c| !c.halted()) {
             match core.stall_plan() {
-                Some(plan) => plans.push(Some(plan)),
+                Some(plan) => wake = wake.min(plan.wake(cycle_cap)),
                 None => return,
             }
         }
-        let wake = plans
-            .iter()
-            .flatten()
-            .map(|p| p.wake(cycle_cap))
-            .min()
-            .unwrap_or(cycle_cap);
-        let skip_to = wake.min(cycle_cap);
-        if skip_to <= self.cycle {
+        if wake <= self.cycle {
             return;
         }
-        for (core, plan) in self.cores.iter_mut().zip(&plans) {
-            if let Some(plan) = plan {
-                core.credit_stall_cycles(plan, skip_to);
-            }
+        for core in self.cores.iter_mut().filter(|c| !c.halted()) {
+            let plan = core.stall_plan().expect("the veto pass found it stalled");
+            core.credit_stall_cycles(&plan, wake);
         }
-        self.cycle = skip_to;
+        self.cycle = wake;
     }
 
     /// Applies the uncore's queued back-invalidations to every core except
@@ -278,12 +320,20 @@ impl Machine {
         }
     }
 
-    /// Runs until every program halts or `insts` instructions commit
+    /// Runs until every program halts or `insts` more instructions commit
     /// machine-wide, emitting one stat-delta row to `sink` every
-    /// `interval` *machine-wide* committed instructions — the multi-core
-    /// analog of [`Core::run_with_sink`], with sampling boundaries on the
-    /// aggregate commit count so attacker and victim progress both advance
-    /// the window.
+    /// `interval` *machine-wide* committed instructions — the paper's
+    /// online sampling unit, observed as it happens instead of
+    /// materialized after the run. Sampling boundaries sit on the
+    /// aggregate commit count, so attacker and victim progress both
+    /// advance the window.
+    ///
+    /// Boundaries and the sampler's baseline are taken from the machine's
+    /// state at call entry, so on a machine that has already run the deltas
+    /// cover exactly the instructions executed by this call. Each row is
+    /// stamped with the machine-wide committed count at its sampling point.
+    /// Sampling stops early if the programs halt or stall before the next
+    /// boundary; a final partial window is never emitted.
     ///
     /// # Errors
     ///
@@ -304,7 +354,8 @@ impl Machine {
         let committed_before = self.total_committed();
         let cycles_before = self.cycle;
         let mut sampler = Sampler::new(&*self, "");
-        let mut next = interval;
+        let end = committed_before.saturating_add(insts);
+        let mut next = committed_before.saturating_add(interval);
         let mut summary = RunSummary {
             committed: self.total_committed(),
             cycles: self.cycle,
@@ -313,15 +364,15 @@ impl Machine {
             sim_cycles_per_sec: 0.0,
         };
         let mut cut_short = false;
-        while next <= insts {
-            summary = self.run(next - self.total_committed());
+        while next <= end {
+            summary = self.run(next.saturating_sub(self.total_committed()));
             if self.all_halted() || self.total_committed() < next {
                 // Programs ended, stalled, or hit the watchdog.
                 cut_short = !self.all_halted();
                 break;
             }
             sampler.sample_into(&*self, self.total_committed(), sink);
-            next += interval;
+            next = next.saturating_add(interval);
         }
         if let Some(budget) = self.cycle_budget() {
             if cut_short && self.cycle >= budget {

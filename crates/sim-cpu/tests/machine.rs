@@ -1,11 +1,12 @@
 //! Machine-level tests: single-core bit-identity through the shared-uncore
 //! path, per-core stat namespacing, cross-core snoop back-invalidation,
-//! shared-bus arbitration and multi-core tick-skip equivalence.
+//! shared-bus arbitration, multi-core tick-skip equivalence and the
+//! sampled run's boundaries and watchdog.
 
-use sim_cpu::{Core, CoreConfig, Machine};
+use sim_cpu::{Core, CoreConfig, Machine, SimError};
 use sim_mem::HierarchyConfig;
 use uarch_isa::{Assembler, Program, Reg};
-use uarch_stats::Snapshot;
+use uarch_stats::{SampleSink, Snapshot};
 use workloads::spectre::{spectre_v1, SpectreV1Params};
 
 fn machine(programs: Vec<Program>) -> Machine {
@@ -58,22 +59,29 @@ fn compute(touch: Option<u64>, iters: u64) -> Program {
     a.finish().expect("assembles")
 }
 
-/// The tentpole's golden gate at the unit level: a one-core machine —
-/// private L1s wired to a shared (mutex-held) uncore, the machine run
-/// loop, the machine stat walk — must be *bit-identical* to the
-/// standalone core on a real attack workload: same commit/cycle/halt
-/// trajectory and the same value in every one of the 1159 statistics.
+/// The golden gate at the unit level: a one-core machine — private L1s
+/// wired to a shared (mutex-held) uncore, the machine run loop with its
+/// tick-skipping, the machine stat walk — must be *bit-identical* to a
+/// standalone core with its own uncore, stepped one cycle at a time, on a
+/// real attack workload: same commit/cycle/halt trajectory and the same
+/// value in every one of the 1159 statistics.
 #[test]
 fn single_core_machine_is_bit_identical_to_a_standalone_core() {
     let program = spectre_v1(SpectreV1Params::default());
     let mut core = Core::new(CoreConfig::default(), program.clone());
     let mut mach = machine(vec![program]);
 
-    let cs = core.run(120_000);
+    while !core.halted() && core.committed_insts() < 120_000 {
+        core.step();
+    }
     let ms = mach.run(120_000);
-    assert_eq!(ms.committed, cs.committed, "committed-instruction drift");
-    assert_eq!(ms.cycles, cs.cycles, "cycle drift");
-    assert_eq!(ms.halted, cs.halted);
+    assert_eq!(
+        ms.committed,
+        core.committed_insts(),
+        "committed-instruction drift"
+    );
+    assert_eq!(ms.cycles, core.cycles(), "cycle drift");
+    assert_eq!(ms.halted, core.halted());
 
     let want = Snapshot::of(&core, "");
     let got = Snapshot::of(&mach, "");
@@ -319,4 +327,119 @@ fn two_core_tick_skip_is_stat_identical_to_stepping() {
     for ((name, w), g) in want.names().iter().zip(want.values()).zip(got.values()) {
         assert!(w == g, "stat {name} diverged: stepped {w} vs skipped {g}");
     }
+}
+
+/// Counts the rows a run emits and keeps their instruction stamps.
+#[derive(Default)]
+struct Stamps(Vec<u64>);
+
+impl SampleSink for Stamps {
+    fn on_sample(&mut self, insts: u64, _row: &[f64]) {
+        self.0.push(insts);
+    }
+}
+
+/// A register-only countdown loop of `iters` iterations: never stalls on
+/// memory, halts after roughly `2 * iters` instructions.
+fn countdown(iters: i64) -> Program {
+    let mut a = Assembler::new("countdown");
+    a.li(Reg::R1, iters);
+    let top = a.label();
+    a.bind(top);
+    a.subi(Reg::R1, Reg::R1, 1);
+    a.bnez(Reg::R1, top);
+    a.halt();
+    a.finish().expect("assembles")
+}
+
+/// A register-only loop that never halts.
+fn spin() -> Program {
+    let mut a = Assembler::new("spin");
+    let top = a.label();
+    a.bind(top);
+    a.addi(Reg::R1, Reg::R1, 1);
+    a.jmp(top);
+    a.finish().expect("assembles")
+}
+
+/// Sampling boundaries count from the commit count at call entry: a
+/// sampled run after a warm-up covers exactly `insts` more instructions
+/// and emits `insts / interval` rows.
+#[test]
+fn sampled_run_after_a_warm_up_counts_from_call_entry() {
+    let width = CoreConfig::default().commit_width as u64;
+    let mut m = machine(vec![countdown(1_000_000)]);
+    m.run(25_000);
+    let warm = m.total_committed();
+    assert!(
+        (25_000..25_000 + width).contains(&warm),
+        "warm-up at {warm}"
+    );
+
+    let mut stamps = Stamps::default();
+    let summary = m
+        .run_with_sink(20_000, 10_000, &mut stamps)
+        .expect("positive interval");
+    assert_eq!(stamps.0.len(), 2, "two boundaries in 20K instructions");
+    let committed = m.total_committed();
+    assert_eq!(summary.committed, committed);
+    assert!(
+        (warm + 20_000..warm + 20_000 + width).contains(&committed),
+        "ran to {committed}, expected {} more than {warm}",
+        20_000
+    );
+    assert!(
+        (warm + 10_000..warm + 10_000 + width).contains(&stamps.0[0]),
+        "first row stamped {}",
+        stamps.0[0]
+    );
+    assert_eq!(stamps.0[1], committed);
+}
+
+#[test]
+fn zero_sample_interval_is_a_typed_error() {
+    let mut m = machine(vec![idle()]);
+    assert!(matches!(
+        m.run_with_sink(100, 0, &mut Stamps::default()),
+        Err(SimError::ZeroSampleInterval)
+    ));
+}
+
+#[test]
+fn cycle_budget_watchdog_stops_a_spinning_program() {
+    let cfg = CoreConfig {
+        cycle_budget: Some(50_000),
+        ..CoreConfig::default()
+    };
+    let mut m = Machine::single_core(&cfg, spin());
+    let err = m
+        .run_with_sink(100_000_000, 10_000, &mut Stamps::default())
+        .unwrap_err();
+    match err {
+        SimError::CycleBudgetExceeded {
+            budget,
+            cycles,
+            committed,
+        } => {
+            assert_eq!(budget, 50_000);
+            assert!(cycles >= 50_000, "watchdog fired at {cycles}");
+            assert!(committed > 0, "the loop was making (futile) progress");
+        }
+        other => panic!("expected CycleBudgetExceeded, got {other:?}"),
+    }
+    assert!(!m.all_halted());
+}
+
+#[test]
+fn cycle_budget_does_not_fire_on_a_completing_run() {
+    // Generous budget: the run finishes well inside it.
+    let cfg = CoreConfig {
+        cycle_budget: Some(100_000_000),
+        ..CoreConfig::default()
+    };
+    let mut m = Machine::single_core(&cfg, countdown(40_000));
+    let mut stamps = Stamps::default();
+    let summary = m.run_with_sink(5_000, 1_000, &mut stamps).unwrap();
+    assert!(summary.committed >= 5_000);
+    assert_eq!(stamps.0.len(), 5, "all five intervals sampled");
 }

@@ -2,22 +2,22 @@
 //! actually break the attacks they target, at a measurable but bounded
 //! benign cost.
 
-use sim_cpu::{Core, CoreConfig};
+use sim_cpu::{CoreConfig, Machine};
 use workloads::layout::{RESULTS, SECRET};
 use workloads::spectre::{spectre_v1, SpectreV1Params};
 
-fn leaked_bytes(core: &Core) -> usize {
+fn leaked_bytes(m: &Machine) -> usize {
     SECRET
         .iter()
         .enumerate()
-        .filter(|(i, &b)| core.mem().memory().read(RESULTS + *i as u64, 1) as u8 == b)
+        .filter(|(i, &b)| m.core(0).mem().memory().read(RESULTS + *i as u64, 1) as u8 == b)
         .count()
 }
 
 #[test]
 fn predictor_noise_breaks_spectre_v1() {
-    let mut baseline = Core::new(
-        CoreConfig::default(),
+    let mut baseline = Machine::single_core(
+        &CoreConfig::default(),
         spectre_v1(SpectreV1Params::default()),
     );
     baseline.run(1_200_000);
@@ -27,11 +27,11 @@ fn predictor_noise_breaks_spectre_v1() {
         "baseline attack must work ({leaked_clean})"
     );
 
-    let mut noisy = Core::new(
-        CoreConfig::default(),
+    let mut noisy = Machine::single_core(
+        &CoreConfig::default(),
         spectre_v1(SpectreV1Params::default()),
     );
-    noisy.set_bp_noise(0.5);
+    noisy.core_mut(0).set_bp_noise(0.5);
     noisy.run(1_200_000);
     let leaked_noisy = leaked_bytes(&noisy);
     // The paper's claim is bandwidth reduction, not a hard stop:
@@ -47,8 +47,8 @@ fn predictor_noise_breaks_spectre_v1() {
 
 #[test]
 fn index_randomization_breaks_prime_probe() {
-    let mut base = Core::new(
-        CoreConfig::default(),
+    let mut base = Machine::single_core(
+        &CoreConfig::default(),
         workloads::cache_attacks::prime_probe(),
     );
     base.run(2_500_000);
@@ -56,22 +56,22 @@ fn index_randomization_breaks_prime_probe() {
         .filter(|&i| {
             let b = SECRET[(i >> 1) as usize];
             let expected = if i & 1 == 0 { b >> 4 } else { b & 15 };
-            base.mem().memory().read(RESULTS + i, 1) as u8 == expected
+            base.core(0).mem().memory().read(RESULTS + i, 1) as u8 == expected
         })
         .count();
     assert!(hits_base >= 16, "baseline P+P must work ({hits_base}/32)");
 
-    let mut rand = Core::new(
-        CoreConfig::default(),
+    let mut rand = Machine::single_core(
+        &CoreConfig::default(),
         workloads::cache_attacks::prime_probe(),
     );
-    rand.randomize_cache_indexing(0x5DEECE66D);
+    rand.core_mut(0).randomize_cache_indexing(0x5DEECE66D);
     rand.run(2_500_000);
     let hits_rand = (0..32u64)
         .filter(|&i| {
             let b = SECRET[(i >> 1) as usize];
             let expected = if i & 1 == 0 { b >> 4 } else { b & 15 };
-            rand.mem().memory().read(RESULTS + i, 1) as u8 == expected
+            rand.core(0).mem().memory().read(RESULTS + i, 1) as u8 == expected
         })
         .count();
     assert!(
@@ -82,20 +82,20 @@ fn index_randomization_breaks_prime_probe() {
 
 #[test]
 fn noise_costs_bounded_benign_performance() {
-    let mut clean = Core::new(
-        CoreConfig::default(),
+    let mut clean = Machine::single_core(
+        &CoreConfig::default(),
         workloads::benign::hmmer().expect("hmmer assembles"),
     );
     clean.run(300_000);
-    let ipc_clean = clean.committed_insts() as f64 / clean.cycles() as f64;
+    let ipc_clean = clean.total_committed() as f64 / clean.cycles() as f64;
 
-    let mut noisy = Core::new(
-        CoreConfig::default(),
+    let mut noisy = Machine::single_core(
+        &CoreConfig::default(),
         workloads::benign::hmmer().expect("hmmer assembles"),
     );
-    noisy.set_bp_noise(0.05);
+    noisy.core_mut(0).set_bp_noise(0.05);
     noisy.run(300_000);
-    let ipc_noisy = noisy.committed_insts() as f64 / noisy.cycles() as f64;
+    let ipc_noisy = noisy.total_committed() as f64 / noisy.cycles() as f64;
 
     assert!(ipc_noisy < ipc_clean, "noise is not free");
     assert!(

@@ -2,13 +2,15 @@
 //! ordering, predictor structures and timing properties of the
 //! out-of-order core.
 
-use sim_cpu::{Core, CoreConfig};
+use sim_cpu::{CoreConfig, Machine};
 use uarch_isa::{AluOp, Assembler, Reg};
 
-fn run(a: Assembler, max: u64) -> Core {
-    let mut core = Core::new(CoreConfig::default(), a.finish().expect("assembles"));
-    core.run(max);
-    core
+/// Runs the assembled program on a one-core machine.
+fn run(a: Assembler, max: u64) -> Machine {
+    let program = a.finish().expect("assembles");
+    let mut m = Machine::single_core(&CoreConfig::default(), program);
+    m.run(max);
+    m
 }
 
 #[test]
@@ -31,7 +33,8 @@ fn independent_work_behind_a_miss_fills_the_rob() {
     a.li(Reg::R3, 0xa_0000);
     a.blt(Reg::R1, Reg::R3, top);
     a.halt();
-    let core = run(a, 200_000);
+    let m = run(a, 200_000);
+    let core = m.core(0);
     assert!(
         core.stats().rename.rob_full_events.value() > 0,
         "completed-but-unretired work must exert ROB pressure"
@@ -55,7 +58,8 @@ fn dependent_chains_fill_the_iq_first() {
     a.li(Reg::R3, 0xa_0000);
     a.blt(Reg::R1, Reg::R3, top);
     a.halt();
-    let core = run(a, 200_000);
+    let m = run(a, 200_000);
+    let core = m.core(0);
     assert!(
         core.stats().rename.iq_full_events.value() > 0,
         "unissued dependent work must exert IQ pressure"
@@ -76,7 +80,8 @@ fn load_queue_fills_under_mass_misses() {
     a.li(Reg::R3, 0x9_2000);
     a.blt(Reg::R1, Reg::R3, top);
     a.halt();
-    let core = run(a, 500_000);
+    let m = run(a, 500_000);
+    let core = m.core(0);
     assert!(
         core.stats().rename.lq_full_events.value() > 0,
         "mass loads must fill the load queue"
@@ -96,7 +101,8 @@ fn store_queue_fills_under_mass_stores() {
     a.addi(Reg::R1, Reg::R1, 64);
     a.blt(Reg::R1, Reg::R4, top);
     a.halt();
-    let core = run(a, 500_000);
+    let m = run(a, 500_000);
+    let core = m.core(0);
     assert!(core.stats().rename.sq_full_events.value() > 0);
 }
 
@@ -119,7 +125,8 @@ fn memory_order_violation_recovers_with_correct_value() {
     a.store(Reg::R2, Reg::R4, 0);
     a.load(Reg::R5, Reg::R1, 0); // races ahead, reads stale 0, must replay
     a.halt();
-    let core = run(a, 50_000);
+    let m = run(a, 50_000);
+    let core = m.core(0);
     assert_eq!(
         core.reg(Reg::R5),
         77,
@@ -154,7 +161,8 @@ fn deep_call_chains_wrap_the_ras_but_stay_correct() {
     }
     a.bind(end);
     a.halt();
-    let core = run(a, 50_000);
+    let m = run(a, 50_000);
+    let core = m.core(0);
     assert!(core.halted());
     assert_eq!(core.reg(Reg::R1), 24, "every frame executed exactly once");
     assert!(
@@ -176,7 +184,8 @@ fn tlb_misses_scale_with_page_footprint() {
     a.addi(Reg::R1, Reg::R1, 4096);
     a.blt(Reg::R1, Reg::R2, top);
     a.halt();
-    let core = run(a, 100_000);
+    let m = run(a, 100_000);
+    let core = m.core(0);
     assert!(
         core.stats().dtb.rd_misses.value() >= 250,
         "every new page misses the TLB"
@@ -199,7 +208,7 @@ fn ipc_reflects_program_character() {
     fast.bnez(Reg::R1, top);
     fast.halt();
     let f = run(fast, 20_000);
-    let ipc_fast = f.committed_insts() as f64 / f.cycles() as f64;
+    let ipc_fast = f.total_committed() as f64 / f.cycles() as f64;
 
     let mut slow = Assembler::new("pointer-chase");
     slow.li(Reg::R1, 0x20_0000);
@@ -213,9 +222,8 @@ fn ipc_reflects_program_character() {
     slow.li(Reg::R1, 0x20_0000);
     slow.bnez(Reg::R2, top);
     slow.halt();
-    let mut s_core = Core::new(CoreConfig::default(), slow.finish().unwrap());
-    s_core.run(5_000);
-    let ipc_slow = s_core.committed_insts() as f64 / s_core.cycles() as f64;
+    let s = run(slow, 5_000);
+    let ipc_slow = s.total_committed() as f64 / s.cycles() as f64;
 
     assert!(
         ipc_fast > 3.0 * ipc_slow,
@@ -243,7 +251,8 @@ fn squash_restores_architectural_register_state() {
     a.addi(Reg::R12, Reg::R12, 1);
     a.blt(Reg::R12, Reg::R11, top);
     a.halt();
-    let core = run(a, 50_000);
+    let m = run(a, 50_000);
+    let core = m.core(0);
     // Exactly 50 even iterations took the +10 path.
     assert_eq!(core.reg(Reg::R10), 5 + 50 * 10);
     assert_eq!(core.reg(Reg::R12), 100);
@@ -260,7 +269,8 @@ fn serializing_fence_drains_outstanding_misses() {
     a.load(Reg::R3, Reg::R1, 8); // hit
     a.rdcycle(Reg::R12);
     a.halt();
-    let core = run(a, 10_000);
+    let m = run(a, 10_000);
+    let core = m.core(0);
     let miss = core.reg(Reg::R11) - core.reg(Reg::R10);
     let hit = core.reg(Reg::R12) - core.reg(Reg::R11);
     assert!(
@@ -294,7 +304,8 @@ fn flush_of_dirty_line_takes_longest() {
     a.fence();
     a.rdcycle(Reg::R15);
     a.halt();
-    let core = run(a, 10_000);
+    let m = run(a, 10_000);
+    let core = m.core(0);
     let dirty = core.reg(Reg::R11) - core.reg(Reg::R10);
     let clean = core.reg(Reg::R13) - core.reg(Reg::R12);
     let absent = core.reg(Reg::R15) - core.reg(Reg::R14);
@@ -332,7 +343,8 @@ fn wrong_path_loads_install_cache_lines() {
     a.addi(Reg::R2, Reg::R2, 1);
     a.blt(Reg::R2, Reg::R3, top);
     a.halt();
-    let core = run(a, 200_000);
+    let m = run(a, 200_000);
+    let core = m.core(0);
     assert!(core.halted());
     // After i==100 the line is cached architecturally; the point is the
     // machine ALSO touched it speculatively earlier — count accesses.
@@ -346,7 +358,7 @@ fn wrong_path_loads_install_cache_lines() {
         "loads flowed through the data cache"
     );
     assert!(
-        core.mem().l1d().probe(line).is_some() || core.mem().l2().probe(line).is_some(),
+        core.mem().l1d().probe(line).is_some() || m.with_uncore(|u| u.l2().probe(line).is_some()),
         "the secret-dependent line must be resident"
     );
 }
@@ -370,7 +382,8 @@ fn partial_store_overlap_forwards_merged_bytes() {
         fp: false,
     });
     a.halt();
-    let core = run(a, 10_000);
+    let m = run(a, 10_000);
+    let core = m.core(0);
     assert_eq!(
         core.reg(Reg::R3),
         0xa5a5a500,
@@ -396,7 +409,8 @@ fn violation_squash_rollback_and_redirect_are_consistent() {
     a.li(Reg::R8, -1); // must never be lost by the squash
     a.loadb(Reg::R9, Reg::R1, 0);
     a.halt();
-    let core = run(a, 50_000);
+    let m = run(a, 50_000);
+    let core = m.core(0);
     assert!(core.halted());
     assert_eq!(
         core.reg(Reg::R8),

@@ -14,7 +14,7 @@
 //! so the comparison needs no feature juggling.
 
 use proptest::prelude::*;
-use sim_cpu::{Core, CoreConfig, RunSummary};
+use sim_cpu::{CoreConfig, Machine, RunSummary};
 use uarch_isa::{AluOp, Assembler, Inst, Program, Reg, Width};
 use uarch_stats::{SampleSink, Snapshot};
 
@@ -39,12 +39,12 @@ fn run_sampled(
     insts: u64,
     interval: u64,
 ) -> (Vec<Vec<f64>>, Snapshot, RunSummary) {
-    let mut core = Core::new(cfg, program.clone());
+    let mut m = Machine::single_core(&cfg, program.clone());
     let mut trace = RowTrace::default();
-    let summary = core
+    let summary = m
         .run_with_sink(insts, interval, &mut trace)
         .expect("positive interval");
-    (trace.rows, Snapshot::of(&core, ""), summary)
+    (trace.rows, Snapshot::of(&m, ""), summary)
 }
 
 /// Asserts two snapshots are bit-identical, naming the first divergent
@@ -129,8 +129,8 @@ fn tick_skip_credits_exactly_the_stepped_counters() {
     assert_snapshots_identical(&snap_skip, &snap_step, "tick-skip vs stepped");
     // The run must actually have exercised the skip: a stall-bound chase
     // spends most of its cycles with every stage idle.
-    let mut core = Core::new(fast(), program);
-    let s = core.run(100_000);
+    let mut m = Machine::single_core(&fast(), program);
+    let s = m.run(100_000);
     assert!(
         s.cycles > 4 * s.committed,
         "the workload must be stall-dominated for this test to mean anything"

@@ -199,6 +199,14 @@ pub trait SampleSink {
     fn on_sample(&mut self, insts: u64, row: &[f64]);
 }
 
+/// A borrowed sink is a sink, so adapters that own their inner sink (a
+/// fault injector, say) can also wrap one the caller keeps.
+impl<S: SampleSink + ?Sized> SampleSink for &mut S {
+    fn on_sample(&mut self, insts: u64, row: &[f64]) {
+        (**self).on_sample(insts, row);
+    }
+}
+
 /// Fast value-only collector reusing a caller-owned buffer.
 struct ValueCollector<'a> {
     values: &'a mut Vec<f64>,

@@ -511,16 +511,15 @@ pub fn all_benign() -> Result<Vec<Program>, AsmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cpu::{Core, CoreConfig};
+    use crate::run_on_machine;
 
     #[test]
     fn every_benign_kernel_runs_indefinitely() -> Result<(), AsmError> {
         for p in all_benign()? {
             let name = p.name().to_string();
-            let mut core = Core::new(CoreConfig::default(), p);
-            let s = core.run(60_000);
-            assert!(!s.halted, "{name} must loop forever");
-            assert!(s.committed >= 60_000, "{name} must make progress");
+            let m = run_on_machine(p, 60_000);
+            assert!(!m.all_halted(), "{name} must loop forever");
+            assert!(m.total_committed() >= 60_000, "{name} must make progress");
         }
         Ok(())
     }
@@ -529,8 +528,8 @@ mod tests {
     fn benign_kernels_do_not_fault_or_flush() -> Result<(), AsmError> {
         for p in all_benign()? {
             let name = p.name().to_string();
-            let mut core = Core::new(CoreConfig::default(), p);
-            core.run(60_000);
+            let m = run_on_machine(p, 60_000);
+            let core = m.core(0);
             assert_eq!(core.stats().commit.faults.value(), 0, "{name} faults");
             assert_eq!(
                 core.mem().l1d().stats().agg.flush_hits.value(),
@@ -545,8 +544,8 @@ mod tests {
     fn fp_kernels_exercise_float_units() -> Result<(), AsmError> {
         for p in [povray()?, dealii()?, h264ref()?] {
             let name = p.name().to_string();
-            let mut core = Core::new(CoreConfig::default(), p);
-            core.run(60_000);
+            let m = run_on_machine(p, 60_000);
+            let core = m.core(0);
             use uarch_isa::OpClass;
             let fp = core.stats().commit.fp_insts.value();
             let simd = core.stats().commit.op_class.get(OpClass::SimdAdd)
@@ -559,8 +558,8 @@ mod tests {
 
     #[test]
     fn branchy_kernels_mispredict_sometimes() -> Result<(), AsmError> {
-        let mut core = Core::new(CoreConfig::default(), sjeng()?);
-        core.run(100_000);
+        let m = run_on_machine(sjeng()?, 100_000);
+        let core = m.core(0);
         assert!(
             core.stats().iew.branch_mispredicts.value() > 50,
             "sjeng's random branches must defeat the predictor sometimes"

@@ -474,7 +474,7 @@ pub fn calibration(kind: CalibrationKind) -> Program {
 mod tests {
     use super::*;
     use crate::layout::{RESULTS, SECRET};
-    use sim_cpu::{Core, CoreConfig};
+    use crate::run_on_machine;
 
     fn nibble_of(i: u64) -> u8 {
         let b = SECRET[(i >> 1) as usize];
@@ -485,9 +485,9 @@ mod tests {
         }
     }
 
-    fn recovered_nibbles(p: Program, insts: u64) -> (usize, usize, Core) {
-        let mut core = Core::new(CoreConfig::default(), p);
-        core.run(insts);
+    fn recovered_nibbles(p: Program, insts: u64) -> (usize, usize, sim_cpu::Machine) {
+        let m = run_on_machine(p, insts);
+        let core = m.core(0);
         let mut attempted = 0;
         let mut correct = 0;
         for i in 0..32u64 {
@@ -497,12 +497,13 @@ mod tests {
                 correct += 1;
             }
         }
-        (correct, attempted, core)
+        (correct, attempted, m)
     }
 
     #[test]
     fn flush_reload_recovers_victim_nibbles() {
-        let (correct, _, core) = recovered_nibbles(flush_reload(), 2_000_000);
+        let (correct, _, m) = recovered_nibbles(flush_reload(), 2_000_000);
+        let core = m.core(0);
         assert!(
             correct >= 24,
             "F+R should recover most nibbles, got {correct}/32"
@@ -515,7 +516,8 @@ mod tests {
 
     #[test]
     fn flush_flush_recovers_without_attacker_loads() {
-        let (correct, _, core) = recovered_nibbles(flush_flush(), 2_000_000);
+        let (correct, _, m) = recovered_nibbles(flush_flush(), 2_000_000);
+        let core = m.core(0);
         assert!(
             correct >= 20,
             "F+F should recover nibbles, got {correct}/32"
@@ -528,17 +530,17 @@ mod tests {
 
     #[test]
     fn prime_probe_detects_victim_set() {
-        let (correct, _, core) = recovered_nibbles(prime_probe(), 4_000_000);
+        let (correct, _, m) = recovered_nibbles(prime_probe(), 4_000_000);
         assert!(
             correct >= 16,
             "P+P should recover nibbles, got {correct}/32"
         );
         assert!(
-            core.mem()
+            m.with_uncore(|u| u
                 .tol2bus()
                 .stats()
                 .trans_dist
-                .get(sim_mem::MemCmd::CleanEvict)
+                .get(sim_mem::MemCmd::CleanEvict))
                 > 0,
             "priming evicts clean lines onto the L2 bus"
         );
@@ -551,8 +553,8 @@ mod tests {
             CalibrationKind::FlushFlush,
             CalibrationKind::PrimeProbe,
         ] {
-            let mut core = Core::new(CoreConfig::default(), calibration(kind));
-            core.run(300_000);
+            let m = run_on_machine(calibration(kind), 300_000);
+            let core = m.core(0);
             let fast = core.mem().memory().read(RESULTS + 40, 8);
             let slow = core.mem().memory().read(RESULTS + 48, 8);
             assert!(

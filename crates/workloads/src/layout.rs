@@ -164,7 +164,7 @@ pub fn install_common_segments(a: &mut Assembler) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cpu::{Core, CoreConfig};
+    use crate::run_on_machine;
 
     #[test]
     fn probe_argmin_finds_the_cached_line() {
@@ -176,8 +176,8 @@ mod tests {
         a.loadb(Reg::R11, Reg::R10, 0);
         emit_probe_argmin(&mut a, Reg::R20);
         a.halt();
-        let mut core = Core::new(CoreConfig::default(), a.finish().unwrap());
-        core.run(2_000_000);
+        let m = run_on_machine(a.finish().unwrap(), 2_000_000);
+        let core = m.core(0);
         assert!(core.halted());
         assert_eq!(
             core.reg(Reg::R20),
@@ -191,11 +191,10 @@ mod tests {
         let mut a = Assembler::new("delay-test");
         emit_delay(&mut a, 50);
         a.halt();
-        let mut core = Core::new(CoreConfig::default(), a.finish().unwrap());
-        let s = core.run(10_000);
-        assert!(s.halted);
+        let m = run_on_machine(a.finish().unwrap(), 10_000);
+        assert!(m.all_halted());
         // 2 instructions per iteration plus setup.
-        assert!(s.committed >= 100);
+        assert!(m.total_committed() >= 100);
     }
 
     #[test]
@@ -206,8 +205,8 @@ mod tests {
         a.li(Reg::R11, 0x5a); // byte
         emit_record_result(&mut a, Reg::R10, Reg::R11);
         a.halt();
-        let mut core = Core::new(CoreConfig::default(), a.finish().unwrap());
-        core.run(10_000);
+        let m = run_on_machine(a.finish().unwrap(), 10_000);
+        let core = m.core(0);
         assert_eq!(core.mem().memory().read(RESULTS + 3, 1), 0x5a);
     }
 }

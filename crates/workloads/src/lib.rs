@@ -227,6 +227,14 @@ pub fn full_suite() -> Vec<Workload> {
     v
 }
 
+/// Runs `program` on a one-core machine for up to `insts` instructions.
+#[cfg(test)]
+pub(crate) fn run_on_machine(program: Program, insts: u64) -> sim_cpu::Machine {
+    let mut m = sim_cpu::Machine::single_core(&sim_cpu::CoreConfig::default(), program);
+    m.run(insts);
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

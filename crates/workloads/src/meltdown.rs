@@ -170,12 +170,12 @@ pub fn cacheout() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cpu::{Core, CoreConfig};
+    use crate::run_on_machine;
 
     #[test]
     fn meltdown_recovers_kernel_bytes() {
-        let mut core = Core::new(CoreConfig::default(), meltdown());
-        core.run(3_000_000);
+        let m = run_on_machine(meltdown(), 3_000_000);
+        let core = m.core(0);
         let mut hits = 0;
         for (i, &expect) in SECRET.iter().enumerate() {
             if core.mem().memory().read(RESULTS + i as u64, 1) as u8 == expect {
@@ -191,8 +191,8 @@ mod tests {
 
     #[test]
     fn breaking_kaslr_finds_the_mapped_candidate() {
-        let mut core = Core::new(CoreConfig::default(), breaking_kaslr());
-        core.run(3_000_000);
+        let m = run_on_machine(breaking_kaslr(), 3_000_000);
+        let core = m.core(0);
         assert_eq!(
             core.mem().memory().read(RESULTS + 32, 1),
             KASLR_MAPPED_SLOT,
@@ -203,10 +203,10 @@ mod tests {
 
     #[test]
     fn cacheout_reads_hit_the_write_queue() {
-        let mut core = Core::new(CoreConfig::default(), cacheout());
-        core.run(1_000_000);
+        let m = run_on_machine(cacheout(), 1_000_000);
+        let core = m.core(0);
         assert!(
-            core.mem().mem_ctrl().stats().bytes_read_wr_q.value() > 0,
+            m.with_uncore(|u| u.mem_ctrl().stats().bytes_read_wr_q.value()) > 0,
             "CacheOut analog must exercise write-queue read servicing"
         );
         assert!(core.stats().commit.faults.value() > 0);

@@ -664,11 +664,11 @@ pub fn spectre_rsb() -> Program {
 mod tests {
     use super::*;
     use crate::layout::RESULTS;
-    use sim_cpu::{Core, CoreConfig};
+    use crate::run_on_machine;
 
-    fn leak_rate(program: Program, insts: u64) -> (f64, Core) {
-        let mut core = Core::new(CoreConfig::default(), program);
-        core.run(insts);
+    fn leak_rate(program: Program, insts: u64) -> (f64, sim_cpu::Machine) {
+        let m = run_on_machine(program, insts);
+        let core = m.core(0);
         let mut hits = 0;
         let mut total = 0;
         for (i, &expect) in SECRET.iter().enumerate() {
@@ -685,12 +685,13 @@ mod tests {
         } else {
             hits as f64 / total as f64
         };
-        (rate, core)
+        (rate, m)
     }
 
     #[test]
     fn spectre_v1_classic_leaks_the_secret() {
-        let (rate, core) = leak_rate(spectre_v1(SpectreV1Params::default()), 3_000_000);
+        let (rate, m) = leak_rate(spectre_v1(SpectreV1Params::default()), 3_000_000);
+        let core = m.core(0);
         assert!(
             rate > 0.7,
             "SpectreV1 should recover most attempted bytes, got {rate}"
@@ -704,7 +705,8 @@ mod tests {
 
     #[test]
     fn spectre_v2_btb_injection_leaks() {
-        let (rate, core) = leak_rate(spectre_v2(), 3_000_000);
+        let (rate, m) = leak_rate(spectre_v2(), 3_000_000);
+        let core = m.core(0);
         assert!(rate > 0.5, "SpectreV2 should leak, got {rate}");
         assert!(
             core.stats().bpred.indirect_mispredicted.value() > 0,
@@ -714,14 +716,16 @@ mod tests {
 
     #[test]
     fn spectre_rsb_leaks_through_the_ras() {
-        let (rate, core) = leak_rate(spectre_rsb(), 3_000_000);
+        let (rate, m) = leak_rate(spectre_rsb(), 3_000_000);
+        let core = m.core(0);
         assert!(rate > 0.5, "SpectreRSB should leak, got {rate}");
         assert!(core.stats().bpred.ras_incorrect.value() > 0);
     }
 
     #[test]
     fn spectre_v1_crossfn_leaks_through_the_return() {
-        let (rate, core) = leak_rate(spectre_v1_crossfn(), 3_000_000);
+        let (rate, m) = leak_rate(spectre_v1_crossfn(), 3_000_000);
+        let core = m.core(0);
         assert!(
             rate > 0.5,
             "cross-function SpectreV1 should leak through the ret, got {rate}"
@@ -735,9 +739,8 @@ mod tests {
 
     #[test]
     fn crossfn_benign_runs_to_completion() {
-        let mut core = Core::new(CoreConfig::default(), crossfn_benign());
-        let s = core.run(100_000);
-        assert!(s.halted, "benign control halts");
+        let m = run_on_machine(crossfn_benign(), 100_000);
+        assert!(m.all_halted(), "benign control halts");
     }
 
     #[test]
@@ -747,9 +750,12 @@ mod tests {
                 variant: v,
                 delay_iters: 0,
             });
-            let mut core = Core::new(CoreConfig::default(), p);
-            let s = core.run(100_000);
-            assert!(s.committed > 10_000, "variant {v:?} must make progress");
+            let m = run_on_machine(p, 100_000);
+            let core = m.core(0);
+            assert!(
+                m.total_committed() > 10_000,
+                "variant {v:?} must make progress"
+            );
             assert!(
                 core.stats().commit.squashed_insts.value() > 0,
                 "variant {v:?} must speculate"
@@ -763,8 +769,8 @@ mod tests {
             variant: V1Variant::Classic,
             delay_iters: 3000,
         });
-        let mut core = Core::new(CoreConfig::default(), p);
-        core.run(500_000);
+        let m = run_on_machine(p, 500_000);
+        let core = m.core(0);
         assert!(core.stats().iew.branch_mispredicts.value() > 0);
     }
 }

@@ -6,16 +6,17 @@
 //! cargo run --release --example attack_forensics
 //! ```
 
-use sim_cpu::{Core, CoreConfig};
+use sim_cpu::{CoreConfig, Machine};
 use uarch_isa::MarkKind;
 use workloads::layout::{RESULTS, SECRET};
 use workloads::spectre::{spectre_v1, SpectreV1Params};
 
 fn main() {
     let program = spectre_v1(SpectreV1Params::default());
-    let mut core = Core::new(CoreConfig::default(), program);
+    let mut machine = Machine::single_core(&CoreConfig::default(), program);
     println!("running spectre-v1-classic for 400K instructions...");
-    let summary = core.run(400_000);
+    let summary = machine.run(400_000);
+    let core = machine.core(0);
     println!(
         "  {} instructions in {} cycles (IPC {:.2})\n",
         summary.committed,
@@ -66,15 +67,14 @@ fn main() {
     ] {
         println!("  {name:<30} {v}");
     }
-    let m = core.mem();
     println!(
         "  {:<30} {}",
         "dcache.flush_invalidations",
-        m.l1d().stats().agg.flush_invalidations.value()
+        core.mem().l1d().stats().agg.flush_invalidations.value()
     );
     println!(
         "  {:<30} {}",
         "mem_ctrls.bytesReadWrQ",
-        m.mem_ctrl().stats().bytes_read_wr_q.value()
+        machine.with_uncore(|u| u.mem_ctrl().stats().bytes_read_wr_q.value())
     );
 }

@@ -11,8 +11,10 @@
 //! ```
 
 use perspectron::trace::workload_seed;
-use perspectron::{CorpusSpec, FaultPlan, FaultSpec, PerSpectron, ResiliencePolicy};
-use sim_cpu::{Core, CoreConfig};
+use perspectron::{
+    Collector, CorpusSpec, FaultPlan, FaultSpec, PerSpectron, ResiliencePolicy, Run,
+};
+use sim_cpu::{CoreConfig, Machine};
 use workloads::spectre::{spectre_v1, SpectreV1Params, V1Variant};
 use workloads::{Class, Family, Workload};
 
@@ -21,10 +23,15 @@ fn main() {
     // quarantined, one retry with a fresh noise seed. On a healthy suite
     // the quarantine stays empty — but a deployment never bets on that.
     println!("training the detector on the standard corpus (supervised collection)...");
-    let resilient = CorpusSpec::quick().try_collect_resilient(&ResiliencePolicy {
-        cycle_budget: Some(100_000_000),
-        ..ResiliencePolicy::default()
-    });
+    let collector = Collector {
+        policy: ResiliencePolicy {
+            cycle_budget: Some(100_000_000),
+            max_attempts: 2,
+            ..ResiliencePolicy::default()
+        },
+        ..Collector::default()
+    };
+    let resilient = collector.collect(&CorpusSpec::quick());
     println!("collection: {}", resilient.quarantine_summary());
     for f in &resilient.failures {
         println!("  quarantined: {f}");
@@ -50,13 +57,15 @@ fn main() {
     );
 
     // The detector rides the sample stream: each interval is encoded and
-    // scored online, no trace retained. Driving the core directly (instead
-    // of `stream_trace`) also surfaces the run summary with its wall-clock
-    // throughput.
+    // scored online, no trace retained. Driving a one-core machine
+    // directly (instead of `Collector::stream`) also surfaces the run
+    // summary with its wall-clock throughput.
     let mut monitor = detector.streaming();
-    let mut core = Core::new(CoreConfig::default(), suspect.program.clone());
-    core.set_noise_seed(workload_seed(&suspect.name));
-    let summary = core
+    let mut machine = Machine::single_core(&CoreConfig::default(), suspect.program.clone());
+    machine
+        .core_mut(0)
+        .set_noise_seed(workload_seed(&suspect.name));
+    let summary = machine
         .run_with_sink(300_000, 10_000, &mut monitor)
         .expect("positive interval");
     println!(
@@ -113,9 +122,8 @@ fn main() {
         detector.schema(),
     );
     let mut faulted = plan.sink_for(&suspect.name, detector.streaming());
-    let mut core = Core::new(CoreConfig::default(), suspect.program.clone());
-    core.set_noise_seed(workload_seed(&suspect.name));
-    core.run_with_sink(300_000, 10_000, &mut faulted)
+    collector
+        .stream(Run::workload(&suspect, 300_000, 10_000), &mut faulted)
         .expect("positive interval");
     let log = faulted.log().clone();
     let monitor = faulted.into_inner();

@@ -6,7 +6,6 @@
 //! cargo run --release --example train_custom_detector
 //! ```
 
-use perspectron::trace::collect_trace;
 use perspectron::{CorpusSpec, PerSpectron};
 use uarch_isa::{Assembler, MarkKind, Reg};
 use workloads::layout::{PRIME_ARENA, USER_SECRET, VICTIM_BUF};
@@ -71,7 +70,13 @@ fn main() {
     println!("training the stock detector...");
     let stock_corpus = CorpusSpec::quick().collect();
     let stock = PerSpectron::train(&stock_corpus, 42);
-    let trace = collect_trace(&novel, 200_000, 10_000);
+    let mut novel_corpus = CorpusSpec {
+        insts_per_workload: 200_000,
+        sample_interval: 10_000,
+        workloads: vec![novel.clone()],
+    }
+    .collect();
+    let trace = novel_corpus.traces.remove(0);
     let stock_hits = stock
         .confidence_series(&trace)
         .iter()

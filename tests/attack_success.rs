@@ -2,61 +2,69 @@
 //! against the simulated machine — the secrets really leak through the
 //! microarchitecture, which is what makes the detector's job meaningful.
 
-use perspectron_repro::sim_cpu::{Core, CoreConfig};
+use perspectron_repro::sim_cpu::{CoreConfig, Machine};
+use perspectron_repro::uarch_isa::Program;
 use workloads::layout::{RESULTS, SECRET};
 use workloads::meltdown::{breaking_kaslr, KASLR_MAPPED_SLOT};
 
-fn run(name: &str, insts: u64) -> Core {
+/// Runs `program` on a one-core machine.
+fn run_program(program: Program, insts: u64) -> Machine {
+    let mut m = Machine::single_core(&CoreConfig::default(), program);
+    m.run(insts);
+    m
+}
+
+fn run(name: &str, insts: u64) -> Machine {
     let w = workloads::full_suite()
         .into_iter()
         .find(|w| w.name == name)
         .unwrap_or_else(|| panic!("workload {name} exists"));
-    let mut core = Core::new(CoreConfig::default(), w.program);
-    core.run(insts);
-    core
+    run_program(w.program, insts)
 }
 
-fn leaked_bytes(core: &Core) -> usize {
+fn leaked_bytes(m: &Machine) -> usize {
     SECRET
         .iter()
         .enumerate()
-        .filter(|(i, &b)| core.mem().memory().read(RESULTS + *i as u64, 1) as u8 == b)
+        .filter(|(i, &b)| m.core(0).mem().memory().read(RESULTS + *i as u64, 1) as u8 == b)
         .count()
 }
 
 #[test]
 fn spectre_v1_exfiltrates_the_secret() {
-    let core = run("spectre-v1-classic", 2_500_000);
-    assert!(leaked_bytes(&core) >= 12, "got {}", leaked_bytes(&core));
+    let m = run("spectre-v1-classic", 2_500_000);
+    assert!(leaked_bytes(&m) >= 12, "got {}", leaked_bytes(&m));
 }
 
 #[test]
 fn spectre_v2_exfiltrates_the_secret() {
-    let core = run("spectre-v2", 2_500_000);
-    assert!(leaked_bytes(&core) >= 10, "got {}", leaked_bytes(&core));
+    let m = run("spectre-v2", 2_500_000);
+    assert!(leaked_bytes(&m) >= 10, "got {}", leaked_bytes(&m));
 }
 
 #[test]
 fn spectre_rsb_exfiltrates_the_secret() {
-    let core = run("spectre-rsb", 2_500_000);
-    assert!(leaked_bytes(&core) >= 10, "got {}", leaked_bytes(&core));
+    let m = run("spectre-rsb", 2_500_000);
+    assert!(leaked_bytes(&m) >= 10, "got {}", leaked_bytes(&m));
 }
 
 #[test]
 fn meltdown_reads_kernel_memory() {
-    let core = run("meltdown", 2_500_000);
-    assert!(leaked_bytes(&core) >= 10, "got {}", leaked_bytes(&core));
+    let m = run("meltdown", 2_500_000);
+    assert!(leaked_bytes(&m) >= 10, "got {}", leaked_bytes(&m));
     assert!(
-        core.stats().commit.faults.value() > 10,
+        m.core(0).stats().commit.faults.value() > 10,
         "meltdown faults repeatedly"
     );
 }
 
 #[test]
 fn breaking_kaslr_locates_the_mapped_region() {
-    let mut core = Core::new(CoreConfig::default(), breaking_kaslr());
-    core.run(2_500_000);
-    assert_eq!(core.mem().memory().read(RESULTS + 32, 1), KASLR_MAPPED_SLOT);
+    let m = run_program(breaking_kaslr(), 2_500_000);
+    assert_eq!(
+        m.core(0).mem().memory().read(RESULTS + 32, 1),
+        KASLR_MAPPED_SLOT
+    );
 }
 
 #[test]
@@ -66,12 +74,12 @@ fn cache_attacks_recover_victim_nibbles() {
         ("flush-flush", 16),
         ("prime-probe", 16),
     ] {
-        let core = run(name, 3_000_000);
+        let m = run(name, 3_000_000);
         let correct = (0..32u64)
             .filter(|&i| {
                 let b = SECRET[(i >> 1) as usize];
                 let expected = if i & 1 == 0 { b >> 4 } else { b & 15 };
-                core.mem().memory().read(RESULTS + i, 1) as u8 == expected
+                m.core(0).mem().memory().read(RESULTS + i, 1) as u8 == expected
             })
             .count();
         assert!(
@@ -85,25 +93,32 @@ fn cache_attacks_recover_victim_nibbles() {
 fn attacks_leave_their_signature_footprints() {
     // SpectreV1: misspeculation.
     let v1 = run("spectre-v1-classic", 300_000);
-    assert!(v1.stats().iew.branch_mispredicts.value() > 20);
+    assert!(v1.core(0).stats().iew.branch_mispredicts.value() > 20);
     // Flush+Flush: non-speculative stalls, near-zero attacker D-cache misses
     // during probing (it never reloads).
     let ff = run("flush-flush", 300_000);
-    assert!(ff.stats().commit.non_spec_stalls.value() > 100);
+    assert!(ff.core(0).stats().commit.non_spec_stalls.value() > 100);
     // Flush+Reload: quiesce footprint from the membar-timed reloads.
     let fr = run("flush-reload", 300_000);
-    assert!(fr.stats().fetch.pending_quiesce_stall_cycles.value() > 100);
+    assert!(
+        fr.core(0)
+            .stats()
+            .fetch
+            .pending_quiesce_stall_cycles
+            .value()
+            > 100
+    );
     // Prime+Probe: clean-eviction storms on the L2 bus.
     let pp = run("prime-probe", 300_000);
     assert!(
-        pp.mem()
+        pp.with_uncore(|u| u
             .tol2bus()
             .stats()
             .trans_dist
-            .get(perspectron_repro::sim_mem::MemCmd::CleanEvict)
+            .get(perspectron_repro::sim_mem::MemCmd::CleanEvict))
             > 50
     );
     // CacheOut analog: write-queue read servicing.
     let co = run("cacheout", 300_000);
-    assert!(co.mem().mem_ctrl().stats().bytes_read_wr_q.value() > 0);
+    assert!(co.with_uncore(|u| u.mem_ctrl().stats().bytes_read_wr_q.value()) > 0);
 }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use perspectron_repro::sim_cpu::{Core, CoreConfig};
+use perspectron_repro::sim_cpu::{CoreConfig, Machine};
 use perspectron_repro::uarch_isa::{AluOp, Assembler, Inst, Program, Reg, Width};
 
 const DATA_BASE: u64 = 0x1000;
@@ -249,9 +249,10 @@ proptest! {
         let program = build_program(&ops);
         let (expect_regs, expect_mem) = reference_run(&program);
 
-        let mut core = Core::new(CoreConfig::default(), program);
-        let summary = core.run(200_000);
+        let mut machine = Machine::single_core(&CoreConfig::default(), program);
+        let summary = machine.run(200_000);
         prop_assert!(summary.halted, "random program must halt");
+        let core = machine.core(0);
 
         for (i, &expect) in expect_regs.iter().enumerate().take(24).skip(8) {
             let r = Reg::from_index(i).expect("valid");
