@@ -64,7 +64,12 @@ fn reference_verdicts() -> &'static Vec<Vec<IntervalVerdict>> {
     })
 }
 
-fn run_replay(shards: usize, streams: usize, tag: &str) -> perspectron_serviced::ServiceReport {
+fn run_replay(
+    shards: usize,
+    sweep_stall: Duration,
+    streams: usize,
+    tag: &str,
+) -> perspectron_serviced::ServiceReport {
     let path = corpus_file(tag);
     let reader = CorpusReader::open(&path).expect("open corpus");
     let service = Perspectrond::start(
@@ -72,6 +77,7 @@ fn run_replay(shards: usize, streams: usize, tag: &str) -> perspectron_serviced:
         ServiceConfig {
             shards,
             queue_depth: 128,
+            sweep_stall,
             ..ServiceConfig::default()
         },
     );
@@ -98,7 +104,7 @@ fn run_replay(shards: usize, streams: usize, tag: &str) -> perspectron_serviced:
 #[test]
 fn thousand_streams_lose_nothing_and_match_the_lone_stream_bit_for_bit() {
     let streams = 1024;
-    let report = run_replay(4, streams, "thousand");
+    let report = run_replay(4, Duration::ZERO, streams, "thousand");
     let refs = reference_verdicts();
     let n_traces = corpus().traces.len();
 
@@ -128,9 +134,15 @@ fn thousand_streams_lose_nothing_and_match_the_lone_stream_bit_for_bit() {
             assert_eq!(g.degraded, e.degraded);
         }
     }
-    // The cross-session batcher should actually coalesce: with 1024
-    // streams fanning into 4 shards, sweeps must be far fewer than
-    // windows.
+}
+
+#[test]
+fn cross_session_batching_coalesces_behind_a_slow_sweep() {
+    // With 1024 streams fanning into 4 shards, sweeps must be far fewer
+    // than windows. Each sweep stalls 5 ms while four client threads
+    // refill the shard's 128-deep queue, so every sweep after the first
+    // finds a backlog to coalesce, however fast the host scores a batch.
+    let report = run_replay(4, Duration::from_millis(5), 1024, "coalesce");
     assert!(
         report.sweeps < report.windows_scored / 4,
         "batching never coalesced: {} sweeps for {} windows",
@@ -143,8 +155,8 @@ fn thousand_streams_lose_nothing_and_match_the_lone_stream_bit_for_bit() {
 #[test]
 fn shard_count_does_not_change_any_stream_verdict_sequence() {
     let streams = 256;
-    let one = run_replay(1, streams, "shard1");
-    let four = run_replay(4, streams, "shard4");
+    let one = run_replay(1, Duration::ZERO, streams, "shard1");
+    let four = run_replay(4, Duration::ZERO, streams, "shard4");
     assert_eq!(one.streams.len(), streams);
     assert_eq!(four.streams.len(), streams);
     assert_eq!(one.windows_scored, four.windows_scored);

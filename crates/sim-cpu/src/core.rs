@@ -131,6 +131,9 @@ pub(crate) struct StallPlan {
     rename: RenameStall,
     fetch: FetchStall,
     decode_blocked: bool,
+    /// Ready loads the issue stage turns away each cycle because the L1D
+    /// MSHR pool is saturated.
+    mshr_blocked_loads: u64,
     next_completion: Option<u64>,
     fetch_wake: Option<u64>,
 }
@@ -449,24 +452,48 @@ impl Core {
             return None;
         }
 
-        // Issue: every ready-set entry must be stale. A live entry —
-        // even one blocked on a functional unit or a saturated MSHR
-        // pool — records per-cycle statistics, so it vetoes the skip.
+        // Issue: every ready-set entry must be stale or an eligible load
+        // the select loop would turn away at a saturated L1D MSHR pool
+        // (its memory port is free: nothing issues, and `mem_ports` is
+        // validated positive). Any other live entry would issue or
+        // record a blocked-on-a-unit statistic, so it vetoes the skip. A
+        // turned-away load records the same three LSQ counters every
+        // cycle, and that cannot change before the next completion: with
+        // nothing issuing, committing or squashing, only a completion
+        // lowers the in-flight count, and completions are wake events.
         // Dropping stale entries here is stat-neutral (the select loop
-        // removes them silently on first visit); the collection is only
-        // populated in the rare post-squash case, keeping the common
-        // per-step check allocation-free.
-        let mut stale: Vec<(usize, u64)> = Vec::new();
-        for (pool, set) in self.window.ready.iter().enumerate() {
+        // removes them silently on first visit), and `retain` on a
+        // taken-out set keeps the per-step check allocation-free.
+        let mshrs_full = self.window.mem_outstanding_count >= self.mem.l1d().config().mshrs;
+        let mut mshr_blocked_loads = 0u64;
+        let mut stale = false;
+        for set in &self.window.ready {
             for &seq in set {
                 match self.window.find(seq) {
-                    Some(d) if d.in_iq && !d.issued && !d.squashed => return None,
-                    _ => stale.push((pool, seq)),
+                    Some(d) if d.in_iq && !d.issued && !d.squashed => {
+                        let turned_away = mshrs_full
+                            && d.load
+                            && (!d.non_spec || d.can_exec_non_spec)
+                            && d.srcs.iter().flatten().all(|&r| self.regs.phys_ready[r]);
+                        if !turned_away {
+                            return None;
+                        }
+                        mshr_blocked_loads += 1;
+                    }
+                    _ => stale = true,
                 }
             }
         }
-        for (pool, seq) in stale {
-            self.window.ready[pool].remove(&seq);
+        if stale {
+            for pool in 0..self.window.ready.len() {
+                let mut set = std::mem::take(&mut self.window.ready[pool]);
+                set.retain(|&seq| {
+                    self.window
+                        .find(seq)
+                        .is_some_and(|d| d.in_iq && !d.issued && !d.squashed)
+                });
+                self.window.ready[pool] = set;
+            }
         }
 
         // Rename: the stage must stall on its very first candidate, in
@@ -536,6 +563,7 @@ impl Core {
             rename,
             fetch,
             decode_blocked,
+            mshr_blocked_loads,
             next_completion,
             fetch_wake,
         })
@@ -556,6 +584,10 @@ impl Core {
             }
             self.commit.stats.committed_per_cycle.0.record(0.0);
 
+            let lsq = &mut self.exec.stats.lsq;
+            lsq.rescheduled_loads.add(plan.mshr_blocked_loads);
+            lsq.blocked_loads.add(plan.mshr_blocked_loads);
+            lsq.cache_blocked.add(plan.mshr_blocked_loads);
             self.issue.stats.issued_per_cycle.0.record(0.0);
             self.issue.stats.empty_issue_cycles.inc();
             self.exec.stats.idle_cycles.inc();
@@ -1058,5 +1090,39 @@ mod tests {
         assert_eq!(IssueStage::default().component_id(), ComponentId::Iq);
         assert_eq!(ExecuteStage::new(&cfg).component_id(), ComponentId::Iew);
         assert_eq!(CommitStage::default().component_id(), ComponentId::Commit);
+    }
+
+    #[test]
+    fn stall_plan_skips_loads_blocked_on_saturated_mshrs() {
+        // Sixteen independent cold-line loads behind a serializing read:
+        // more than the L1D's MSHRs, so part of each burst waits at issue
+        // while every other stage stalls behind it.
+        let mut a = Assembler::new("mshr-bound");
+        a.li(Reg::R9, 4);
+        a.li(Reg::R1, 0x40_0000);
+        let top = a.label();
+        a.bind(top);
+        a.rdcycle(Reg::R4);
+        for k in 0..16 {
+            let rd = Reg::from_index(10 + k % 8).expect("r10..r17");
+            a.load(rd, Reg::R1, 64 * k as i64);
+        }
+        a.addi(Reg::R1, Reg::R1, 16 * 64);
+        a.subi(Reg::R9, Reg::R9, 1);
+        a.bnez(Reg::R9, top);
+        a.halt();
+        let mut core = Core::new(CoreConfig::default(), a.finish().expect("assembles"));
+        let mut most_blocked = 0;
+        while !core.halted() && core.cycles() < 100_000 {
+            if let Some(plan) = core.stall_plan() {
+                most_blocked = most_blocked.max(plan.mshr_blocked_loads);
+            }
+            core.step();
+        }
+        assert!(core.halted(), "the program must run to completion");
+        assert!(
+            most_blocked > 0,
+            "a stalled cycle with MSHR-blocked loads must still plan a skip"
+        );
     }
 }

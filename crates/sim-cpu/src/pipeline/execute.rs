@@ -112,9 +112,12 @@ impl ExecuteStage {
         seq: u64,
         w: &mut FuWakeup<'_>,
     ) -> Option<(u64, usize)> {
-        let d = w.window.inst_of(seq).clone();
-        let v = |i: usize| -> u64 { d.srcs[i].map(|p| w.regs.phys_regs[p]).unwrap_or(0) };
-        let class = d.class;
+        let at = w.window.position(seq).expect("seq in rob");
+        let (inst, class, srcs, fall_through, renamed_target) = {
+            let d = &w.window.rob[at];
+            (d.inst, d.class, d.srcs, d.fall_through, d.actual_target)
+        };
+        let v = |i: usize| -> u64 { srcs[i].map(|p| w.regs.phys_regs[p]).unwrap_or(0) };
         let base_lat = Self::exec_latency(class);
         let mut ready = w.cycle + base_lat;
         let mut result = 0u64;
@@ -124,15 +127,15 @@ impl ExecuteStage {
         let mut forwarded = false;
         let mut mem_outstanding = false;
         let mut actual_taken = false;
-        let mut actual_target = d.fall_through;
+        let mut actual_target = fall_through;
         let mut violation = None;
         let mut fwd_youngest_out: Option<u64> = None;
 
         w.cpu
             .int_regfile_reads
-            .add(d.srcs.iter().flatten().count() as u64);
+            .add(srcs.iter().flatten().count() as u64);
 
-        match d.inst {
+        match inst {
             Inst::Li { imm, .. } => result = imm as u64,
             Inst::Alu { op, .. } => {
                 result = alu_compute(op, v(0), v(1));
@@ -163,32 +166,33 @@ impl ExecuteStage {
                 // Store-to-load forwarding: merge, byte by byte, the
                 // youngest older in-flight store covering each loaded byte
                 // over the memory image (uncommitted stores are only
-                // visible in the store queue, not in memory).
+                // visible in the store queue, not in memory). One pass
+                // over the older instructions in program order leaves the
+                // youngest covering store in each byte's slot.
+                let mut covering: [Option<(u64, u64, u64)>; 8] = [None; 8];
+                for st in w.window.rob.range(..at) {
+                    if !st.is_store() || !st.issued || st.squashed {
+                        continue;
+                    }
+                    let Some(sa) = st.eff_addr else { continue };
+                    for (k, slot) in covering.iter_mut().enumerate().take(mem_size as usize) {
+                        let b_addr = addr + k as u64;
+                        if sa <= b_addr && b_addr < sa + st.mem_size {
+                            *slot = Some((st.seq, sa, st.result));
+                        }
+                    }
+                }
                 let mut any_fwd = false;
                 let mut all_fwd = true;
                 let mut fwd_oldest: Option<u64> = None;
                 let mut bytes = [0u8; 8];
                 for (k, byte) in bytes.iter_mut().enumerate().take(mem_size as usize) {
                     let b_addr = addr + k as u64;
-                    let src = w
-                        .window
-                        .rob
-                        .iter()
-                        .filter(|s| {
-                            s.seq < seq
-                                && s.is_store()
-                                && s.issued
-                                && !s.squashed
-                                && s.eff_addr
-                                    .is_some_and(|sa| sa <= b_addr && b_addr < sa + s.mem_size)
-                        })
-                        .max_by_key(|s| s.seq);
-                    match src {
-                        Some(st) => {
-                            let sa = st.eff_addr.expect("checked");
-                            *byte = (st.result >> ((b_addr - sa) * 8)) as u8;
+                    match covering[k] {
+                        Some((st_seq, sa, data)) => {
+                            *byte = (data >> ((b_addr - sa) * 8)) as u8;
                             any_fwd = true;
-                            fwd_oldest = Some(fwd_oldest.map_or(st.seq, |f: u64| f.min(st.seq)));
+                            fwd_oldest = Some(fwd_oldest.map_or(st_seq, |f: u64| f.min(st_seq)));
                         }
                         None => {
                             *byte = w.mem.memory().read_byte(b_addr);
@@ -243,15 +247,14 @@ impl ExecuteStage {
                 }
                 ready = w.cycle + base_lat + tlb_lat;
                 fault = addr >= KERNEL_SPACE_BASE || w.program.is_kernel_addr(addr);
-                // Memory-order violation: a younger load already executed
-                // against this address.
-                let conflict = w
+                // Memory-order violation: the oldest younger load that
+                // already executed against this address.
+                violation = w
                     .window
                     .rob
-                    .iter()
-                    .filter(|l| {
-                        l.seq > seq
-                            && l.is_load()
+                    .range(at + 1..)
+                    .find(|l| {
+                        l.is_load()
                             && l.issued
                             && !l.squashed
                             // A load whose bytes all came from a store
@@ -263,18 +266,14 @@ impl ExecuteStage {
                                 la < addr + mem_size && addr < la + l.mem_size
                             })
                     })
-                    .map(|l| (l.seq, l.pc))
-                    .min();
-                if let Some((lseq, lpc)) = conflict {
-                    violation = Some((lseq, lpc));
-                }
+                    .map(|l| (l.seq, l.pc));
             }
             Inst::Branch { cond, .. } => {
                 actual_taken = cond.eval(v(0), v(1));
                 actual_target = if actual_taken {
-                    branch_target(d.inst)
+                    branch_target(inst)
                 } else {
-                    d.fall_through
+                    fall_through
                 };
             }
             Inst::Jump { target } => {
@@ -297,7 +296,7 @@ impl ExecuteStage {
             }
             Inst::Ret => {
                 actual_taken = true;
-                actual_target = d.actual_target; // resolved at rename
+                actual_target = renamed_target; // resolved at rename
                 ready = w.cycle + 8; // return address stack-memory read
             }
             Inst::SetRet { .. } => {
@@ -326,7 +325,7 @@ impl ExecuteStage {
 
         {
             let now = w.cycle;
-            let di = w.window.inst_mut(seq);
+            let di = &mut w.window.rob[at];
             di.issued = true;
             di.issue_cycle = now;
             di.in_iq = false;

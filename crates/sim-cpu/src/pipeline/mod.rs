@@ -197,29 +197,34 @@ impl Window {
         self.rob.is_empty()
     }
 
+    /// The ROB index holding `seq`, if it is in the window.
+    ///
+    /// Fetch numbers instructions one apart and squashes only cut the
+    /// ROB's tail, so the ROB is strictly increasing in `seq` and `seq`
+    /// sits at or before index `seq - front.seq`. That slot is an exact
+    /// hit unless a squash left a gap older than `seq`; then the ROB is
+    /// binary-searched.
+    pub(crate) fn position(&self, seq: u64) -> Option<usize> {
+        let offset = seq.checked_sub(self.rob.front()?.seq)?;
+        usize::try_from(offset)
+            .ok()
+            .filter(|&i| self.rob.get(i).is_some_and(|d| d.seq == seq))
+            .or_else(|| self.rob.binary_search_by_key(&seq, |d| d.seq).ok())
+    }
+
     pub(crate) fn inst_of(&self, seq: u64) -> &DynInst {
-        let i = self
-            .rob
-            .binary_search_by_key(&seq, |d| d.seq)
-            .expect("seq in rob");
-        &self.rob[i]
+        &self.rob[self.position(seq).expect("seq in rob")]
     }
 
     pub(crate) fn inst_mut(&mut self, seq: u64) -> &mut DynInst {
-        let i = self
-            .rob
-            .binary_search_by_key(&seq, |d| d.seq)
-            .expect("seq in rob");
+        let i = self.position(seq).expect("seq in rob");
         &mut self.rob[i]
     }
 
     /// Non-panicking lookup, for lazily validating wakeup-network entries
     /// whose instruction may have been squashed or retired since enqueue.
     pub(crate) fn find(&self, seq: u64) -> Option<&DynInst> {
-        self.rob
-            .binary_search_by_key(&seq, |d| d.seq)
-            .ok()
-            .map(|i| &self.rob[i])
+        self.position(seq).map(|i| &self.rob[i])
     }
 }
 
@@ -298,5 +303,50 @@ pub(crate) fn ctrl_kind(inst: Inst) -> Option<CtrlKind> {
         Inst::CallInd { .. } => Some(CtrlKind::CallIndirect),
         Inst::Ret => Some(CtrlKind::Return),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn assert_lookup_agrees(w: &Window) {
+        let front = w.rob.front().expect("non-empty").seq;
+        let back = w.rob.back().expect("non-empty").seq;
+        for seq in front.saturating_sub(2)..=back + 2 {
+            let want = w.rob.binary_search_by_key(&seq, |d| d.seq).ok();
+            assert_eq!(w.position(seq), want, "seq {seq}");
+            assert_eq!(w.find(seq).map(|d| d.seq), want.map(|_| seq), "seq {seq}");
+        }
+    }
+
+    #[test]
+    fn position_agrees_with_binary_search_across_gaps_and_wrap() {
+        let nop = |s| DynInst::new(s, 0, Inst::Nop);
+        // Retiring a prefix and refilling wraps the deque's storage; the
+        // refill follows post-squash gaps on both sides of the seam.
+        let mut w = Window {
+            rob: VecDeque::with_capacity(16),
+            ..Window::default()
+        };
+        w.rob.extend((1..=12).map(nop));
+        w.rob.drain(..9);
+        w.rob.extend([13, 14, 20, 21, 22, 30, 41, 42].map(nop));
+        let (head, tail) = w.rob.as_slices();
+        assert!(!head.is_empty() && !tail.is_empty(), "the ROB must wrap");
+        assert_lookup_agrees(&w);
+
+        for seqs in [
+            vec![5, 6, 7],
+            vec![5, 9, 10, 11, 40],
+            vec![100, 150, 151, 300],
+        ] {
+            let w = Window {
+                rob: seqs.into_iter().map(nop).collect(),
+                ..Window::default()
+            };
+            assert_lookup_agrees(&w);
+        }
+        assert_eq!(Window::default().position(1), None);
     }
 }

@@ -137,6 +137,49 @@ fn tick_skip_credits_exactly_the_stepped_counters() {
     );
 }
 
+/// A burst of independent cold-line loads, more than the L1D has MSHRs,
+/// behind a serializing read: once the pool saturates, the rest of the
+/// burst waits at issue while every other stage stalls behind it.
+fn mshr_bound_program() -> Program {
+    let mut a = Assembler::new("mshr-bound");
+    a.li(Reg::R9, 24); // iterations
+    a.li(Reg::R1, 0x40_0000);
+    let top = a.label();
+    a.bind(top);
+    a.rdcycle(Reg::R4); // serializing: each burst starts from a drained window
+    for k in 0..16 {
+        let rd = Reg::from_index(10 + k % 8).expect("r10..r17");
+        a.load(rd, Reg::R1, 64 * k as i64);
+    }
+    a.addi(Reg::R1, Reg::R1, 16 * 64); // fresh lines every iteration
+    a.subi(Reg::R9, Reg::R9, 1);
+    a.bnez(Reg::R9, top);
+    a.halt();
+    a.finish().expect("assembles")
+}
+
+#[test]
+fn mshr_blocked_loads_skip_exactly() {
+    let program = mshr_bound_program();
+    let (rows_fast, snap_fast, sum_fast) = run_sampled(fast(), &program, 100_000, 40);
+    for (what, cfg) in [
+        ("fast vs no-skip", no_skip()),
+        ("fast vs reference", reference()),
+    ] {
+        let (rows, snap, sum) = run_sampled(cfg, &program, 100_000, 40);
+        assert_eq!(sum_fast.committed, sum.committed, "{what}");
+        assert_eq!(sum_fast.cycles, sum.cycles, "{what}");
+        assert_eq!(sum_fast.halted, sum.halted, "{what}");
+        assert_rows_identical(&rows_fast, &rows, what);
+        assert_snapshots_identical(&snap_fast, &snap, what);
+    }
+    assert!(sum_fast.halted, "the program must run to completion");
+    let blocked = snap_fast
+        .get("iew.lsq.thread0.blockedLoads")
+        .expect("the LSQ publishes blockedLoads");
+    assert!(blocked > 0.0, "the bursts must saturate the L1D MSHR pool");
+}
+
 #[test]
 fn ready_queues_match_reference_scan_on_real_workloads() {
     for (name, program) in [
