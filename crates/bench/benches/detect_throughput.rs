@@ -1,5 +1,6 @@
 //! Detection-path throughput: the bit-packed inference engine against the
-//! scalar `f64` reference path, over the raw rows of a real collected
+//! dense `f64` oracle ([`perspectron_bench::dense_confidence_series`]),
+//! over the raw rows of a real collected
 //! corpus (encode + score per sampling window — the full deployment-shaped
 //! detection step, not just the dot product).
 //!
@@ -11,7 +12,8 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mlkit::BitRow;
-use perspectron::{CorpusSpec, InferencePath, PerSpectron};
+use perspectron::{CorpusSpec, PerSpectron};
+use perspectron_bench::dense_confidence_series;
 
 fn bench_spec() -> CorpusSpec {
     let quick = std::env::var("PERSPECTRON_QUICK").is_ok();
@@ -72,12 +74,12 @@ fn bench_detect(c: &mut Criterion) {
     let det = PerSpectron::train(&corpus, 42);
     let samples = corpus.total_samples();
 
-    // Scalar reference: full-width k-sparse encode, project, dense dot
-    // product — exactly `confidence_series` over every trace.
-    let scalar_pass = || {
+    // Dense oracle: full-width k-sparse encode, project, dense dot
+    // product over every trace.
+    let dense_pass = || {
         let mut acc = 0.0;
         for t in &corpus.traces {
-            for cnf in det.confidence_series_via(t, InferencePath::Scalar) {
+            for cnf in dense_confidence_series(&det, t) {
                 acc += cnf;
             }
         }
@@ -88,7 +90,7 @@ fn bench_detect(c: &mut Criterion) {
     let packed_pass = || {
         let mut acc = 0.0;
         for t in &corpus.traces {
-            for cnf in det.confidence_series_via(t, InferencePath::Packed) {
+            for cnf in det.confidence_series(t) {
                 acc += cnf;
             }
         }
@@ -116,22 +118,22 @@ fn bench_detect(c: &mut Criterion) {
     // Equivalence spot-check before timing anything: a benchmark of a
     // wrong fast path is worthless.
     for t in &corpus.traces {
-        let a = det.confidence_series_via(t, InferencePath::Scalar);
-        let b = det.confidence_series_via(t, InferencePath::Packed);
+        let a = dense_confidence_series(&det, t);
+        let b = det.confidence_series(t);
         assert_eq!(a.len(), b.len());
         assert!(
             a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "{}: packed confidences diverged from scalar",
+            "{}: packed confidences diverged from the dense oracle",
             t.name
         );
     }
 
-    let scalar_rate = rate(samples, scalar_pass);
+    let dense_rate = rate(samples, dense_pass);
     let packed_rate = rate(samples, packed_pass);
     let packed_single_rate = rate(samples, packed_single_pass);
-    let speedup = packed_rate / scalar_rate.max(1e-9);
+    let speedup = packed_rate / dense_rate.max(1e-9);
     println!(
-        "detection throughput over {samples} windows: scalar {scalar_rate:.0}/s, \
+        "detection throughput over {samples} windows: dense oracle {dense_rate:.0}/s, \
          packed batched {packed_rate:.0}/s ({speedup:.1}x), \
          packed single-row {packed_single_rate:.0}/s"
     );
@@ -141,7 +143,7 @@ fn bench_detect(c: &mut Criterion) {
         path,
         &[
             ("detect_samples", format!("{samples}")),
-            ("detect_scalar_samples_per_sec", format!("{scalar_rate:.0}")),
+            ("detect_scalar_samples_per_sec", format!("{dense_rate:.0}")),
             ("detect_packed_samples_per_sec", format!("{packed_rate:.0}")),
             (
                 "detect_packed_single_samples_per_sec",
@@ -154,16 +156,12 @@ fn bench_detect(c: &mut Criterion) {
     let mut group = c.benchmark_group("detection");
     group.throughput(Throughput::Elements(samples as u64));
     group.sample_size(10);
-    group.bench_function("scalar", |b| {
+    group.bench_function("dense_oracle", |b| {
         b.iter(|| {
             corpus
                 .traces
                 .iter()
-                .map(|t| {
-                    det.confidence_series_via(t, InferencePath::Scalar)
-                        .iter()
-                        .sum::<f64>()
-                })
+                .map(|t| dense_confidence_series(&det, t).iter().sum::<f64>())
                 .sum::<f64>()
         })
     });
@@ -172,11 +170,7 @@ fn bench_detect(c: &mut Criterion) {
             corpus
                 .traces
                 .iter()
-                .map(|t| {
-                    det.confidence_series_via(t, InferencePath::Packed)
-                        .iter()
-                        .sum::<f64>()
-                })
+                .map(|t| det.confidence_series(t).iter().sum::<f64>())
                 .sum::<f64>()
         })
     });

@@ -22,15 +22,10 @@
 
 use perspectron::dataset::Encoding;
 use perspectron::{
-    core_feature_indices, Dataset, FeatureSelection, InferencePath, PerSpectron, ScenarioSpec,
-    SelectionConfig,
+    core_feature_indices, Dataset, FeatureSelection, PerSpectron, ScenarioSpec, SelectionConfig,
 };
-
-/// The inference engine this experiment scores with: the bit-packed fast
-/// path, making every run an end-to-end smoke test of packed detection
-/// (verdicts are bit-identical to the scalar path, which the machine-wide
-/// detector cross-checks below).
-const PATH: InferencePath = InferencePath::Packed;
+use perspectron_bench::dense_confidence_series;
+use workloads::Class;
 
 /// Trains on the given schema-index slice (intersected with the
 /// feature-selected set) and evaluates on the full corpus.
@@ -58,7 +53,7 @@ fn view_report(
         relevance: selection.relevance.clone(),
     };
     let det = PerSpectron::train_with_selection(dataset, sliced);
-    (selected.len(), det.evaluate_via(corpus, PATH))
+    (selected.len(), det.evaluate(corpus))
 }
 
 fn main() {
@@ -69,10 +64,9 @@ fn main() {
         ScenarioSpec::cross_core()
     };
     println!(
-        "CROSS-CORE DETECTION: {} two-core scenarios, {} insts each (inference path: {})\n",
+        "CROSS-CORE DETECTION: {} two-core scenarios, {} insts each\n",
         spec.scenarios.len(),
-        spec.insts_per_scenario,
-        PATH.label()
+        spec.insts_per_scenario
     );
 
     let corpus = spec.collect();
@@ -85,12 +79,20 @@ fn main() {
         selection.selected.len()
     );
 
-    // Machine-wide detector over the full namespaced schema, scored on
-    // the packed path and cross-checked against the scalar reference:
-    // identical confusion counts or the fast path has drifted.
+    // Machine-wide detector over the full namespaced schema, cross-checked
+    // against the dense oracle: identical confusion counts or the packed
+    // engine has drifted.
     let det = PerSpectron::train_with_selection(&dataset, selection.clone());
-    let report = det.evaluate_via(&corpus, PATH);
-    let scalar_report = det.evaluate_via(&corpus, InferencePath::Scalar);
+    let report = det.evaluate(&corpus);
+    let (mut predicted, mut truth) = (Vec::new(), Vec::new());
+    for t in &corpus.traces {
+        let label = if t.class == Class::Malicious { 1i8 } else { -1 };
+        for c in dense_confidence_series(&det, t) {
+            predicted.push(if c >= det.threshold { 1i8 } else { -1 });
+            truth.push(label);
+        }
+    }
+    let dense = mlkit::confusion(&predicted, &truth);
     assert_eq!(
         (
             report.confusion.tp,
@@ -98,13 +100,8 @@ fn main() {
             report.confusion.tn,
             report.confusion.fn_
         ),
-        (
-            scalar_report.confusion.tp,
-            scalar_report.confusion.fp,
-            scalar_report.confusion.tn,
-            scalar_report.confusion.fn_
-        ),
-        "packed and scalar inference disagree on the cross-core corpus"
+        (dense.tp, dense.fp, dense.tn, dense.fn_),
+        "packed inference disagrees with the dense oracle on the cross-core corpus"
     );
 
     // Per-core views: the attacker core's slice and the victim core's.
@@ -141,7 +138,7 @@ fn main() {
     println!("\nper-scenario mean confidence (machine-wide detector):");
     let mut per_scenario = Vec::new();
     for t in &corpus.traces {
-        let series = det.confidence_series_via(t, PATH);
+        let series = det.confidence_series(t);
         let mean = series.iter().sum::<f64>() / series.len().max(1) as f64;
         println!("  {:<28} {:?}  {:+.3}", t.name, t.class, mean);
         per_scenario.push((t.name.clone(), format!("{:?}", t.class), mean));
@@ -162,7 +159,6 @@ fn main() {
 
     let mut json = String::from("{\n  \"experiment\": \"cross_core_detection\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"inference_path\": \"{}\",\n", PATH.label()));
     json.push_str(&format!(
         "  \"scenarios\": {},\n  \"insts_per_scenario\": {},\n  \"samples\": {},\n  \"schema_width\": {},\n",
         spec.scenarios.len(),

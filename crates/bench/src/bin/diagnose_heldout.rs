@@ -21,13 +21,14 @@ fn main() {
 
     // per-workload mean confidence + train/test membership
     let test_set: std::collections::HashSet<_> = split.test.iter().copied().collect();
+    let all = det.confidences(&ds.packed_rows(&det.selection().selected));
     for (w, t) in corpus.traces.iter().enumerate() {
         let confs: Vec<f64> = ds
             .samples
             .iter()
-            .enumerate()
-            .filter(|(_, s)| s.workload == w)
-            .map(|(_i, s)| det.confidence(&s.x))
+            .zip(&all)
+            .filter(|(s, _)| s.workload == w)
+            .map(|(_, &c)| c)
             .collect();
         let mean = confs.iter().sum::<f64>() / confs.len().max(1) as f64;
         let rate = confs.iter().filter(|&&c| c >= det.threshold).count() as f64

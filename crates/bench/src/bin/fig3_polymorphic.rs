@@ -21,7 +21,7 @@ fn main() {
     for w in workloads::polymorphic_suite() {
         // Online scoring: the detector rides the sample stream, no trace
         // is materialized.
-        let mut monitor = detector.streaming();
+        let mut monitor = detector.streaming_packed();
         Collector::default()
             .stream(Run::workload(&w, insts, 10_000), &mut monitor)
             .expect("simulation streams");

@@ -21,7 +21,7 @@ fn main() {
     for (bw, w) in workloads::bandwidth_suite() {
         // Online scoring: verdicts arrive per interval while the core runs;
         // the returned marks give the ground-truth leak times.
-        let mut monitor = detector.streaming();
+        let mut monitor = detector.streaming_packed();
         let marks = Collector::default()
             .stream(Run::workload(&w, insts, 10_000), &mut monitor)
             .expect("simulation streams");

@@ -33,10 +33,8 @@ fn main() {
             .collect();
         let det = PerSpectron::train_with_selection(&train_ds, selection);
 
-        let scores: Vec<f64> = test_idx
-            .iter()
-            .map(|&i| det.confidence(&dataset.samples[i].x))
-            .collect();
+        let all = det.confidences(&dataset.packed_rows(&det.selection().selected));
+        let scores: Vec<f64> = test_idx.iter().map(|&i| all[i]).collect();
         let truth: Vec<i8> = test_idx.iter().map(|&i| dataset.samples[i].y).collect();
         let roc = roc_curve(&scores, &truth);
         let area = auc(&roc);

@@ -13,16 +13,10 @@
 //! `PERSPECTRON_QUICK=1` shrinks the sweep to a single faulted dropout
 //! point for CI smoke runs.
 
-use perspectron::{CollectedCorpus, FaultPlan, FaultSpec, InferencePath, PerSpectron};
+use perspectron::{CollectedCorpus, FaultPlan, FaultSpec, PerSpectron};
 use perspectron_bench::{render_table, trained_detector};
 use uarch_stats::SampleSink;
 use workloads::Class;
-
-/// The inference engine every replay scores with: the bit-packed fast
-/// path, so each sweep run doubles as an end-to-end smoke test of packed
-/// detection under fault injection (verdicts are bit-identical to the
-/// scalar path either way).
-const PATH: InferencePath = InferencePath::Packed;
 
 /// One measured sweep point.
 struct Point {
@@ -43,8 +37,7 @@ fn replay(corpus: &CollectedCorpus, detector: &PerSpectron, spec: FaultSpec) -> 
         for (j, row) in t.trace.rows().enumerate() {
             sink.on_sample(t.trace.instruction_counts()[j], row);
         }
-        let mut monitor = sink.into_inner();
-        monitor.flush();
+        let monitor = sink.into_inner();
         degraded += monitor.degraded_intervals();
         for v in monitor.verdicts() {
             total += 1;
@@ -71,11 +64,9 @@ fn main() {
 
     println!("RESILIENCE SWEEP: detection accuracy under injected sensor faults");
     println!(
-        "(per-interval accuracy over {} workloads, {} fault seed(s) per point, \
-         inference path: {})\n",
+        "(per-interval accuracy over {} workloads, {} fault seed(s) per point)\n",
         corpus.traces.len(),
-        seeds.len(),
-        PATH.label()
+        seeds.len()
     );
 
     let mut points: Vec<Point> = Vec::new();
@@ -156,11 +147,10 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"experiment\": \"resilience_sweep\",\n  \"quick\": {},\n  \
-         \"inference_path\": \"{}\",\n  \"seeds\": {:?},\n  \
+         \"seeds\": {:?},\n  \
          \"headline\": {{\"clean_accuracy\": {:.6}, \"dropout10_accuracy\": {:.6}, \
          \"delta_points\": {:.3}}},\n  \"points\": [\n{}\n  ]\n}}\n",
         quick,
-        PATH.label(),
         seeds,
         clean.accuracy,
         at10.accuracy,

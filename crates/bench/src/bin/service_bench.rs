@@ -53,7 +53,6 @@ fn main() {
             for (j, &at) in t.trace.instruction_counts().iter().enumerate() {
                 sink.on_sample(at, &flat[j * width..(j + 1) * width]);
             }
-            sink.flush();
             sink.verdicts().to_vec()
         })
         .collect();

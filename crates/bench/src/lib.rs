@@ -3,7 +3,8 @@
 
 #![warn(missing_docs)]
 
-use perspectron::{CollectedCorpus, CorpusSpec, PerSpectron};
+use mlkit::Classifier;
+use perspectron::{CollectedCorpus, CorpusSpec, LabeledTrace, PerSpectron};
 
 /// Standard corpus for the experiment binaries, collected in parallel
 /// across all available cores through the streaming sample pipeline.
@@ -23,6 +24,41 @@ pub fn trained_detector() -> (CollectedCorpus, PerSpectron) {
     let corpus = experiment_corpus(10_000);
     let detector = PerSpectron::train(&corpus, 42);
     (corpus, detector)
+}
+
+/// The dense `f64` reference scorer, kept as an oracle for the packed
+/// engine and as the baseline of the detection-throughput bench: encode
+/// every row at full schema width, project it onto the selected features
+/// into a fresh `Vec`, take the dense dot product with the trained
+/// perceptron, and normalize by |w|₁ + |b| (non-finite outputs read 0).
+/// Bit-identical to [`PerSpectron::confidence_series`]: the
+/// `detect_throughput` bench asserts it per sample before timing, and
+/// `cross_core` compares confusion counts at run time.
+pub fn dense_confidence_series(det: &PerSpectron, trace: &LabeledTrace) -> Vec<f64> {
+    let p = det.perceptron();
+    let norm = (p.weights().iter().map(|w| w.abs()).sum::<f64>() + p.bias().abs()).max(1e-12);
+    let encoder = det.input_encoder();
+    let mut buf = Vec::with_capacity(encoder.width());
+    trace
+        .trace
+        .rows()
+        .enumerate()
+        .map(|(j, row)| {
+            encoder.encode_into(row, j, &mut buf);
+            let projected: Vec<f64> = det
+                .selection()
+                .selected
+                .iter()
+                .map(|&i| if buf[i].is_finite() { buf[i] } else { 0.0 })
+                .collect();
+            let score = p.score(&projected) / norm;
+            if score.is_finite() {
+                score
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 /// Renders a simple aligned table.

@@ -13,31 +13,6 @@ use crate::hardware::HardwareCost;
 use crate::stream::StreamingDetector;
 use crate::trace::{CollectedCorpus, LabeledTrace};
 
-/// Which inference engine scores encoded windows.
-///
-/// The two paths produce bit-identical verdicts (same confidences, same
-/// suspicious flags, same degradation accounting) — `Packed` is purely a
-/// throughput optimization that works on bit-packed rows with a frozen
-/// [`PackedPerceptron`] instead of dense `f64` rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferencePath {
-    /// Dense `f64` rows scored by the trained [`Perceptron`] (reference).
-    #[default]
-    Scalar,
-    /// Bit-packed rows scored by a frozen [`PackedPerceptron`].
-    Packed,
-}
-
-impl InferencePath {
-    /// Stable lowercase label for logs and JSON reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            InferencePath::Scalar => "scalar",
-            InferencePath::Packed => "packed",
-        }
-    }
-}
-
 /// Evaluation summary of a detector over a corpus.
 #[derive(Debug, Clone)]
 pub struct DetectionReport {
@@ -148,33 +123,10 @@ impl PerSpectron {
         &self.perceptron
     }
 
-    /// Raw (pre-threshold) output for a full-width k-sparse sample row,
-    /// normalized to `[-1, 1]` by the weight magnitude — the paper's
-    /// confidence measurement.
-    ///
-    /// The output is always finite: a non-finite input feature (a
-    /// corrupted sensor value that bypassed the encoder's sanitization)
-    /// contributes nothing instead of propagating NaN into the verdict.
-    pub fn confidence(&self, full_row: &[f64]) -> f64 {
-        let projected: Vec<f64> = self
-            .selection
-            .selected
-            .iter()
-            .map(|&i| {
-                let v = full_row[i];
-                if v.is_finite() {
-                    v
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        self.normalize_score(self.perceptron.score(&projected))
-    }
-
     /// Normalizes a raw perceptron score to the `[-1, 1]` confidence scale
-    /// — the one place both inference paths divide by the weight norm and
-    /// clamp non-finite outputs, so their verdicts cannot drift apart.
+    /// — the one place every caller (batch, streaming sink, service
+    /// session) divides by the weight norm and clamps non-finite outputs,
+    /// so their verdicts cannot drift apart.
     pub(crate) fn normalize_score(&self, raw: f64) -> f64 {
         let score = raw / self.weight_norm;
         if score.is_finite() {
@@ -182,12 +134,6 @@ impl PerSpectron {
         } else {
             0.0
         }
-    }
-
-    /// Classifies one full-width sample row: suspicious when the
-    /// normalized output exceeds the threshold.
-    pub fn is_suspicious(&self, full_row: &[f64]) -> bool {
-        self.confidence(full_row) >= self.threshold
     }
 
     /// The reference maxima the detector encodes unseen samples with.
@@ -223,8 +169,9 @@ impl PerSpectron {
     }
 
     /// The trained perceptron frozen into its bit-packed inference form
-    /// (exact sparse scorer plus the quantized popcount planes). Built
-    /// once, lazily; subsequent calls return the cached freeze.
+    /// (the exact sparse scorer plus its 8-bit quantization) — the one
+    /// engine every verdict is scored with. Built once, lazily; subsequent
+    /// calls return the cached freeze.
     pub fn packed_perceptron(&self) -> &PackedPerceptron {
         self.frozen
             .get_or_init(|| PackedPerceptron::from_perceptron(&self.perceptron))
@@ -233,67 +180,46 @@ impl PerSpectron {
     /// An online, per-interval detector sharing this detector's weights
     /// and encoding — plug it into a [`uarch_stats::SampleSink`] producer
     /// (e.g. [`Collector::stream`](crate::trace::Collector::stream)) to
-    /// score every sampling window the moment it closes.
-    pub fn streaming(&self) -> StreamingDetector {
-        StreamingDetector::new(self)
-    }
-
-    /// Like [`PerSpectron::streaming`] but scoring through the bit-packed
-    /// batched fast path. Verdicts are bit-identical to the scalar sink;
-    /// callers must invoke [`StreamingDetector::flush`] once the stream
-    /// ends so the final partial batch is scored.
+    /// score every sampling window the moment it closes. Its verdicts are
+    /// bit-identical to [`PerSpectron::confidence_series`] over the same
+    /// rows.
     pub fn streaming_packed(&self) -> StreamingDetector {
-        StreamingDetector::with_path(self, InferencePath::Packed)
+        StreamingDetector::new(self)
     }
 
     /// Per-sample confidences over an unseen trace (encoded with the
     /// training-time max matrix). This is the y-axis of Figures 3 and 4.
     pub fn confidence_series(&self, trace: &LabeledTrace) -> Vec<f64> {
-        let encoder = self.input_encoder();
-        let mut buf = Vec::with_capacity(encoder.width());
-        trace
-            .trace
-            .rows()
-            .enumerate()
-            .map(|(j, row)| {
-                encoder.encode_into(row, j, &mut buf);
-                self.confidence(&buf)
-            })
-            .collect()
+        let encoder = self.packed_encoder();
+        let mut row = BitRow::zeros(encoder.width());
+        let mut batch = PackedRows::new(encoder.width());
+        for (j, raw) in trace.trace.rows().enumerate() {
+            encoder.encode_bits_into(raw, j, &mut row);
+            batch.push(&row).expect("encoder and batch widths agree");
+        }
+        self.confidences(&batch)
     }
 
-    /// Per-sample confidences over an unseen trace through a chosen
-    /// inference path. The `Scalar` arm is exactly
-    /// [`PerSpectron::confidence_series`]; the `Packed` arm encodes every
-    /// row into a [`PackedRows`] batch and scores it in one sweep — the
-    /// results are bit-identical.
-    pub fn confidence_series_via(&self, trace: &LabeledTrace, path: InferencePath) -> Vec<f64> {
-        match path {
-            InferencePath::Scalar => self.confidence_series(trace),
-            InferencePath::Packed => {
-                let encoder = self.packed_encoder();
-                let engine = self.packed_perceptron();
-                let mut row = BitRow::zeros(encoder.width());
-                let mut batch = PackedRows::new(encoder.width());
-                for (j, raw) in trace.trace.rows().enumerate() {
-                    encoder.encode_bits_into(raw, j, &mut row);
-                    batch.push(&row).expect("encoder and batch widths agree");
-                }
-                let mut scores = Vec::new();
-                engine.score_rows(&batch, &mut scores);
-                scores.iter().map(|&s| self.normalize_score(s)).collect()
-            }
+    /// Normalized confidences for rows already packed onto the selected
+    /// features (e.g. [`Dataset::packed_rows`] over
+    /// `self.selection().selected`): one [`PackedPerceptron::score_rows`]
+    /// sweep, then each raw sum divided by |w|₁ + |b| onto the `[-1, 1]`
+    /// confidence scale (non-finite results read 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are not as wide as the selected feature set.
+    pub fn confidences(&self, rows: &PackedRows) -> Vec<f64> {
+        let mut scores = Vec::with_capacity(rows.len());
+        self.packed_perceptron().score_rows(rows, &mut scores);
+        for s in &mut scores {
+            *s = self.normalize_score(*s);
         }
+        scores
     }
 
     /// Evaluates on a corpus at the configured threshold.
     pub fn evaluate(&self, corpus: &CollectedCorpus) -> DetectionReport {
-        self.evaluate_via(corpus, InferencePath::Scalar)
-    }
-
-    /// Evaluates on a corpus at the configured threshold, scoring through
-    /// the chosen inference path (reports are identical for both).
-    pub fn evaluate_via(&self, corpus: &CollectedCorpus, path: InferencePath) -> DetectionReport {
         let mut predicted = Vec::new();
         let mut truth = Vec::new();
         let mut fp = std::collections::BTreeSet::new();
@@ -304,7 +230,7 @@ impl PerSpectron {
             } else {
                 -1
             };
-            for c in self.confidence_series_via(t, path) {
+            for c in self.confidence_series(t) {
                 let p = if c >= self.threshold { 1i8 } else { -1 };
                 predicted.push(p);
                 truth.push(label);
@@ -339,20 +265,6 @@ impl PerSpectron {
         let engine = self.packed_perceptron();
         let (q, b, scale) = engine.quantized();
         (q.to_vec(), b, scale)
-    }
-
-    /// Hardware-style inference: the sequential adder over 8-bit quantized
-    /// weights, exactly as the silicon would compute it (add the weight
-    /// when the input bit is 1, then take the sign).
-    pub fn is_suspicious_quantized(&self, full_row: &[f64]) -> bool {
-        let (weights, bias, _) = self.quantized_weights();
-        let mut acc: i32 = bias as i32;
-        for (&i, &w) in self.selection.selected.iter().zip(&weights) {
-            if full_row[i] > 0.5 {
-                acc += w as i32;
-            }
-        }
-        acc >= 0
     }
 
     /// Weights grouped by pipeline component, each sorted by magnitude —
@@ -452,17 +364,25 @@ mod tests {
     fn quantized_inference_matches_float_inference() {
         let corpus = mini_corpus();
         let det = trained();
-        let (q, _, scale) = det.quantized_weights();
+        let (q, qbias, scale) = det.quantized_weights();
         assert!(q.iter().any(|&w| w != 0), "weights survive quantization");
         assert!(scale > 0.0);
         let mut agree = 0usize;
         let mut total = 0usize;
         let ds = crate::dataset::Dataset::from_corpus(corpus, Encoding::KSparse);
-        for s in &ds.samples {
-            let f = det.is_suspicious(&s.x);
-            let h = det.is_suspicious_quantized(&s.x);
+        let selected = &det.selection().selected;
+        let float = det.confidences(&ds.packed_rows(selected));
+        for (s, c) in ds.samples.iter().zip(float) {
+            // The silicon's sequential adder: add the 8-bit weight of every
+            // set input bit to the bias, then take the sign.
+            let mut acc = i32::from(qbias);
+            for (&i, &w) in selected.iter().zip(&q) {
+                if s.x[i] > 0.5 {
+                    acc += i32::from(w);
+                }
+            }
             total += 1;
-            if f == h {
+            if (c >= det.threshold) == (acc >= 0) {
                 agree += 1;
             }
         }

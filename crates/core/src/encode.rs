@@ -68,33 +68,14 @@ pub(crate) fn needs_sanitizing(value: f64) -> bool {
 }
 
 /// Whether a lane must be masked during encoding: the single source of
-/// truth for both the scalar path (which encodes the lane as 0.0) and the
-/// packed path (which additionally clears the lane's validity bit). A
+/// truth for both the dense `f64` encoding (which encodes the lane as 0.0)
+/// and the packed one (which additionally clears the lane's validity bit). A
 /// lane is masked when its raw value is non-finite (a corrupted sensor
 /// reading) or its reference maximum is non-finite or subnormal (dividing
 /// by it would produce garbage or an effectively-infinite scale).
 #[inline]
 pub(crate) fn lane_masked(max: f64, value: f64) -> bool {
     max < f64::MIN_POSITIVE || !max.is_finite() || needs_sanitizing(value)
-}
-
-/// Sanitizes one raw sensor row: returns the row to score (borrowed
-/// unchanged when clean — the overwhelmingly common case — or rebuilt in
-/// `scratch` with non-finite values masked to zero) plus the count of
-/// values that needed masking.
-///
-/// This is the one raw-row sanitization helper shared by the scalar and
-/// packed streaming paths, so the `Degraded::sanitized_values` accounting
-/// can never drift between them.
-pub(crate) fn sanitize_row<'a>(row: &'a [f64], scratch: &'a mut Vec<f64>) -> (&'a [f64], usize) {
-    let sanitized = row.iter().filter(|v| needs_sanitizing(**v)).count();
-    if sanitized == 0 {
-        (row, 0)
-    } else {
-        scratch.clear();
-        scratch.extend(row.iter().map(|&v| if v.is_finite() { v } else { 0.0 }));
-        (scratch, sanitized)
-    }
 }
 
 /// Schema indices of the feature slice a detector attached to `core`

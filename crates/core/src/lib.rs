@@ -16,12 +16,13 @@
 //!    features; classify with a confidence output and a 0.25 threshold.
 //! 5. [`hardware`] — the hardware cost model (sequential-adder latency,
 //!    storage bits) justifying "low hardware complexity" in Table IV.
-//! 6. [`stream`] — the online deployment shape: per-interval featurization
-//!    and classification as a [`uarch_stats::SampleSink`], scoring every
-//!    sampling window the moment the simulator closes it. An optional
-//!    bit-packed fast path ([`InferencePath::Packed`]) batches windows
-//!    into `u64` bitsets and scores them with a frozen
-//!    [`mlkit::PackedPerceptron`], bit-identically to the scalar path.
+//! 6. [`stream`] — the online deployment shape: one per-stream state
+//!    machine ([`StreamSession`]) and a [`uarch_stats::SampleSink`]
+//!    adapter over it ([`StreamingDetector`]) that scores every sampling
+//!    window the moment the simulator closes it. Every verdict, batch or
+//!    online, comes from one scorer: rows packed into `u64` bitsets and
+//!    summed by a frozen [`mlkit::PackedPerceptron`], bit-identical to the
+//!    dense dot product it replaces.
 //! 7. [`faults`] — deterministic sensor-fault injection (component
 //!    dropout, row drops, value corruption, interval jitter) at the sample
 //!    boundary, quantifying the paper's replicated-detector resilience
@@ -65,7 +66,7 @@ pub mod trace;
 
 pub use corpus_io::{write_corpus, CorpusIoError, CorpusReader};
 pub use dataset::{Dataset, Sample};
-pub use detector::{DetectionReport, InferencePath, PerSpectron};
+pub use detector::{DetectionReport, PerSpectron};
 pub use encode::{core_feature_indices, Encoding, MaxMatrix, RowEncoder};
 pub use eval::{paper_folds, FoldSpec};
 pub use faults::{FaultLog, FaultPlan, FaultSpec, FaultySink};

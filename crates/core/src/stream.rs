@@ -4,31 +4,29 @@
 //! which scores every 10K-instruction period as it closes rather than
 //! after the run.
 //!
-//! Two sinks are provided. [`StreamingFeaturizer`] applies the shared
+//! One state machine tracks a stream: [`StreamSession`] owns the
+//! sampling-point cursor, the dropout and sanitization checks, the
+//! degraded/quarantine health state and the verdict log. It leaves
+//! scoring to its caller, so a service shard can batch windows from many
+//! sessions into one [`mlkit::PackedRows`] sweep.
+//!
+//! Two sinks are built on top. [`StreamingFeaturizer`] applies the shared
 //! [`RowEncoder`] transform incrementally, producing exactly the rows a
 //! batch [`Dataset`](crate::dataset::Dataset) build would. A
-//! [`StreamingDetector`] goes one step further and scores each encoded
-//! window with a trained [`PerSpectron`], recording a verdict per
-//! interval; its decisions are bit-identical to the batch
-//! [`PerSpectron::confidence_series`] path because both run the same
-//! encoder and the same perceptron.
-//!
-//! The detector sink can also run on the bit-packed fast path
-//! ([`InferencePath::Packed`], via [`PerSpectron::streaming_packed`]):
-//! each window is encoded straight into a [`BitRow`] projected onto the
-//! selected features, buffered into a [`PackedRows`] batch, and scored by
-//! a frozen [`mlkit::PackedPerceptron`] whenever the batch fills (or on
-//! [`StreamingDetector::flush`]). Verdicts — confidences, suspicious
-//! flags, and [`Degraded`] accounting — are bit-identical to the scalar
-//! sink; only the throughput differs.
+//! [`StreamingDetector`] (from [`PerSpectron::streaming_packed`]) drives
+//! one session window by window: copy the row, open the window, encode it
+//! into a [`BitRow`] projected onto the selected features, score it with
+//! the frozen [`mlkit::PackedPerceptron`], close the window. Its verdicts
+//! are bit-identical to the batch [`PerSpectron::confidence_series`]
+//! because both run the same encoder and the same engine.
 
 use std::sync::Arc;
 
-use mlkit::{BitRow, PackedPerceptron, PackedRows};
+use mlkit::BitRow;
 use uarch_stats::SampleSink;
 
-use crate::detector::{InferencePath, PerSpectron};
-use crate::encode::{needs_sanitizing, sanitize_row, RowEncoder};
+use crate::detector::PerSpectron;
+use crate::encode::{needs_sanitizing, RowEncoder};
 
 /// The encoded feature vectors produced one interval at a time.
 ///
@@ -119,36 +117,6 @@ pub struct Degraded {
     pub sanitized_values: usize,
 }
 
-impl Degraded {
-    fn is_clean(&self) -> bool {
-        self.missing_components.is_empty() && self.sanitized_values == 0
-    }
-}
-
-/// Shared health check for one raw (already sanitized) row: flags
-/// always-active-in-training components whose counters all read zero —
-/// dead sensor banks, not idleness — and folds in the sanitized-value
-/// count. `None` means the window is clean. One implementation serves the
-/// single-stream sink and the service's per-stream sessions, so degraded
-/// accounting can never drift between them.
-fn degraded_status(
-    watchlist: &[(String, Vec<usize>)],
-    raw: &[f64],
-    sanitized_values: usize,
-) -> Option<Degraded> {
-    let mut missing_components = Vec::new();
-    for (label, cols) in watchlist {
-        if cols.iter().all(|&i| raw[i] == 0.0) {
-            missing_components.push(label.clone());
-        }
-    }
-    let status = Degraded {
-        missing_components,
-        sanitized_values,
-    };
-    (!status.is_clean()).then_some(status)
-}
-
 /// One per-interval classification decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntervalVerdict {
@@ -163,40 +131,17 @@ pub struct IntervalVerdict {
     pub degraded: Option<Degraded>,
 }
 
-/// Windows buffered on the packed path before a batched scoring sweep.
-/// Small enough to keep alarm latency at one batch, large enough that the
-/// per-sweep overhead amortizes away.
-const PACKED_BATCH: usize = 64;
-
-/// A window encoded and buffered on the packed path, waiting for its
-/// batch to be scored.
-#[derive(Debug, Clone)]
-struct PendingInterval {
-    at_inst: u64,
-    degraded: Option<Degraded>,
-}
-
-/// State of the bit-packed batched fast path: the frozen inference
-/// engine, the projected packed encoder, and the current batch of
-/// encoded-but-unscored windows.
-#[derive(Debug, Clone)]
-struct PackedPath {
-    engine: PackedPerceptron,
-    encoder: RowEncoder,
-    /// Scratch row reused across windows.
-    row: BitRow,
-    batch: PackedRows,
-    pending: Vec<PendingInterval>,
-    /// Scratch score buffer reused across sweeps.
-    scores: Vec<f64>,
-}
-
 /// An online detector: scores every sampling window against a trained
 /// [`PerSpectron`] as the window closes, exactly as the hardware perceptron
 /// would — encode the window's counter deltas k-sparsely, sum the weights
 /// of the set bits, compare against the threshold.
 ///
-/// Construct via [`PerSpectron::streaming`], then hand it to any
+/// A thin [`SampleSink`] adapter over one [`StreamSession`]: each row is
+/// copied into a scratch buffer, opened, encoded into a packed row,
+/// scored and closed before `on_sample` returns, so every verdict is in
+/// [`StreamingDetector::verdicts`] as soon as its window closes.
+///
+/// Construct via [`PerSpectron::streaming_packed`], then hand it to any
 /// [`SampleSink`] producer:
 ///
 /// ```no_run
@@ -204,7 +149,7 @@ struct PackedPath {
 ///
 /// let corpus = CorpusSpec::quick().collect();
 /// let detector = PerSpectron::train(&corpus, 42);
-/// let mut monitor = detector.streaming();
+/// let mut monitor = detector.streaming_packed();
 /// let suspect = &workloads::full_suite()[0];
 /// Collector::default()
 ///     .stream(Run::workload(suspect, 300_000, 10_000), &mut monitor)
@@ -213,182 +158,74 @@ struct PackedPath {
 ///     println!("alarm at {} insts (confidence {:.2})", v.at_inst, v.confidence);
 /// }
 /// ```
-///
-/// [`PerSpectron::streaming_packed`] yields the same sink on the
-/// bit-packed fast path: windows are buffered into batches of 64 and
-/// scored in one sweep each. The verdicts are bit-identical; the one
-/// behavioral difference is latency — verdicts appear when a batch fills,
-/// so callers must invoke [`StreamingDetector::flush`] after the stream
-/// ends to score the final partial batch.
 #[derive(Debug, Clone)]
 pub struct StreamingDetector {
+    /// The trained detector, holding the frozen packed engine.
     detector: PerSpectron,
+    session: StreamSession,
+    /// The projected packed encoder.
     encoder: RowEncoder,
-    /// Components that never go quiet on a healthy machine, with their
-    /// schema columns — the dropout watchlist (shared, from training).
-    watchlist: Arc<Vec<(String, Vec<usize>)>>,
-    buf: Vec<f64>,
-    /// Scratch copy of the raw row when sanitization is needed (clean
-    /// rows are scored straight off the borrow).
-    raw_buf: Vec<f64>,
-    point: usize,
-    verdicts: Vec<IntervalVerdict>,
-    /// `Some` when this sink scores through the bit-packed fast path.
-    packed: Option<PackedPath>,
+    /// Scratch packed row reused across windows.
+    bits: BitRow,
+    /// Scratch copy of the raw row, sanitized in place by the session.
+    raw: Vec<f64>,
 }
 
 impl StreamingDetector {
-    /// Wraps a trained detector for online use (scalar reference path).
-    pub fn new(detector: &PerSpectron) -> Self {
-        Self::with_path(detector, InferencePath::Scalar)
-    }
-
-    /// Wraps a trained detector for online use on the chosen inference
-    /// path. On [`InferencePath::Packed`], remember to call
-    /// [`StreamingDetector::flush`] once the stream ends.
-    pub fn with_path(detector: &PerSpectron, path: InferencePath) -> Self {
-        let encoder = detector.input_encoder();
-        let width = encoder.width();
-        let packed = match path {
-            InferencePath::Scalar => None,
-            InferencePath::Packed => {
-                let encoder = detector.packed_encoder();
-                let w = encoder.width();
-                Some(PackedPath {
-                    engine: detector.packed_perceptron().clone(),
-                    encoder,
-                    row: BitRow::zeros(w),
-                    batch: PackedRows::new(w),
-                    pending: Vec::with_capacity(PACKED_BATCH),
-                    scores: Vec::with_capacity(PACKED_BATCH),
-                })
-            }
-        };
+    pub(crate) fn new(detector: &PerSpectron) -> Self {
+        let encoder = detector.packed_encoder();
         Self {
-            watchlist: detector.always_active_components(),
-            detector: detector.clone(),
+            bits: BitRow::zeros(encoder.width()),
             encoder,
-            buf: Vec::with_capacity(width),
-            raw_buf: Vec::new(),
-            point: 0,
-            verdicts: Vec::new(),
-            packed,
+            session: StreamSession::new(detector),
+            raw: Vec::with_capacity(detector.schema().len()),
+            detector: detector.clone(),
         }
     }
 
-    /// Which inference engine this sink scores windows with.
-    pub fn inference_path(&self) -> InferencePath {
-        if self.packed.is_some() {
-            InferencePath::Packed
-        } else {
-            InferencePath::Scalar
-        }
-    }
-
-    /// Windows encoded but not yet scored (always zero on the scalar
-    /// path; at most one batch minus one on the packed path).
-    pub fn pending_intervals(&self) -> usize {
-        self.packed.as_ref().map_or(0, |p| p.pending.len())
-    }
-
-    /// Scores any buffered windows immediately (no-op on the scalar
-    /// path). Packed-path callers must invoke this once the stream ends so
-    /// the final partial batch reaches the verdict log.
-    pub fn flush(&mut self) {
-        let Some(p) = &mut self.packed else {
-            return;
-        };
-        if p.pending.is_empty() {
-            return;
-        }
-        p.engine.score_rows(&p.batch, &mut p.scores);
-        debug_assert_eq!(p.scores.len(), p.pending.len());
-        for (meta, &raw_score) in p.pending.drain(..).zip(p.scores.iter()) {
-            let confidence = self.detector.normalize_score(raw_score);
-            self.verdicts.push(IntervalVerdict {
-                at_inst: meta.at_inst,
-                confidence,
-                suspicious: confidence >= self.detector.threshold,
-                degraded: meta.degraded,
-            });
-        }
-        p.batch.clear();
-    }
+    /// Does nothing: every window is scored as it closes, so there is
+    /// never a partial batch to score. Kept for source compatibility with
+    /// callers written against the earlier batched sink (the repo
+    /// benchmark in `perfbench/`).
+    pub fn flush(&mut self) {}
 
     /// Every per-interval verdict so far, oldest first.
     pub fn verdicts(&self) -> &[IntervalVerdict] {
-        &self.verdicts
+        self.session.verdicts()
     }
 
     /// Whether any window has been flagged suspicious.
     pub fn alarmed(&self) -> bool {
-        self.verdicts.iter().any(|v| v.suspicious)
+        self.verdicts().iter().any(|v| v.suspicious)
     }
 
     /// The first suspicious window, if any — the detection latency story.
     pub fn first_alarm(&self) -> Option<&IntervalVerdict> {
-        self.verdicts.iter().find(|v| v.suspicious)
+        self.verdicts().iter().find(|v| v.suspicious)
     }
 
     /// Windows scored under degraded sensor input so far.
     pub fn degraded_intervals(&self) -> usize {
-        self.verdicts
-            .iter()
-            .filter(|v| v.degraded.is_some())
-            .count()
+        self.session.degraded_windows()
     }
 
-    /// Rewinds the sampling-point cursor and clears verdicts (and, on the
-    /// packed path, any unscored batch), for reuse on a fresh process.
+    /// Rewinds the sampling-point cursor, clears verdicts and restores a
+    /// healthy stream, for reuse on a fresh process.
     pub fn reset(&mut self) {
-        self.verdicts.clear();
-        self.point = 0;
-        if let Some(p) = &mut self.packed {
-            p.batch.clear();
-            p.pending.clear();
-        }
+        self.session.reset();
     }
 }
 
 impl SampleSink for StreamingDetector {
     fn on_sample(&mut self, insts: u64, row: &[f64]) {
-        // Sanitize: a non-finite sensor reading is masked to zero (the
-        // encoder would mask it anyway — the copy exists so the dropout
-        // check below never compares against NaN). Clean rows — the
-        // overwhelmingly common case — are scored straight off the
-        // borrowed slice, bit-identically to the pre-hardening path.
-        let (raw, sanitized_values) = sanitize_row(row, &mut self.raw_buf);
-        let degraded = degraded_status(&self.watchlist, raw, sanitized_values);
-        match &mut self.packed {
-            None => {
-                self.encoder.encode_into(raw, self.point, &mut self.buf);
-                let confidence = self.detector.confidence(&self.buf);
-                self.verdicts.push(IntervalVerdict {
-                    at_inst: insts,
-                    confidence,
-                    suspicious: confidence >= self.detector.threshold,
-                    degraded,
-                });
-            }
-            Some(p) => {
-                p.encoder.encode_bits_into(raw, self.point, &mut p.row);
-                p.batch
-                    .push(&p.row)
-                    .expect("encoder and batch widths agree");
-                p.pending.push(PendingInterval {
-                    at_inst: insts,
-                    degraded,
-                });
-            }
-        }
-        self.point += 1;
-        if self
-            .packed
-            .as_ref()
-            .is_some_and(|p| p.pending.len() >= PACKED_BATCH)
-        {
-            self.flush();
-        }
+        self.raw.clear();
+        self.raw.extend_from_slice(row);
+        let (point, degraded) = self.session.open_window(&mut self.raw);
+        self.encoder
+            .encode_bits_into(&self.raw, point, &mut self.bits);
+        let raw_score = self.detector.packed_perceptron().score_bits(&self.bits);
+        self.session
+            .close_window(&self.detector, insts, degraded, raw_score);
     }
 }
 
@@ -415,14 +252,14 @@ pub enum SessionState {
 /// overridden via [`StreamSession::with_quarantine_after`].
 pub const DEFAULT_QUARANTINE_AFTER: usize = 8;
 
-/// Per-stream detection state for a multi-stream service: the sampling
-/// point cursor, degraded/quarantine tracking, and the stream's verdict
-/// log.
+/// Per-stream detection state: the sampling point cursor,
+/// degraded/quarantine tracking, and the stream's verdict log — the one
+/// per-window state machine behind both the single-stream
+/// [`StreamingDetector`] and the service's shards.
 ///
-/// This is [`StreamingDetector`] with inference hoisted out: a service
-/// shard owns many sessions plus *one* packed engine and batches windows
-/// **across** sessions into a single [`PackedRows`] sweep. The split is
-/// two phases per window:
+/// Inference is hoisted out: a service shard owns many sessions plus
+/// *one* packed engine and batches windows **across** sessions into a
+/// single [`mlkit::PackedRows`] sweep. The split is two phases per window:
 ///
 /// 1. [`StreamSession::open_window`] — sanitize the raw row in place,
 ///    run the shared dropout check, and hand back the sampling point to
@@ -572,11 +409,12 @@ impl StreamSession {
     }
 
     /// Phase 1 of scoring one window: sanitizes `row` in place (non-finite
-    /// sensor readings masked to zero, exactly as the single-stream sink
-    /// does on its scratch copy) and runs the shared dropout check.
-    /// Returns the sampling point to encode this row at plus the degraded
-    /// status to carry into [`StreamSession::close_window`]; the cursor
-    /// advances, so windows must be closed in open order.
+    /// sensor readings masked to zero) and runs the dropout check, which
+    /// flags always-active-in-training components whose counters all read
+    /// zero — dead sensor banks, not idleness. Returns the sampling point
+    /// to encode this row at plus the degraded status (`None` when the
+    /// window is clean) to carry into [`StreamSession::close_window`]; the
+    /// cursor advances, so windows must be closed in open order.
     pub fn open_window(&mut self, row: &mut [f64]) -> (usize, Option<Degraded>) {
         let mut sanitized_values = 0;
         for v in row.iter_mut() {
@@ -585,7 +423,17 @@ impl StreamSession {
                 sanitized_values += 1;
             }
         }
-        let degraded = degraded_status(&self.watchlist, row, sanitized_values);
+        let mut missing_components = Vec::new();
+        for (label, cols) in self.watchlist.iter() {
+            if cols.iter().all(|&i| row[i] == 0.0) {
+                missing_components.push(label.clone());
+            }
+        }
+        let degraded =
+            (!missing_components.is_empty() || sanitized_values > 0).then_some(Degraded {
+                missing_components,
+                sanitized_values,
+            });
         let point = self.point;
         self.point += 1;
         (point, degraded)
@@ -709,7 +557,7 @@ mod tests {
         let spec = tiny_spec();
         let corpus = spec.collect();
         let det = PerSpectron::train(&corpus, 7);
-        let mut mon = det.streaming();
+        let mut mon = det.streaming_packed();
         Collector::default()
             .stream(Run::workload(&spec.workloads[0], 60_000, 10_000), &mut mon)
             .expect("simulation streams");
@@ -723,7 +571,7 @@ mod tests {
         let spec = tiny_spec();
         let corpus = spec.collect();
         let det = PerSpectron::train(&corpus, 7);
-        let mut mon = det.streaming();
+        let mut mon = det.streaming_packed();
         let width = det.schema().len();
 
         // A healthy-looking row, then one with corrupted values, then one
@@ -845,7 +693,7 @@ mod tests {
         let spec = tiny_spec();
         let corpus = spec.collect();
         let det = PerSpectron::train(&corpus, 7);
-        let mut mon = det.streaming();
+        let mut mon = det.streaming_packed();
         let w = &spec.workloads[0];
         Collector::default()
             .stream(Run::workload(w, 30_000, 10_000), &mut mon)

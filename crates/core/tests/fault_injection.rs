@@ -149,7 +149,7 @@ proptest! {
             corpus.schema(),
         );
         for w in &spec.workloads {
-            let mut sink = plan.sink_for(&w.name, detector.streaming());
+            let mut sink = plan.sink_for(&w.name, detector.streaming_packed());
             Collector::default()
         .stream(Run::workload(w, spec.insts_per_workload, spec.sample_interval), &mut sink)
         .expect("simulation streams");
@@ -245,14 +245,14 @@ fn quiet_fault_plan_is_bit_identical_end_to_end() {
 
     let detector = PerSpectron::train(&clean, 42);
     let w = &spec.workloads[0];
-    let mut bare = detector.streaming();
+    let mut bare = detector.streaming_packed();
     Collector::default()
         .stream(
             Run::workload(w, spec.insts_per_workload, spec.sample_interval),
             &mut bare,
         )
         .expect("simulation streams");
-    let mut wrapped = plan.sink_for(&w.name, detector.streaming());
+    let mut wrapped = plan.sink_for(&w.name, detector.streaming_packed());
     Collector::default()
         .stream(
             Run::workload(w, spec.insts_per_workload, spec.sample_interval),
@@ -283,7 +283,7 @@ fn heavy_dropout_surfaces_degraded_intervals() {
         corpus.schema(),
     );
     let w = &spec.workloads[0];
-    let mut sink = plan.sink_for(&w.name, detector.streaming());
+    let mut sink = plan.sink_for(&w.name, detector.streaming_packed());
     Collector::default()
         .stream(
             Run::workload(w, spec.insts_per_workload, spec.sample_interval),

@@ -82,7 +82,7 @@ fn streaming_verdicts_match_batch_confidence_series_on_quick() {
 
     for (w, t) in spec().workloads.iter().zip(&corpus.traces) {
         let batch: Vec<f64> = detector.confidence_series(t);
-        let mut monitor = detector.streaming();
+        let mut monitor = detector.streaming_packed();
         Collector::default()
             .stream(
                 Run::workload(w, spec().insts_per_workload, spec().sample_interval),

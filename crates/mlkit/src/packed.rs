@@ -1,4 +1,4 @@
-//! Bit-packed binary feature rows and the popcount perceptron.
+//! Bit-packed binary feature rows and the sparse-gather perceptron.
 //!
 //! The paper's detector is deliberately hardware-shaped: 0/1 k-sparse
 //! features scored by a single-layer perceptron, exactly like the
@@ -10,26 +10,20 @@
 //! [`PackedPerceptron`] whose inference walks set bits instead of
 //! multiplying a dense `f64` vector.
 //!
-//! Two scoring paths are provided:
+//! Scoring ([`PackedPerceptron::score_bits`] for one row,
+//! [`PackedPerceptron::score_rows`] for a batch) iterates the set (and
+//! valid) bits of a row in ascending lane order and sums the corresponding
+//! `f64` weights. Because every input is exactly `0.0` or `1.0`, skipping
+//! the zero terms cannot perturb the IEEE-754 sum: the result is
+//! **bit-identical** to [`crate::Classifier::score`] on the equivalent
+//! dense row, so verdicts, confidences and thresholds all carry over
+//! unchanged — the packed engine is a faster spelling of the same math,
+//! never an approximation. [`PackedPerceptron::quantized`] exports the
+//! signed 8-bit weights the hardware tables would hold (§IV-G1).
 //!
-//! * **Exact** ([`PackedPerceptron::score_bits`]) — iterates the set
-//!   (and valid) bits of the row in ascending lane order and sums the
-//!   corresponding `f64` weights. Because every input is exactly `0.0`
-//!   or `1.0`, skipping the zero terms cannot perturb the IEEE-754 sum:
-//!   the result is **bit-identical** to [`crate::Classifier::score`] on the
-//!   equivalent dense row, so verdicts, confidences and thresholds all
-//!   carry over unchanged — the packed path is a faster spelling of the
-//!   same math, never an approximation.
-//! * **Quantized popcount** ([`PackedPerceptron::score_quantized`]) —
-//!   the hardware engine itself: weights quantized to signed 8-bit (the
-//!   representation vendor weight patches ship, §IV-G1) and decomposed
-//!   into sign/magnitude bit-planes, so a score is seven AND+popcount
-//!   passes per sign. Integer arithmetic is order-free, so this path is
-//!   exactly the sequential adder the silicon would run.
-//!
-//! Invalid lanes (see [`BitRow::set_valid`]) contribute nothing to
-//! either score even if their bit is set — a sanitized sensor reading
-//! is masked, never scored.
+//! Invalid lanes (see [`BitRow::set_valid`]) contribute nothing to a
+//! score even if their bit is set — a sanitized sensor reading is masked,
+//! never scored.
 
 use crate::error::MlError;
 use crate::perceptron::Perceptron;
@@ -311,28 +305,21 @@ impl PackedRows {
 /// A trained [`Perceptron`] frozen for bit-packed inference.
 ///
 /// Holds the exact `f64` weights (for bit-identical scoring) alongside
-/// their signed-8-bit quantization decomposed into sign/magnitude
-/// bit-planes (for the pure popcount engine). Construction is cheap;
-/// freeze once after training and share across streams.
+/// their signed-8-bit quantization (the vendor-patch export).
+/// Construction is cheap; freeze once after training and share across
+/// streams.
 #[derive(Debug, Clone)]
 pub struct PackedPerceptron {
     weights: Vec<f64>,
     bias: f64,
     width: usize,
     words_per_row: usize,
-    /// Quantized weights (`float ≈ int × scale`), kept for inspection
-    /// and cross-checks against sequential-adder implementations.
+    /// Quantized weights (`float ≈ int × scale`), kept for export and
+    /// cross-checks against sequential-adder implementations.
     qweights: Vec<i8>,
-    qbias: i32,
+    qbias: i8,
     scale: f64,
-    /// `planes[b][w]`: lanes whose quantized magnitude has bit `b` set,
-    /// split by weight sign. Seven planes cover |q| ≤ 127.
-    pos_planes: Vec<Vec<u64>>,
-    neg_planes: Vec<Vec<u64>>,
 }
-
-/// Magnitude bit-planes of an 8-bit weight (|q| ≤ 127 needs seven).
-const QUANT_PLANES: usize = 7;
 
 impl PackedPerceptron {
     /// Freezes a trained perceptron's weights for packed inference.
@@ -352,32 +339,14 @@ impl PackedPerceptron {
             .fold(0.0f64, |m, w| m.max(w.abs()));
         let scale = if max == 0.0 { 1.0 } else { max / 127.0 };
         let q = |w: f64| -> i8 { (w / scale).round().clamp(-127.0, 127.0) as i8 };
-        let qweights: Vec<i8> = weights.iter().map(|&w| q(w)).collect();
-        let mut pos_planes = vec![vec![0u64; words_per_row]; QUANT_PLANES];
-        let mut neg_planes = vec![vec![0u64; words_per_row]; QUANT_PLANES];
-        for (i, &qw) in qweights.iter().enumerate() {
-            let mag = qw.unsigned_abs();
-            let planes = if qw >= 0 {
-                &mut pos_planes
-            } else {
-                &mut neg_planes
-            };
-            for (b, plane) in planes.iter_mut().enumerate() {
-                if mag >> b & 1 == 1 {
-                    plane[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-                }
-            }
-        }
         Self {
             weights: weights.to_vec(),
             bias,
             width,
             words_per_row,
-            qweights,
-            qbias: q(bias) as i32,
+            qweights: weights.iter().map(|&w| q(w)).collect(),
+            qbias: q(bias),
             scale,
-            pos_planes,
-            neg_planes,
         }
     }
 
@@ -396,10 +365,10 @@ impl PackedPerceptron {
         self.bias
     }
 
-    /// The 8-bit quantization `(weights, bias, scale)` backing the
-    /// popcount planes, with `float ≈ int × scale`.
+    /// The 8-bit quantization `(weights, bias, scale)`, with
+    /// `float ≈ int × scale`.
     pub fn quantized(&self) -> (&[i8], i8, f64) {
-        (&self.qweights, self.qbias as i8, self.scale)
+        (&self.qweights, self.qbias, self.scale)
     }
 
     /// Exact raw score over word slices (bits, validity). The workhorse
@@ -433,16 +402,6 @@ impl PackedPerceptron {
     pub fn score_bits(&self, row: &BitRow) -> f64 {
         assert_eq!(row.width(), self.width, "packed row width mismatch");
         self.score_words(row.words(), row.valid_words())
-    }
-
-    /// Predicted ±1 label for one packed row (≥ 0 ⇒ +1), identical to
-    /// the scalar `predict`.
-    pub fn predict_bits(&self, row: &BitRow) -> i8 {
-        if self.score_bits(row) >= 0.0 {
-            1
-        } else {
-            -1
-        }
     }
 
     /// Exact raw scores for a whole batch, written into `out` (cleared
@@ -488,50 +447,6 @@ impl PackedPerceptron {
             let base = r * n;
             out.push(self.score_words(&rows.words[base..base + n], &rows.valid[base..base + n]));
         }
-    }
-
-    /// Predicted ±1 labels for a whole batch.
-    pub fn predict_rows(&self, rows: &PackedRows) -> Vec<i8> {
-        let mut scores = Vec::new();
-        self.score_rows(rows, &mut scores);
-        scores
-            .into_iter()
-            .map(|s| if s >= 0.0 { 1 } else { -1 })
-            .collect()
-    }
-
-    /// The pure popcount engine: integer score over the sign/magnitude
-    /// bit-planes of the 8-bit quantized weights. Exactly equal to the
-    /// hardware's sequential adder (add `q[i]` when lane `i` is set,
-    /// plus the quantized bias) — integer addition is order-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row's width differs from the model's.
-    pub fn score_quantized(&self, row: &BitRow) -> i32 {
-        assert_eq!(row.width(), self.width, "packed row width mismatch");
-        let mut acc = self.qbias;
-        for b in 0..QUANT_PLANES {
-            let mut pos = 0u32;
-            let mut neg = 0u32;
-            for ((&bits, &ok), (p, n)) in row
-                .words()
-                .iter()
-                .zip(row.valid_words())
-                .zip(self.pos_planes[b].iter().zip(&self.neg_planes[b]))
-            {
-                let live = bits & ok;
-                pos += (live & p).count_ones();
-                neg += (live & n).count_ones();
-            }
-            acc += (1i32 << b) * (pos as i32 - neg as i32);
-        }
-        acc
-    }
-
-    /// Quantized verdict (≥ 0 ⇒ suspicious), the silicon's output wire.
-    pub fn predict_quantized(&self, row: &BitRow) -> bool {
-        self.score_quantized(row) >= 0
     }
 }
 
@@ -612,7 +527,6 @@ mod tests {
                 p.score(&dense).to_bits(),
                 "pattern {pattern}: packed score diverged"
             );
-            assert_eq!(packed.predict_bits(&row), p.predict(&dense));
         }
     }
 
@@ -626,32 +540,24 @@ mod tests {
         row.set(1, true);
         row.set_valid(1, false);
         assert_eq!(packed.score_bits(&row), 1.0);
-        assert_eq!(packed.score_quantized(&row), packed.quantized().0[0] as i32);
     }
 
     #[test]
-    fn quantized_popcount_matches_the_sequential_adder() {
+    fn quantization_rounds_every_weight_to_within_half_a_step() {
         let width = 106;
         let weights: Vec<f64> = (0..width).map(|i| (i as f64 * 7.3).sin() * 4.0).collect();
         let bias = -0.75;
         let packed = PackedPerceptron::from_weights(&weights, bias);
         let (q, qb, scale) = packed.quantized();
         assert!(scale > 0.0);
-        for pattern in 0u64..128 {
-            let mut row = BitRow::zeros(width);
-            let mut adder: i32 = qb as i32;
-            for (i, &qw) in q.iter().enumerate() {
-                if pattern >> (i % 19) & 1 == 1 {
-                    row.set(i, true);
-                    adder += qw as i32;
-                }
-            }
-            assert_eq!(
-                packed.score_quantized(&row),
-                adder,
-                "pattern {pattern}: popcount planes diverged from the adder"
-            );
+        assert_eq!(q.len(), width);
+        for (&w, &qw) in weights.iter().chain([&bias]).zip(q.iter().chain([&qb])) {
+            assert!((w - f64::from(qw) * scale).abs() <= scale / 2.0 + 1e-12);
         }
+        assert!(
+            q.iter().any(|&qw| qw.unsigned_abs() == 127),
+            "the largest magnitude sets the scale"
+        );
     }
 
     #[test]
@@ -674,13 +580,6 @@ mod tests {
         let a: Vec<u64> = singles.iter().map(|s| s.to_bits()).collect();
         let b: Vec<u64> = batched.iter().map(|s| s.to_bits()).collect();
         assert_eq!(a, b);
-        assert_eq!(
-            packed.predict_rows(&batch),
-            singles
-                .iter()
-                .map(|&s| if s >= 0.0 { 1i8 } else { -1 })
-                .collect::<Vec<_>>()
-        );
     }
 
     /// The 4-wide unrolled sweep must stay bit-identical to per-row

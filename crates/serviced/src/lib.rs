@@ -9,7 +9,9 @@
 //!
 //! - [`service`] — the sharded service itself: worker threads owning
 //!   per-stream [`StreamSession`](perspectron::StreamSession)s, bounded
-//!   queues with explicit [`SubmitError::Busy`] backpressure, and
+//!   queues with explicit [`SubmitError::Busy`] backpressure, width
+//!   checks that refuse a malformed row ([`SubmitError::Malformed`])
+//!   before it reaches a shard, and
 //!   cross-session batched `score_rows` sweeps. Per-stream verdicts are
 //!   bit-identical to running the stream alone through
 //!   `PerSpectron::streaming_packed`, independent of shard count and

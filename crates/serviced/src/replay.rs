@@ -131,6 +131,9 @@ pub fn replay_clients(
                             Err(SubmitError::Shutdown) => {
                                 panic!("service shut down mid-replay")
                             }
+                            Err(e @ SubmitError::Malformed { .. }) => {
+                                panic!("corpus row rejected: {e}")
+                            }
                         }
                     }
                     if let Some(gap) = cfg.round_gap {

@@ -182,6 +182,14 @@ pub enum SubmitError {
     },
     /// The service has shut down; no further windows can be scored.
     Shutdown,
+    /// The row is not as wide as the detector's schema. It was rejected
+    /// before reaching a queue, so it can never crash a shard.
+    Malformed {
+        /// The schema width every row must have.
+        expected: usize,
+        /// The submitted row's width.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -195,6 +203,9 @@ impl std::fmt::Display for SubmitError {
                 )
             }
             SubmitError::Shutdown => write!(f, "service is shut down"),
+            SubmitError::Malformed { expected, got } => {
+                write!(f, "row has {got} values; the schema has {expected}")
+            }
         }
     }
 }
@@ -304,6 +315,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Debug, Clone)]
 pub struct Submitter {
     txs: Arc<[SyncSender<Msg>]>,
+    /// Schema width every submitted row must have.
+    width: usize,
     busy: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
     retries: Arc<AtomicU64>,
@@ -316,12 +329,25 @@ impl Submitter {
         (stream_hash(stream) % self.txs.len() as u64) as usize
     }
 
+    /// Rejects a row that is not exactly schema-wide.
+    fn check_width(&self, row: &[f64]) -> Result<(), SubmitError> {
+        if row.len() == self.width {
+            Ok(())
+        } else {
+            Err(SubmitError::Malformed {
+                expected: self.width,
+                got: row.len(),
+            })
+        }
+    }
+
     /// Submits one sampling window without blocking. `row` is the
     /// stream's raw counter-delta row (full schema width); `at_inst` the
     /// committed-instruction count when the window closed.
     ///
     /// # Errors
     ///
+    /// [`SubmitError::Malformed`] when the row is not schema-wide,
     /// [`SubmitError::Busy`] when the shard's bounded queue is full (the
     /// window is dropped back to the caller), [`SubmitError::Shutdown`]
     /// when the shard is gone.
@@ -331,6 +357,7 @@ impl Submitter {
         at_inst: u64,
         row: Box<[f64]>,
     ) -> Result<(), SubmitError> {
+        self.check_width(&row)?;
         let shard = self.shard_of(stream);
         match self.txs[shard].try_send(Msg::Window {
             stream,
@@ -361,7 +388,8 @@ impl Submitter {
     /// [`SubmitError::Deadline`] when the budget is exhausted (the window
     /// is dropped back to the caller and counted in
     /// [`ServiceReport::shed`]), [`SubmitError::Shutdown`] when the shard
-    /// is gone.
+    /// is gone, [`SubmitError::Malformed`] when the row is not
+    /// schema-wide.
     pub fn submit_with_policy(
         &self,
         stream: u64,
@@ -380,7 +408,8 @@ impl Submitter {
     /// # Errors
     ///
     /// [`SubmitError::Deadline`] when the deadline elapses with the shard
-    /// still busy, [`SubmitError::Shutdown`] when the shard is gone.
+    /// still busy, [`SubmitError::Shutdown`] when the shard is gone,
+    /// [`SubmitError::Malformed`] when the row is not schema-wide.
     pub fn submit(&self, stream: u64, at_inst: u64, row: Box<[f64]>) -> Result<(), SubmitError> {
         let policy = self.policy;
         self.submit_bounded(stream, at_inst, row, &policy, None)
@@ -394,6 +423,7 @@ impl Submitter {
         policy: &SubmitPolicy,
         max_retries: Option<u32>,
     ) -> Result<(), SubmitError> {
+        self.check_width(&row)?;
         let shard = self.shard_of(stream);
         let start = Instant::now();
         let mut attempt: u32 = 0;
@@ -1087,6 +1117,7 @@ impl Perspectrond {
         Self {
             submitter: Submitter {
                 txs: txs.into(),
+                width: detector.schema().len(),
                 busy: Arc::new(AtomicU64::new(0)),
                 shed: Arc::new(AtomicU64::new(0)),
                 retries: Arc::new(AtomicU64::new(0)),

@@ -59,7 +59,6 @@ fn lone_verdicts(c: &CollectedCorpus) -> Vec<Vec<IntervalVerdict>> {
             for (j, &at) in t.trace.instruction_counts().iter().enumerate() {
                 sink.on_sample(at, &flat[j * width..(j + 1) * width]);
             }
-            sink.flush();
             sink.verdicts().to_vec()
         })
         .collect()

@@ -8,8 +8,9 @@ use std::time::Duration;
 use perspectron::corpus_io::{self, CorpusReader};
 use perspectron::{CollectedCorpus, CorpusSpec, IntervalVerdict, PerSpectron};
 use perspectron_serviced::{
-    replay_clients, Perspectrond, ReplayConfig, ServiceConfig, SubmitError,
+    replay_clients, Perspectrond, ReplayConfig, ServiceConfig, SubmitError, SubmitPolicy,
 };
+use proptest::prelude::*;
 use uarch_stats::SampleSink;
 
 fn tiny_spec() -> CorpusSpec {
@@ -57,7 +58,6 @@ fn reference_verdicts() -> &'static Vec<Vec<IntervalVerdict>> {
                 for (j, &at) in t.trace.instruction_counts().iter().enumerate() {
                     sink.on_sample(at, &flat[j * width..(j + 1) * width]);
                 }
-                sink.flush();
                 sink.verdicts().to_vec()
             })
             .collect()
@@ -202,6 +202,7 @@ fn slow_consumer_backpressure_is_bounded_and_explicit() {
             }
             Err(SubmitError::Deadline { .. }) => panic!("try_submit never retries"),
             Err(SubmitError::Shutdown) => panic!("service died"),
+            Err(e @ SubmitError::Malformed { .. }) => panic!("schema-wide row rejected: {e}"),
         }
     }
     assert!(
@@ -257,5 +258,78 @@ fn drain_is_a_verdict_barrier_for_partial_batches() {
     assert_eq!(report.windows_scored, 24);
     for s in 0..8u64 {
         assert_eq!(report.verdicts_of(s).map(<[_]>::len), Some(3));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// No row a client can submit crashes a shard: rows of any width
+    /// (0..2× the schema) holding any values, NaN and ±∞ included, are
+    /// either accepted and scored or rejected as `Malformed` before they
+    /// reach a queue — through all three submission paths — and the
+    /// service finishes with zero supervised restarts.
+    #[test]
+    fn malformed_rows_are_rejected_without_a_shard_restart(seed in 0u64..u64::MAX) {
+        let width = detector().schema().len();
+        let mut s = seed.max(1);
+        let mut next = move || {
+            // xorshift64*
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            s.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let service = Perspectrond::start(
+            detector(),
+            ServiceConfig {
+                shards: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        let submitter = service.submitter();
+        let policy = SubmitPolicy::default();
+        let mut accepted = 0u64;
+        for j in 0..24u64 {
+            // Half the rows are schema-wide, so accepted windows with
+            // poisoned values reach the shards too.
+            let len = if next() % 2 == 0 {
+                width
+            } else {
+                (next() % (2 * width as u64)) as usize
+            };
+            let row: Box<[f64]> = (0..len)
+                .map(|_| match next() % 8 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => 0.0,
+                    _ => (next() % 1_000_000) as f64,
+                })
+                .collect();
+            let stream = next() % 4;
+            let at = (j + 1) * 10_000;
+            let result = match j % 3 {
+                0 => submitter.try_submit(stream, at, row),
+                1 => submitter.submit(stream, at, row),
+                _ => submitter.submit_with_policy(stream, at, row, &policy),
+            };
+            match result {
+                Ok(()) => {
+                    prop_assert_eq!(len, width);
+                    accepted += 1;
+                }
+                Err(SubmitError::Malformed { expected, got }) => {
+                    prop_assert_eq!(expected, width);
+                    prop_assert_eq!(got, len);
+                    prop_assert!(len != width);
+                }
+                Err(e) => prop_assert!(false, "unexpected submit error: {}", e),
+            }
+        }
+        drop(submitter);
+        let report = service.shutdown().expect("no shard died");
+        prop_assert_eq!(report.restarts.len(), 0);
+        prop_assert_eq!(report.windows_scored, accepted);
     }
 }

@@ -77,9 +77,9 @@ pub struct CoreConfig {
     pub itlb_entries: usize,
     /// Use the original full-window issue scan and completion scan instead
     /// of the ready-queue/event-driven fast path. The two are bit-identical
-    /// in every statistic; this flag exists so equivalence tests can run
-    /// both in one build. Defaults to `false` (fast path), or `true` when
-    /// the `reference-scan` feature is enabled.
+    /// in every statistic; this flag exists so equivalence tests and the
+    /// hot-loop bench can run both in one build. Defaults to `false` (fast
+    /// path).
     pub reference_scan: bool,
     /// Skip ahead over cycles in which every stage is provably stalled
     /// (e.g. the whole window waiting on a DRAM fill), crediting the same
@@ -131,7 +131,7 @@ impl Default for CoreConfig {
             membar_drain: 4,
             dtlb_entries: 64,
             itlb_entries: 64,
-            reference_scan: cfg!(feature = "reference-scan"),
+            reference_scan: false,
             tick_skip: true,
             cycle_budget: None,
         }

@@ -60,7 +60,7 @@ fn main() {
     // scored online, no trace retained. Driving a one-core machine
     // directly (instead of `Collector::stream`) also surfaces the run
     // summary with its wall-clock throughput.
-    let mut monitor = detector.streaming();
+    let mut monitor = detector.streaming_packed();
     let mut machine = Machine::single_core(&CoreConfig::default(), suspect.program.clone());
     machine
         .core_mut(0)
@@ -121,7 +121,7 @@ fn main() {
         },
         detector.schema(),
     );
-    let mut faulted = plan.sink_for(&suspect.name, detector.streaming());
+    let mut faulted = plan.sink_for(&suspect.name, detector.streaming_packed());
     collector
         .stream(Run::workload(&suspect, 300_000, 10_000), &mut faulted)
         .expect("positive interval");

@@ -9,6 +9,7 @@ use perspectron::{
     paper_folds, CorpusSpec, Dataset, FeatureSelection, PerSpectron, SelectionConfig,
 };
 use perspectron_repro::mlkit::Classifier;
+use uarch_stats::SampleSink;
 use workloads::{Class, Family};
 
 fn corpus() -> &'static perspectron::CollectedCorpus {
@@ -19,6 +20,13 @@ fn corpus() -> &'static perspectron::CollectedCorpus {
             .with_interval(10_000)
             .collect()
     })
+}
+
+/// The detector trained on the whole corpus, shared by the tests that
+/// score it.
+fn detector() -> &'static PerSpectron {
+    static DET: OnceLock<PerSpectron> = OnceLock::new();
+    DET.get_or_init(|| PerSpectron::train(corpus(), 42))
 }
 
 #[test]
@@ -55,8 +63,7 @@ fn every_attack_emits_leak_or_iteration_marks_and_benign_do_not() {
 #[test]
 fn detector_separates_the_full_corpus() {
     let c = corpus();
-    let det = PerSpectron::train(c, 42);
-    let report = det.evaluate(c);
+    let report = detector().evaluate(c);
     assert!(
         report.confusion.accuracy() > 0.95,
         "full-corpus accuracy {}",
@@ -86,6 +93,7 @@ fn detector_generalizes_to_held_out_attack_families() {
         .map(|&i| dataset.samples[i].clone())
         .collect();
     let det = PerSpectron::train_with_selection(&train_ds, selection);
+    let confidences = det.confidences(&dataset.packed_rows(&det.selection().selected));
 
     let mut per_family: std::collections::HashMap<Family, (usize, usize)> =
         std::collections::HashMap::new();
@@ -93,7 +101,7 @@ fn detector_generalizes_to_held_out_attack_families() {
     let mut benign_fp = 0usize;
     for &i in &split.test {
         let s = &dataset.samples[i];
-        let flagged = det.is_suspicious(&s.x);
+        let flagged = confidences[i] >= det.threshold;
         if s.y > 0 {
             let e = per_family.entry(s.family).or_default();
             e.1 += 1;
@@ -129,6 +137,48 @@ fn detector_generalizes_to_held_out_attack_families() {
         benign_fp as f64 / benign_total.max(1) as f64 <= 0.25,
         "held-out benign false positives {benign_fp}/{benign_total}"
     );
+}
+
+#[test]
+fn every_scoring_entry_point_agrees_bit_for_bit() {
+    let c = corpus();
+    let det = detector();
+    // Online: each trace's rows fed one by one through the streaming sink
+    // must reproduce the batch confidence series exactly.
+    for t in &c.traces {
+        let mut sink = det.streaming_packed();
+        for (row, &at) in t.trace.rows().zip(t.trace.instruction_counts()) {
+            sink.on_sample(at, row);
+        }
+        let batch = det.confidence_series(t);
+        assert_eq!(sink.verdicts().len(), batch.len(), "{}", t.name);
+        for (j, (v, b)) in sink.verdicts().iter().zip(&batch).enumerate() {
+            assert_eq!(
+                v.confidence.to_bits(),
+                b.to_bits(),
+                "{} window {j}: streaming {} vs batch {b}",
+                t.name,
+                v.confidence
+            );
+        }
+    }
+    // Encoded rows: the packed sweep over a dataset must equal the dense
+    // projection's dot product, normalized by |w|₁ + |b|, for every sample.
+    let dataset = Dataset::from_corpus(c, Encoding::KSparse);
+    let selected = &det.selection().selected;
+    let packed = det.confidences(&dataset.packed_rows(selected));
+    let p = det.perceptron();
+    let norm = (p.weights().iter().map(|w| w.abs()).sum::<f64>() + p.bias().abs()).max(1e-12);
+    assert_eq!(packed.len(), dataset.len());
+    for (i, (s, got)) in dataset.samples.iter().zip(&packed).enumerate() {
+        let projected: Vec<f64> = selected.iter().map(|&f| s.x[f]).collect();
+        let dense = p.score(&projected) / norm;
+        assert_eq!(
+            got.to_bits(),
+            dense.to_bits(),
+            "sample {i}: packed {got} vs dense {dense}"
+        );
+    }
 }
 
 #[test]
