@@ -267,7 +267,7 @@ fn main() {
     println!();
 
     // Statistics schema + invariant bindings are workload-independent.
-    let probe = sim_cpu::Core::new(sim_cpu::CoreConfig::default(), {
+    let probe = sim_cpu::Machine::single_core(&sim_cpu::CoreConfig::default(), {
         let mut a = uarch_isa::Assembler::new("schema-probe");
         a.halt();
         a.finish().expect("probe assembles")

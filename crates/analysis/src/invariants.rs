@@ -318,12 +318,12 @@ mod tests {
 
     #[test]
     fn core_schema_is_clean_and_invariants_bind() {
-        let core = sim_cpu::Core::new(CoreConfig::default(), {
+        let machine = Machine::single_core(&CoreConfig::default(), {
             let mut a = uarch_isa::Assembler::new("noop");
             a.halt();
             a.finish().unwrap()
         });
-        let snap = Snapshot::of(&core, "");
+        let snap = Snapshot::of(&machine, "");
         assert!(
             lint_schema(snap.names()).is_empty(),
             "{:?}",

@@ -63,7 +63,7 @@ fn main() {
         &CoreConfig::default(),
         workloads::cache_attacks::prime_probe(),
     );
-    pp_rand.core_mut(0).randomize_cache_indexing(0x5DEECE66D);
+    pp_rand.randomize_cache_indexing(0, 0x5DEECE66D);
     pp_rand.run(3_000_000);
     println!("\nPrime+Probe, 3M instructions:");
     println!(

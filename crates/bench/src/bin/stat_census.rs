@@ -3,15 +3,15 @@
 
 use perspectron::component_of;
 use perspectron_bench::render_table;
-use sim_cpu::{Core, CoreConfig};
+use sim_cpu::{CoreConfig, Machine};
 use uarch_isa::Assembler;
 use uarch_stats::Snapshot;
 
 fn main() {
     let mut a = Assembler::new("census");
     a.halt();
-    let core = Core::new(CoreConfig::default(), a.finish().expect("assembles"));
-    let snap = Snapshot::of(&core, "");
+    let machine = Machine::single_core(&CoreConfig::default(), a.finish().expect("assembles"));
+    let snap = Snapshot::of(&machine, "");
 
     let mut by_comp: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for name in snap.names() {

@@ -76,7 +76,6 @@ pub use multiclass::MulticlassDetector;
 pub use rhmd::RhmdDetector;
 pub use stream::{
     Degraded, IntervalVerdict, SessionSnapshot, SessionState, StreamSession, StreamingDetector,
-    StreamingFeaturizer,
 };
 pub use trace::{
     core_seed, workload_seed, CollectedCorpus, CollectionSpec, Collector, CorpusSpec, LabeledTrace,

@@ -60,17 +60,13 @@ pub fn map_encoder(schema: &Schema, max: Arc<MaxMatrix>, encoding: Encoding) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_cpu::{Core, CoreConfig};
+    use sim_cpu::{CoreConfig, Machine};
     use uarch_isa::Assembler;
-    use uarch_stats::{Sampler, Snapshot};
 
     fn schema() -> Schema {
         let mut a = Assembler::new("s");
         a.halt();
-        let core = Core::new(CoreConfig::default(), a.finish().unwrap());
-        let snap = Snapshot::of(&core, "");
-        let _ = snap;
-        Sampler::new(&core, "").schema().clone()
+        Machine::single_core(&CoreConfig::default(), a.finish().unwrap()).stat_schema()
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Online per-interval processing: [`uarch_stats::SampleSink`] consumers
-//! that featurize and classify each sampling window the moment the
+//! Online per-interval processing: a [`uarch_stats::SampleSink`] that
+//! featurizes and classifies each sampling window the moment the
 //! simulator emits it — the deployment shape of the paper's hardware unit,
 //! which scores every 10K-instruction period as it closes rather than
 //! after the run.
@@ -10,10 +10,7 @@
 //! scoring to its caller, so a service shard can batch windows from many
 //! sessions into one [`mlkit::PackedRows`] sweep.
 //!
-//! Two sinks are built on top. [`StreamingFeaturizer`] applies the shared
-//! [`RowEncoder`] transform incrementally, producing exactly the rows a
-//! batch [`Dataset`](crate::dataset::Dataset) build would. A
-//! [`StreamingDetector`] (from [`PerSpectron::streaming_packed`]) drives
+//! A [`StreamingDetector`] (from [`PerSpectron::streaming_packed`]) drives
 //! one session window by window: copy the row, open the window, encode it
 //! into a [`BitRow`] projected onto the selected features, score it with
 //! the frozen [`mlkit::PackedPerceptron`], close the window. Its verdicts
@@ -27,78 +24,6 @@ use uarch_stats::SampleSink;
 
 use crate::detector::PerSpectron;
 use crate::encode::{needs_sanitizing, RowEncoder};
-
-/// The encoded feature vectors produced one interval at a time.
-///
-/// This is the batch featurization loop turned inside out: instead of
-/// materializing a full trace and encoding it row by row afterwards, the
-/// featurizer is plugged into the producer as a [`SampleSink`] and
-/// transforms each delta row as it arrives, tracking the sampling-point
-/// cursor (the column of the max matrix) itself.
-#[derive(Debug, Clone)]
-pub struct StreamingFeaturizer {
-    encoder: RowEncoder,
-    rows: Vec<Vec<f64>>,
-    insts: Vec<u64>,
-    point: usize,
-    sanitized: usize,
-}
-
-impl StreamingFeaturizer {
-    /// Creates a featurizer applying `encoder` to every incoming row.
-    pub fn new(encoder: RowEncoder) -> Self {
-        Self {
-            encoder,
-            rows: Vec::new(),
-            insts: Vec::new(),
-            point: 0,
-            sanitized: 0,
-        }
-    }
-
-    /// The encoded feature rows, oldest first.
-    pub fn rows(&self) -> &[Vec<f64>] {
-        &self.rows
-    }
-
-    /// Committed-instruction counts aligned with
-    /// [`StreamingFeaturizer::rows`].
-    pub fn instruction_counts(&self) -> &[u64] {
-        &self.insts
-    }
-
-    /// Consumes the featurizer, yielding the encoded rows.
-    pub fn into_rows(self) -> Vec<Vec<f64>> {
-        self.rows
-    }
-
-    /// Raw input values sanitized so far (non-finite sensor readings
-    /// masked to zero before encoding).
-    pub fn sanitized_values(&self) -> usize {
-        self.sanitized
-    }
-
-    /// Rewinds the sampling-point cursor and clears accumulated rows, for
-    /// reuse on a fresh run.
-    pub fn reset(&mut self) {
-        self.rows.clear();
-        self.insts.clear();
-        self.point = 0;
-        self.sanitized = 0;
-    }
-}
-
-impl SampleSink for StreamingFeaturizer {
-    fn on_sample(&mut self, insts: u64, row: &[f64]) {
-        // The encoder masks non-finite inputs itself; the featurizer only
-        // counts them so callers can tell a degraded stream from a clean
-        // one. Clean rows take the exact pre-hardening path.
-        self.sanitized += row.iter().filter(|v| needs_sanitizing(**v)).count();
-        self.rows.push(self.encoder.encode(row, self.point));
-        self.insts.push(insts);
-        self.point += 1;
-    }
-}
 
 /// Why a sampling window was scored on partial evidence.
 ///
@@ -514,9 +439,7 @@ impl StreamSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{Dataset, Encoding};
     use crate::trace::{Collector, CorpusSpec, Run};
-    use std::sync::Arc;
 
     fn tiny_spec() -> CorpusSpec {
         let mut all = workloads::full_suite();
@@ -525,30 +448,6 @@ mod tests {
             insts_per_workload: 60_000,
             sample_interval: 10_000,
             workloads: all,
-        }
-    }
-
-    #[test]
-    fn streaming_featurizer_matches_batch_dataset_rows() {
-        let spec = tiny_spec();
-        let corpus = spec.collect();
-        let ds = Dataset::from_corpus(&corpus, Encoding::KSparse);
-        let encoder = RowEncoder::new(Arc::new(ds.max_matrix.clone()), Encoding::KSparse);
-        let mut streamed: Vec<Vec<f64>> = Vec::new();
-        for w in &spec.workloads {
-            let mut f = StreamingFeaturizer::new(encoder.clone());
-            Collector::default()
-                .stream(
-                    Run::workload(w, spec.insts_per_workload, spec.sample_interval),
-                    &mut f,
-                )
-                .expect("simulation streams");
-            streamed.extend(f.into_rows());
-        }
-        let batch: Vec<&Vec<f64>> = ds.samples.iter().map(|s| &s.x).collect();
-        assert_eq!(streamed.len(), batch.len());
-        for (a, b) in streamed.iter().zip(batch) {
-            assert_eq!(a, b, "streamed features must be bit-identical to batch");
         }
     }
 

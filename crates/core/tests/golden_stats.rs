@@ -22,6 +22,12 @@ const GOLDEN_SPECTRE_COMMITTED: u64 = 120_000;
 const GOLDEN_SPECTRE_CYCLES: u64 = 1_158_003;
 const GOLDEN_SPECTRE_HALTED: bool = false;
 
+/// FNV-1a (same layout as [`GOLDEN_QUICK_CORPUS_FNV`]) over
+/// `ScenarioSpec::cross_core_quick()`: pins the shared-uncore path that
+/// only multi-core machines exercise — bus arbiter grants, snoop
+/// back-invalidation and the rotating tick order.
+const GOLDEN_CROSS_CORE_QUICK_FNV: u64 = 0xebc7a6d2f832058e;
+
 struct Fnv(u64);
 
 impl Fnv {
@@ -83,7 +89,7 @@ fn corpus_fnv(corpus: &perspectron::CollectedCorpus) -> u64 {
 
 /// The multi-core refactor's bit-identity gate: collecting the quick
 /// corpus as scenarios — every workload wrapped as a one-core scenario,
-/// private L1s behind the shared (mutex-held) uncore, the machine run
+/// private L1s in front of the machine-owned uncore, the machine run
 /// loop and machine stat walk — must reproduce the exact pre-refactor
 /// golden hash: same 1159 flat names, same row bits, same marks.
 #[test]
@@ -110,6 +116,17 @@ fn quick_corpus_through_the_machine_path_matches_the_same_golden_hash() {
         "one-core Machine collection diverged from the single-core golden \
          snapshot (recomputed hash: {:#018x})",
         corpus_fnv(&corpus)
+    );
+}
+
+#[test]
+fn cross_core_quick_corpus_matches_the_golden_hash() {
+    let corpus = ScenarioSpec::cross_core_quick().collect();
+    let h = corpus_fnv(&corpus);
+    assert_eq!(
+        h, GOLDEN_CROSS_CORE_QUICK_FNV,
+        "cross-core quick corpus diverged from the golden snapshot \
+         (recomputed hash: {h:#018x})"
     );
 }
 

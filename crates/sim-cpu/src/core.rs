@@ -3,7 +3,7 @@
 //!
 //! The pipeline is cycle-driven and the [`Core`] is an *orchestrator*: the
 //! stages themselves live in [`crate::pipeline`] as first-class components
-//! that own their architectural state and statistics. Each [`Core::step`]
+//! that own their architectural state and statistics. Each `Core::step`
 //! ticks commit, execute, issue, rename/dispatch, decode and fetch for one
 //! cycle, wiring them together through small typed ports (fetch→decode and
 //! decode→rename queues, the issue→execute wakeup port, and the
@@ -12,7 +12,7 @@
 //! the caches — the side-channel), and squash walks undo the rename map,
 //! the call stack, the RAS and the global history.
 
-use sim_mem::{HierarchyConfig, MemoryHierarchy};
+use sim_mem::{MemoryHierarchy, Uncore};
 use uarch_isa::{MarkKind, Program, Reg};
 use uarch_stats::registry::ComponentId;
 use uarch_stats::{StatGroup, StatVisitor};
@@ -153,13 +153,16 @@ impl StallPlan {
     }
 }
 
-/// One out-of-order core plus its memory hierarchy.
+/// One out-of-order core plus its private memory slice (L1s, functional
+/// memory).
 ///
-/// A core only steps; [`Machine`](crate::machine::Machine) drives it,
-/// including tick-skipping and sampling, and a standalone program runs on
-/// a one-core machine. The core owns the shared machine resources (instruction window, register
+/// Only [`Machine`](crate::machine::Machine) builds and steps a core,
+/// lending it the shared uncore each cycle; it also drives tick-skipping
+/// and sampling, and a standalone program runs on a one-core machine. The
+/// core owns the shared machine resources (instruction window, register
 /// file, predictors, memory) and the stage components; each cycle it lends
-/// slices of that state to the stages through their ports.
+/// slices of that state, and the uncore, to the stages through their
+/// ports.
 pub struct Core {
     cfg: CoreConfig,
     program: Program,
@@ -194,29 +197,11 @@ pub struct Core {
 }
 
 impl Core {
-    /// Builds a core running `program` on a default memory hierarchy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid (see [`CoreConfig::validate`]); use
-    /// [`Core::try_new`] to handle configuration errors.
-    pub fn new(cfg: CoreConfig, program: Program) -> Self {
-        Self::try_new(cfg, program).expect("valid core configuration")
-    }
-
-    /// Builds a core running `program` on a default memory hierarchy,
-    /// reporting configuration errors instead of panicking.
-    pub fn try_new(cfg: CoreConfig, program: Program) -> Result<Self, SimError> {
-        let mem = MemoryHierarchy::try_new(HierarchyConfig::default())?;
-        Self::try_with_parts(cfg, program, mem)
-    }
-
-    /// Builds a core around an already-constructed memory hierarchy — the
-    /// seam the multi-core [`Machine`](crate::machine::Machine) uses to
-    /// hand every core its private L1s wired to the shared uncore. The
-    /// program's data segments are installed into the hierarchy's
-    /// (per-core) functional memory.
-    pub fn try_with_parts(
+    /// Builds a core around its private memory slice (L1s and functional
+    /// memory); only the [`Machine`](crate::machine::Machine), which owns
+    /// the uncore behind those L1s, builds cores. The program's data
+    /// segments are installed into the slice's functional memory.
+    pub(crate) fn try_with_parts(
         cfg: CoreConfig,
         program: Program,
         mut mem: MemoryHierarchy,
@@ -268,13 +253,14 @@ impl Core {
         }
     }
 
-    /// The memory hierarchy (caches, buses, DRAM, backing memory).
+    /// The core's private memory slice (L1s, backing memory); the shared
+    /// levels below are [`Machine::uncore`](crate::machine::Machine::uncore).
     pub fn mem(&self) -> &MemoryHierarchy {
         &self.mem
     }
 
-    /// Mutable access to the memory hierarchy (the machine's snoop drain
-    /// applies back-invalidations to the private L1s through this).
+    /// Mutable access to the private memory slice (the machine's snoop
+    /// drain and cache-index randomization reach the L1s through this).
     pub(crate) fn mem_mut(&mut self) -> &mut MemoryHierarchy {
         &mut self.mem
     }
@@ -331,24 +317,20 @@ impl Core {
         };
     }
 
-    /// Applies CEASER-style cache index randomization (see
-    /// [`MemoryHierarchy::randomize_indexing`]).
-    pub fn randomize_cache_indexing(&mut self, key: u64) {
-        self.mem.randomize_indexing(key);
-    }
-
     /// Advances the core one cycle.
     ///
     /// Stages tick oldest-first (commit → execute → issue → rename →
     /// decode → fetch), exactly as the monolithic core sequenced them. A
     /// stage that requests a squash has it applied by the squash unit
     /// before the next stage runs; a trap riding on a commit-stage squash
-    /// is delivered to fetch right after the walk.
-    pub fn step(&mut self) {
+    /// is delivered to fetch right after the walk. `uncore` is the
+    /// machine's, lent for the cycle.
+    pub(crate) fn step(&mut self, uncore: &mut Uncore) {
         let req = self.commit.tick(CommitPorts {
             cfg: &self.cfg,
             program: &self.program,
             mem: &mut self.mem,
+            uncore: &mut *uncore,
             window: &mut self.window,
             regs: &mut self.regs,
             rename: &mut self.rename,
@@ -382,6 +364,7 @@ impl Core {
                 cfg: &self.cfg,
                 program: &self.program,
                 mem: &mut self.mem,
+                uncore: &mut *uncore,
                 window: &mut self.window,
                 regs: &mut self.regs,
                 cpu: &mut self.cpu,
@@ -414,6 +397,7 @@ impl Core {
             cfg: &self.cfg,
             decoded: &self.decoded,
             mem: &mut self.mem,
+            uncore,
             pred: &mut self.pred,
             cpu: &mut self.cpu,
             out: &mut self.fetch_q,
@@ -790,6 +774,7 @@ impl StatGroup for Core {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use sim_mem::HierarchyConfig;
     use uarch_isa::Assembler;
 
     fn run_program(a: Assembler, max: u64) -> Machine {
@@ -947,7 +932,7 @@ mod tests {
         // The dependent line (0x1000 + 0x42*64) was touched speculatively.
         assert!(
             core.mem().l1d().probe(0x1000 + 0x42 * 64).is_some()
-                || m.with_uncore(|u| u.l2().probe(0x1000 + 0x42 * 64).is_some()),
+                || m.uncore().l2().probe(0x1000 + 0x42 * 64).is_some(),
             "Meltdown window must leave a cache footprint"
         );
     }
@@ -1046,8 +1031,8 @@ mod tests {
     fn machine_exposes_the_papers_1159_statistics() {
         let mut a = Assembler::new("census");
         a.halt();
-        let core = Core::new(CoreConfig::default(), a.finish().unwrap());
-        let snap = uarch_stats::Snapshot::of(&core, "");
+        let machine = Machine::single_core(&CoreConfig::default(), a.finish().unwrap());
+        let snap = uarch_stats::Snapshot::of(&machine, "");
         assert_eq!(
             snap.len(),
             1159,
@@ -1077,7 +1062,9 @@ mod tests {
             fetch_width: 0,
             ..CoreConfig::default()
         };
-        let err = Core::try_new(cfg, p).unwrap_err();
+        let Err(err) = Machine::try_new(&cfg, &HierarchyConfig::default(), vec![p]) else {
+            panic!("a zero fetch width must be rejected");
+        };
         assert!(matches!(err, SimError::InvalidConfig { .. }));
     }
 
@@ -1111,13 +1098,18 @@ mod tests {
         a.subi(Reg::R9, Reg::R9, 1);
         a.bnez(Reg::R9, top);
         a.halt();
-        let mut core = Core::new(CoreConfig::default(), a.finish().expect("assembles"));
+        let hcfg = HierarchyConfig::default();
+        let mut uncore = Uncore::try_new(&hcfg, 1).expect("uncore builds");
+        let mem = MemoryHierarchy::try_new(hcfg.l1i, hcfg.l1d, 0).expect("L1s build");
+        let mut core =
+            Core::try_with_parts(CoreConfig::default(), a.finish().expect("assembles"), mem)
+                .expect("valid configuration");
         let mut most_blocked = 0;
         while !core.halted() && core.cycles() < 100_000 {
             if let Some(plan) = core.stall_plan() {
                 most_blocked = most_blocked.max(plan.mshr_blocked_loads);
             }
-            core.step();
+            core.step(&mut uncore);
         }
         assert!(core.halted(), "the program must run to completion");
         assert!(

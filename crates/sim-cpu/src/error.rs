@@ -44,7 +44,7 @@ pub enum SimError {
     /// A program failed to assemble.
     Assembly(AsmError),
     /// The memory hierarchy rejected its configuration (degenerate cache
-    /// geometry).
+    /// or DRAM geometry).
     Mem(MemError),
     /// The core's watchdog fired: the simulated clock reached
     /// [`CoreConfig::cycle_budget`](crate::CoreConfig::cycle_budget) before

@@ -8,9 +8,10 @@
 //! private L1s. Cores keep their private L1 caches and their own
 //! functional memory (architectural isolation), while all timing state
 //! below L1 — the shared L2, both crossbars and the DRAM controller — is
-//! one [`Uncore`] behind a mutex that is never contended (cores tick
-//! sequentially; the lock exists so corpus collection can move machines
-//! across threads).
+//! one [`Uncore`] the machine owns by value and lends to each core's step
+//! in turn. Cores tick sequentially, so a plain `&mut` borrow is all the
+//! sharing needs, and an owned uncore keeps the machine `Send` for
+//! parallel corpus collection.
 //!
 //! Tick-skipping stays correct across cores: the machine fast-forwards
 //! only when *every* active core proves all of its stages stalled
@@ -19,16 +20,15 @@
 //! loop would have recorded. One busy core vetoes the skip for the whole
 //! machine.
 //!
-//! The machine is the simulator's only driver: a standalone program runs
-//! on a one-core machine. That machine is bit-identical to stepping a
-//! lone [`Core`] by hand: the shared uncore arms no snooping or arbiter
-//! accounting for one core, the statistic walk emits the historical flat
-//! layout (1159 names), and tick-skipping only credits the stall
-//! statistics the stepped cycles would have recorded. Multi-core
-//! machines namespace each core's statistics under `core0.`, `core1.`, …
-//! while the shared uncore groups stay unprefixed.
+//! The machine is the simulator's only driver — the only way to build or
+//! step a [`Core`] — and a standalone program runs on a one-core machine.
+//! A one-core uncore arms no snooping or arbiter accounting, the
+//! statistic walk emits the historical flat layout (1159 names), and
+//! tick-skipping only credits the stall statistics the stepped cycles
+//! would have recorded. Multi-core machines namespace each core's
+//! statistics under `core0.`, `core1.`, … while the shared uncore groups
+//! stay unprefixed.
 
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sim_mem::{HierarchyConfig, MemoryHierarchy, Uncore};
@@ -61,7 +61,7 @@ pub struct RunSummary {
 /// N out-of-order cores in lockstep around one shared uncore.
 pub struct Machine {
     cores: Vec<Core>,
-    uncore: Arc<Mutex<Uncore>>,
+    uncore: Uncore,
     cycle: u64,
 }
 
@@ -121,16 +121,11 @@ impl Machine {
                 reason: "a machine needs at least one core",
             });
         }
-        let uncore = Arc::new(Mutex::new(Uncore::try_new(hcfg, n).map_err(SimError::Mem)?));
+        let uncore = Uncore::try_new(hcfg, n).map_err(SimError::Mem)?;
         let mut cores = Vec::with_capacity(n);
         for (i, program) in programs.enumerate() {
-            let mem = MemoryHierarchy::try_shared(
-                hcfg.l1i.clone(),
-                hcfg.l1d.clone(),
-                Arc::clone(&uncore),
-                i,
-            )
-            .map_err(SimError::Mem)?;
+            let mem = MemoryHierarchy::try_new(hcfg.l1i.clone(), hcfg.l1d.clone(), i)
+                .map_err(SimError::Mem)?;
             cores.push(Core::try_with_parts(cfg.clone(), program, mem)?);
         }
         Ok(Self {
@@ -177,9 +172,18 @@ impl Machine {
         self.cores.iter().all(Core::halted)
     }
 
-    /// Runs `f` with shared access to the uncore (L2/bus/DRAM probes).
-    pub fn with_uncore<R>(&self, f: impl FnOnce(&Uncore) -> R) -> R {
-        f(&self.uncore.lock().expect("uncore lock poisoned"))
+    /// The shared uncore (L2/bus/DRAM probes).
+    pub fn uncore(&self) -> &Uncore {
+        &self.uncore
+    }
+
+    /// Applies CEASER-style cache index randomization to core `core`'s
+    /// data side: its L1D and the shared L2 (see
+    /// [`MemoryHierarchy::randomize_indexing`]).
+    pub fn randomize_cache_indexing(&mut self, core: usize, key: u64) {
+        self.cores[core]
+            .mem_mut()
+            .randomize_indexing(&mut self.uncore, key);
     }
 
     /// Resolves the machine's full statistic schema without sampling: the
@@ -243,7 +247,7 @@ impl Machine {
             for k in 0..n {
                 let i = (self.cycle as usize + k) % n;
                 if !self.cores[i].halted() {
-                    self.cores[i].step();
+                    self.cores[i].step(&mut self.uncore);
                 }
             }
             if n > 1 {
@@ -295,11 +299,7 @@ impl Machine {
     /// round, so the queue never carries entries across a skip (stalled
     /// cores make no memory requests).
     fn drain_snoops(&mut self) {
-        let pending = self
-            .uncore
-            .lock()
-            .expect("uncore lock poisoned")
-            .take_pending_invalidations();
+        let pending = self.uncore.take_pending_invalidations();
         if pending.is_empty() {
             return;
         }
@@ -313,10 +313,7 @@ impl Machine {
             }
         }
         if delivered > 0 {
-            self.uncore
-                .lock()
-                .expect("uncore lock poisoned")
-                .record_snoops(delivered);
+            self.uncore.record_snoops(delivered);
         }
     }
 
@@ -397,19 +394,15 @@ impl Machine {
 impl StatGroup for Machine {
     fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
         if self.cores.len() == 1 {
-            // Standalone layout: the core's flat groups (which, with a
-            // shared hierarchy, end at the private L1s) followed by the
-            // uncore groups in their historical positions — exactly the
-            // pinned 1159-name census.
+            // Standalone layout: the core's flat groups (which end at
+            // the private L1s) followed by the uncore groups in their
+            // historical positions — exactly the pinned 1159-name census.
             self.cores[0].visit(prefix, v);
         } else {
             for (i, core) in self.cores.iter().enumerate() {
                 core.visit(&join_prefix(prefix, &format!("core{i}")), v);
             }
         }
-        self.uncore
-            .lock()
-            .expect("uncore lock poisoned")
-            .visit_stats(prefix, v);
+        self.uncore.visit(prefix, v);
     }
 }

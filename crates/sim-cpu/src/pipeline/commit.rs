@@ -1,7 +1,7 @@
 //! The commit stage: in-order retirement, fault recognition and trap
 //! delivery, rename-map and call-stack retirement.
 
-use sim_mem::MemoryHierarchy;
+use sim_mem::{MemoryHierarchy, Uncore};
 use uarch_isa::{Inst, OpClass, Program};
 use uarch_stats::registry::ComponentId;
 use uarch_stats::{StatGroup, StatVisitor};
@@ -27,6 +27,7 @@ pub struct CommitPorts<'a> {
     pub(crate) cfg: &'a CoreConfig,
     pub(crate) program: &'a Program,
     pub(crate) mem: &'a mut MemoryHierarchy,
+    pub(crate) uncore: &'a mut Uncore,
     pub(crate) window: &'a mut Window,
     pub(crate) regs: &'a mut RegFile,
     /// Rename retirement port: committed mappings and call-stack history.
@@ -139,7 +140,8 @@ impl PipelineComponent for CommitStage {
                         .record(p.cycle.saturating_sub(head.dispatch_cycle) as f64);
                     p.window.sq_used -= 1;
                     let addr = head.eff_addr.expect("store executed");
-                    p.mem.store(addr, width.bytes(), head.result, p.cycle);
+                    p.mem
+                        .store(p.uncore, addr, width.bytes(), head.result, p.cycle);
                 }
                 Inst::Flush { .. } => {
                     self.stats.refs.inc();

@@ -11,7 +11,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sim_mem::{AccessOutcome, MemoryHierarchy};
+use sim_mem::{AccessOutcome, MemoryHierarchy, Uncore};
 use uarch_isa::{AluOp, FaluOp, Inst, OpClass, Program};
 use uarch_stats::registry::ComponentId;
 use uarch_stats::{StatGroup, StatVisitor};
@@ -56,6 +56,7 @@ pub struct FuWakeup<'a> {
     pub(crate) cfg: &'a CoreConfig,
     pub(crate) program: &'a Program,
     pub(crate) mem: &'a mut MemoryHierarchy,
+    pub(crate) uncore: &'a mut Uncore,
     pub(crate) window: &'a mut Window,
     pub(crate) regs: &'a mut RegFile,
     pub(crate) cpu: &'a mut CpuStats,
@@ -221,7 +222,7 @@ impl ExecuteStage {
                         self.stats.lsq.rescheduled_loads.inc();
                     }
                 } else {
-                    let res = w.mem.load(addr, mem_size, w.cycle + tlb_lat);
+                    let res = w.mem.load(w.uncore, addr, mem_size, w.cycle + tlb_lat);
                     result = res.value;
                     ready = w.cycle + base_lat + tlb_lat + res.latency;
                     mem_outstanding = res.outcome != AccessOutcome::L1Hit;
@@ -305,7 +306,7 @@ impl ExecuteStage {
             Inst::Flush { offset, .. } => {
                 let addr = v(0).wrapping_add(offset as u64);
                 eff_addr = Some(addr);
-                let lat = w.mem.flush_line(addr, w.cycle);
+                let lat = w.mem.flush_line(w.uncore, addr, w.cycle);
                 self.stats.flush_latency.0.record(lat as f64);
                 ready = w.cycle + lat;
             }

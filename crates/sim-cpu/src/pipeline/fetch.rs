@@ -1,7 +1,7 @@
 //! The fetch stage: instruction supply, branch prediction, I-TLB and
 //! I-cache timing, trap redirect delivery.
 
-use sim_mem::{AccessOutcome, MemoryHierarchy};
+use sim_mem::{AccessOutcome, MemoryHierarchy, Uncore};
 use uarch_isa::Inst;
 use uarch_stats::registry::ComponentId;
 use uarch_stats::{StatGroup, StatVisitor};
@@ -42,6 +42,7 @@ pub struct FetchPorts<'a> {
     /// The program, decoded once at core construction.
     pub(crate) decoded: &'a DecodedProgram,
     pub(crate) mem: &'a mut MemoryHierarchy,
+    pub(crate) uncore: &'a mut Uncore,
     pub(crate) pred: &'a mut Predictors,
     pub(crate) cpu: &'a mut CpuStats,
     /// Outbound port into decode.
@@ -147,7 +148,7 @@ impl PipelineComponent for FetchStage {
                 } else {
                     self.itb.rd_hits.inc();
                 }
-                let (lat, outcome) = p.mem.fetch(byte_addr, p.cycle);
+                let (lat, outcome) = p.mem.fetch(p.uncore, byte_addr, p.cycle);
                 self.current_fetch_line = Some(line);
                 self.stats.cache_lines.inc();
                 if outcome != AccessOutcome::L1Hit || itlb_lat > 0 {

@@ -635,8 +635,11 @@ mod tests {
     fn machine_snapshot() -> Snapshot {
         let mut a = uarch_isa::Assembler::new("census");
         a.halt();
-        let core = crate::Core::new(crate::CoreConfig::default(), a.finish().expect("assembles"));
-        Snapshot::of(&core, "")
+        let machine = crate::Machine::single_core(
+            &crate::CoreConfig::default(),
+            a.finish().expect("assembles"),
+        );
+        Snapshot::of(&machine, "")
     }
 
     #[test]

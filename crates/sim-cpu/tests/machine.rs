@@ -1,9 +1,9 @@
-//! Machine-level tests: single-core bit-identity through the shared-uncore
-//! path, per-core stat namespacing, cross-core snoop back-invalidation,
+//! Machine-level tests: single-core tick-skip bit-identity, per-core stat
+//! namespacing, cross-core snoop back-invalidation,
 //! shared-bus arbitration, multi-core tick-skip equivalence and the
 //! sampled run's boundaries and watchdog.
 
-use sim_cpu::{Core, CoreConfig, Machine, SimError};
+use sim_cpu::{CoreConfig, Machine, SimError};
 use sim_mem::HierarchyConfig;
 use uarch_isa::{Assembler, Program, Reg};
 use uarch_stats::{SampleSink, Snapshot};
@@ -59,37 +59,35 @@ fn compute(touch: Option<u64>, iters: u64) -> Program {
     a.finish().expect("assembles")
 }
 
-/// The golden gate at the unit level: a one-core machine — private L1s
-/// wired to a shared (mutex-held) uncore, the machine run loop with its
-/// tick-skipping, the machine stat walk — must be *bit-identical* to a
-/// standalone core with its own uncore, stepped one cycle at a time, on a
-/// real attack workload: same commit/cycle/halt trajectory and the same
-/// value in every one of the 1159 statistics.
+/// The golden gate at the unit level: a default one-core machine — the
+/// run loop with its tick-skipping, the machine stat walk — must be
+/// *bit-identical* to the same machine stepped one cycle at a time
+/// (`tick_skip: false`) on a real attack workload: same commit/cycle/halt
+/// trajectory and the same value in every one of the 1159 statistics.
 #[test]
-fn single_core_machine_is_bit_identical_to_a_standalone_core() {
+fn single_core_machine_is_bit_identical_to_a_stepped_one() {
     let program = spectre_v1(SpectreV1Params::default());
-    let mut core = Core::new(CoreConfig::default(), program.clone());
+    let stepped_cfg = CoreConfig {
+        tick_skip: false,
+        ..CoreConfig::default()
+    };
+    let mut stepped = Machine::single_core(&stepped_cfg, program.clone());
     let mut mach = machine(vec![program]);
 
-    while !core.halted() && core.committed_insts() < 120_000 {
-        core.step();
-    }
+    let ss = stepped.run(120_000);
     let ms = mach.run(120_000);
-    assert_eq!(
-        ms.committed,
-        core.committed_insts(),
-        "committed-instruction drift"
-    );
-    assert_eq!(ms.cycles, core.cycles(), "cycle drift");
-    assert_eq!(ms.halted, core.halted());
+    assert_eq!(ms.committed, ss.committed, "committed-instruction drift");
+    assert_eq!(ms.cycles, ss.cycles, "cycle drift");
+    assert_eq!(ms.halted, ss.halted);
 
-    let want = Snapshot::of(&core, "");
+    let want = Snapshot::of(&stepped, "");
     let got = Snapshot::of(&mach, "");
+    assert_eq!(want.len(), 1159, "single-core schema");
     assert_eq!(got.names(), want.names(), "schema drift");
     for ((name, w), g) in want.names().iter().zip(want.values()).zip(got.values()) {
         assert!(
             w == g,
-            "stat {name} diverged: standalone {w} vs machine {g}"
+            "stat {name} diverged: stepped {w} vs tick-skipping {g}"
         );
     }
 }
@@ -163,7 +161,13 @@ fn exclusive_store_back_invalidates_the_other_cores_l1_copy() {
     mach.run(200_000);
     assert!(mach.all_halted(), "both programs must finish");
 
-    let snoops = mach.with_uncore(|u| u.tol2bus().stats().snoop_filter.tot_snoops.value());
+    let snoops = mach
+        .uncore()
+        .tol2bus()
+        .stats()
+        .snoop_filter
+        .tot_snoops
+        .value();
     assert!(
         snoops >= 1,
         "exclusive store must deliver a back-invalidation snoop ({snoops})"
@@ -187,10 +191,8 @@ fn arbiter_accounts_grants_for_every_requesting_core() {
     mach.run(100_000);
     assert!(mach.all_halted());
 
-    let (g0, g1, w0, w1) = mach.with_uncore(|u| {
-        let a = u.arbiter();
-        (a.grants(0), a.grants(1), a.wait_cycles(0), a.wait_cycles(1))
-    });
+    let a = mach.uncore().arbiter();
+    let (g0, g1, w0, w1) = (a.grants(0), a.grants(1), a.wait_cycles(0), a.wait_cycles(1));
     assert!(
         g0 > 0 && g1 > 0,
         "both cores must win bus grants ({g0}/{g1})"
@@ -250,7 +252,7 @@ fn mshrs_respect_capacity_and_drain_under_concurrent_misses() {
                 cfg.l1d.mshrs
             );
         }
-        let l2 = mach.with_uncore(|u| u.l2().outstanding_misses());
+        let l2 = mach.uncore().l2().outstanding_misses();
         assert!(
             l2 <= cfg.l2.mshrs,
             "shared L2 holds {l2} MSHRs, configured cap {}",
@@ -268,7 +270,7 @@ fn mshrs_respect_capacity_and_drain_under_concurrent_misses() {
         );
     }
     assert_eq!(
-        mach.with_uncore(|u| u.l2().outstanding_misses()),
+        mach.uncore().l2().outstanding_misses(),
         0,
         "shared L2 must drain its MSHR file at halt"
     );
@@ -403,6 +405,23 @@ fn zero_sample_interval_is_a_typed_error() {
         m.run_with_sink(100, 0, &mut Stamps::default()),
         Err(SimError::ZeroSampleInterval)
     ));
+}
+
+/// A DRAM with no banks or an empty row would divide by zero on the
+/// first DRAM access; construction must reject it as a typed error.
+#[test]
+fn degenerate_dram_geometry_is_a_typed_error() {
+    let dram = HierarchyConfig::default().dram;
+    for (banks, row_size) in [(0, dram.row_size), (dram.banks, 0)] {
+        let mut hcfg = HierarchyConfig::default();
+        hcfg.dram.banks = banks;
+        hcfg.dram.row_size = row_size;
+        let built = Machine::try_new(&CoreConfig::default(), &hcfg, vec![idle()]);
+        assert!(
+            matches!(built, Err(SimError::Mem(_))),
+            "banks = {banks}, row_size = {row_size} must be rejected"
+        );
+    }
 }
 
 #[test]

@@ -65,7 +65,7 @@ fn index_randomization_breaks_prime_probe() {
         &CoreConfig::default(),
         workloads::cache_attacks::prime_probe(),
     );
-    rand.core_mut(0).randomize_cache_indexing(0x5DEECE66D);
+    rand.randomize_cache_indexing(0, 0x5DEECE66D);
     rand.run(2_500_000);
     let hits_rand = (0..32u64)
         .filter(|&i| {

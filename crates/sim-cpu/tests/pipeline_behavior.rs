@@ -358,7 +358,7 @@ fn wrong_path_loads_install_cache_lines() {
         "loads flowed through the data cache"
     );
     assert!(
-        core.mem().l1d().probe(line).is_some() || m.with_uncore(|u| u.l2().probe(line).is_some()),
+        core.mem().l1d().probe(line).is_some() || m.uncore().l2().probe(line).is_some(),
         "the secret-dependent line must be resident"
     );
 }

@@ -1,9 +1,9 @@
 //! Typed construction errors for the memory hierarchy.
 //!
 //! Geometry problems (zero sets, zero MSHRs, a write buffer count that
-//! could never satisfy [`Cache::reserve_write_buffer`]) are rejected here,
-//! at construction, instead of surfacing later as panics on the access
-//! path. `sim-cpu` folds these into its `SimError` layer so a bad
+//! could never satisfy [`Cache::reserve_write_buffer`], zero DRAM banks)
+//! are rejected here, at construction, instead of surfacing later as
+//! panics on the access path. `sim-cpu` folds these into its `SimError` layer so a bad
 //! `HierarchyConfig` is reported like any other configuration mistake.
 //!
 //! [`Cache::reserve_write_buffer`]: crate::Cache::reserve_write_buffer
@@ -13,9 +13,10 @@ use std::fmt;
 /// Why a memory-side component could not be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemError {
-    /// A cache parameter is degenerate: the timing model's invariants
-    /// (at least one set, way, MSHR, MSHR target and write buffer; a
-    /// power-of-two line size) would not hold.
+    /// A cache or DRAM parameter is degenerate: the timing model's
+    /// invariants (at least one set, way, MSHR, MSHR target and write
+    /// buffer; a power-of-two line size; at least one DRAM bank and a
+    /// nonzero row size) would not hold.
     InvalidGeometry {
         /// The offending parameter name.
         param: &'static str,
@@ -33,7 +34,7 @@ impl fmt::Display for MemError {
                 param,
                 value,
                 reason,
-            } => write!(f, "invalid cache geometry: {param} = {value} ({reason})"),
+            } => write!(f, "invalid memory geometry: {param} = {value} ({reason})"),
         }
     }
 }

@@ -1,23 +1,20 @@
-//! The assembled memory hierarchy: L1I + L1D → tol2bus → L2 → membus →
-//! DRAM controller, with a flat functional backing store.
+//! The memory hierarchy: L1I + L1D → tol2bus → L2 → membus → DRAM
+//! controller, with a flat functional backing store.
 //!
-//! The L1s and the functional memory are private to a core; everything
-//! below lives in an [`Uncore`] reached through an [`UncoreHandle`]. A
-//! standalone core owns its uncore (the historical single-core layout,
-//! no locking); a multi-core machine hands every core the same shared
-//! uncore so L2/bus/DRAM timing state is genuinely contended.
-
-use std::sync::{Arc, Mutex};
+//! A [`MemoryHierarchy`] is one core's private slice — its L1s and its
+//! functional memory. Everything below the L1s lives in the [`Uncore`],
+//! which has one owner (the machine) and is passed into every timed
+//! access, so every core of a machine contends on the same L2/bus/DRAM
+//! timing state.
 
 use uarch_stats::{StatGroup, StatVisitor};
 
-use crate::bus::Bus;
 use crate::cache::{Cache, CacheConfig};
 use crate::cmd::MemCmd;
-use crate::dram::{DramConfig, MemCtrl};
+use crate::dram::DramConfig;
 use crate::error::MemError;
 use crate::memory::Memory;
-use crate::uncore::{Uncore, UncoreHandle};
+use crate::uncore::Uncore;
 
 const LINE: u64 = 64;
 
@@ -75,56 +72,26 @@ pub struct LoadResult {
     pub outcome: AccessOutcome,
 }
 
-/// The full memory system below the core: private L1s + functional memory,
-/// plus a handle to the (possibly shared) uncore.
+/// One core's private slice of the memory system: L1I, L1D and the
+/// functional backing store. Timed accesses that miss the L1s continue
+/// into the [`Uncore`] the caller lends them.
 #[derive(Debug)]
 pub struct MemoryHierarchy {
     l1i: Cache,
     l1d: Cache,
     memory: Memory,
     core_id: usize,
-    uncore: UncoreHandle,
 }
 
 impl MemoryHierarchy {
-    /// Builds the hierarchy from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate cache geometry; prefer
-    /// [`MemoryHierarchy::try_new`] for a typed error.
-    pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the hierarchy, rejecting degenerate cache geometry with a
-    /// typed [`MemError`] instead of panicking. The uncore is owned: the
-    /// standalone single-core layout.
-    pub fn try_new(cfg: HierarchyConfig) -> Result<Self, MemError> {
-        let uncore = Uncore::try_new(&cfg, 1)?;
-        Ok(Self {
-            l1i: Cache::try_new(cfg.l1i)?,
-            l1d: Cache::try_new(cfg.l1d)?,
-            memory: Memory::new(),
-            core_id: 0,
-            uncore: UncoreHandle::Owned(Box::new(uncore)),
-        })
-    }
-
-    /// Builds one core's private slice of a multi-core hierarchy: its own
-    /// L1s and functional memory, wired to the machine's shared uncore.
-    pub fn try_shared(
-        l1i: CacheConfig,
-        l1d: CacheConfig,
-        uncore: Arc<Mutex<Uncore>>,
-        core_id: usize,
-    ) -> Result<Self, MemError> {
+    /// Builds core `core_id`'s private L1s and functional memory,
+    /// rejecting degenerate cache geometry with a typed [`MemError`].
+    pub fn try_new(l1i: CacheConfig, l1d: CacheConfig, core_id: usize) -> Result<Self, MemError> {
         Ok(Self {
             l1i: Cache::try_new(l1i)?,
             l1d: Cache::try_new(l1d)?,
             memory: Memory::new(),
             core_id,
-            uncore: UncoreHandle::Shared(uncore),
         })
     }
 
@@ -149,86 +116,13 @@ impl MemoryHierarchy {
         &self.l1i
     }
 
-    /// The core this hierarchy belongs to (0 for standalone cores).
+    /// The core this hierarchy belongs to.
     pub fn core_id(&self) -> usize {
         self.core_id
     }
 
-    /// Whether this hierarchy owns its uncore (standalone single core)
-    /// rather than sharing a machine-level one.
-    pub fn owns_uncore(&self) -> bool {
-        self.uncore.is_owned()
-    }
-
-    /// Runs `f` with shared access to the uncore (owned or shared).
-    pub fn with_uncore<R>(&self, f: impl FnOnce(&Uncore) -> R) -> R {
-        self.uncore.with_ref(f)
-    }
-
-    /// Runs `f` with mutable access to the uncore (owned or shared).
-    pub fn with_uncore_mut<R>(&mut self, f: impl FnOnce(&mut Uncore) -> R) -> R {
-        self.uncore.with(f)
-    }
-
-    /// The shared L2.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the uncore is shared with other cores (a borrow cannot
-    /// escape the lock); use [`MemoryHierarchy::with_uncore`] there.
-    pub fn l2(&self) -> &Cache {
-        match &self.uncore {
-            UncoreHandle::Owned(u) => u.l2(),
-            UncoreHandle::Shared(_) => {
-                panic!("l2(): uncore is shared; probe it via with_uncore()")
-            }
-        }
-    }
-
-    /// The DRAM controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the uncore is shared (see [`MemoryHierarchy::l2`]).
-    pub fn mem_ctrl(&self) -> &MemCtrl {
-        match &self.uncore {
-            UncoreHandle::Owned(u) => u.mem_ctrl(),
-            UncoreHandle::Shared(_) => {
-                panic!("mem_ctrl(): uncore is shared; probe it via with_uncore()")
-            }
-        }
-    }
-
-    /// The L1↔L2 crossbar.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the uncore is shared (see [`MemoryHierarchy::l2`]).
-    pub fn tol2bus(&self) -> &Bus {
-        match &self.uncore {
-            UncoreHandle::Owned(u) => u.tol2bus(),
-            UncoreHandle::Shared(_) => {
-                panic!("tol2bus(): uncore is shared; probe it via with_uncore()")
-            }
-        }
-    }
-
-    /// The L2↔memory crossbar.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the uncore is shared (see [`MemoryHierarchy::l2`]).
-    pub fn membus(&self) -> &Bus {
-        match &self.uncore {
-            UncoreHandle::Owned(u) => u.membus(),
-            UncoreHandle::Shared(_) => {
-                panic!("membus(): uncore is shared; probe it via with_uncore()")
-            }
-        }
-    }
-
     /// Performs a timed data load: returns latency, value and where it hit.
-    pub fn load(&mut self, addr: u64, size: u64, now: u64) -> LoadResult {
+    pub fn load(&mut self, uncore: &mut Uncore, addr: u64, size: u64, now: u64) -> LoadResult {
         let value = self.memory.read(addr, size);
         let res = self.l1d.access(MemCmd::ReadReq, addr, now);
         if res.hit {
@@ -245,22 +139,18 @@ impl MemoryHierarchy {
                 outcome: AccessOutcome::MshrCoalesced,
             };
         }
-        let core_id = self.core_id;
-        let (below, outcome) = self.uncore.with(|u| {
-            u.below_l1(
-                MemCmd::ReadSharedReq,
-                addr,
-                now + res.latency,
-                false,
-                core_id,
-            )
-        });
+        let (below, outcome) = uncore.below_l1(
+            MemCmd::ReadSharedReq,
+            addr,
+            now + res.latency,
+            false,
+            self.core_id,
+        );
         let total = res.latency + below;
         self.l1d.complete_miss(MemCmd::ReadReq, addr, now, total);
         if let Some(ev) = self.l1d.fill(addr, false, false) {
             let wb_delay = self.l1d.reserve_write_buffer(now + total, 20);
-            self.uncore
-                .with(|u| u.l1_eviction(ev, now + total + wb_delay, core_id));
+            uncore.l1_eviction(ev, now + total + wb_delay, self.core_id);
         }
         LoadResult {
             latency: total,
@@ -271,7 +161,14 @@ impl MemoryHierarchy {
 
     /// Performs a timed data store (write-allocate, write-back). The value
     /// is written through to the functional backing store.
-    pub fn store(&mut self, addr: u64, size: u64, value: u64, now: u64) -> u64 {
+    pub fn store(
+        &mut self,
+        uncore: &mut Uncore,
+        addr: u64,
+        size: u64,
+        value: u64,
+        now: u64,
+    ) -> u64 {
         self.memory.write(addr, size, value);
         let res = self.l1d.access(MemCmd::WriteReq, addr, now);
         if res.hit {
@@ -280,22 +177,24 @@ impl MemoryHierarchy {
         if let Some(ready) = res.coalesced_ready_at {
             return res.latency.max(ready.saturating_sub(now));
         }
-        let core_id = self.core_id;
-        let (below, _) = self
-            .uncore
-            .with(|u| u.below_l1(MemCmd::ReadExReq, addr, now + res.latency, true, core_id));
+        let (below, _) = uncore.below_l1(
+            MemCmd::ReadExReq,
+            addr,
+            now + res.latency,
+            true,
+            self.core_id,
+        );
         let total = res.latency + below;
         self.l1d.complete_miss(MemCmd::WriteReq, addr, now, total);
         if let Some(ev) = self.l1d.fill(addr, true, true) {
             let wb_delay = self.l1d.reserve_write_buffer(now + total, 20);
-            self.uncore
-                .with(|u| u.l1_eviction(ev, now + total + wb_delay, core_id));
+            uncore.l1_eviction(ev, now + total + wb_delay, self.core_id);
         }
         total
     }
 
     /// Performs a timed instruction fetch of the line containing `addr`.
-    pub fn fetch(&mut self, addr: u64, now: u64) -> (u64, AccessOutcome) {
+    pub fn fetch(&mut self, uncore: &mut Uncore, addr: u64, now: u64) -> (u64, AccessOutcome) {
         let res = self.l1i.access(MemCmd::ReadCleanReq, addr, now);
         if res.hit {
             return (res.latency, AccessOutcome::L1Hit);
@@ -306,22 +205,18 @@ impl MemoryHierarchy {
                 AccessOutcome::MshrCoalesced,
             );
         }
-        let core_id = self.core_id;
-        let (below, outcome) = self.uncore.with(|u| {
-            u.below_l1(
-                MemCmd::ReadCleanReq,
-                addr,
-                now + res.latency,
-                false,
-                core_id,
-            )
-        });
+        let (below, outcome) = uncore.below_l1(
+            MemCmd::ReadCleanReq,
+            addr,
+            now + res.latency,
+            false,
+            self.core_id,
+        );
         let total = res.latency + below;
         self.l1i
             .complete_miss(MemCmd::ReadCleanReq, addr, now, total);
         if let Some(ev) = self.l1i.fill(addr, true, false) {
-            self.uncore
-                .with(|u| u.l1_eviction(ev, now + total, core_id));
+            uncore.l1_eviction(ev, now + total, self.core_id);
         }
         (total, outcome)
     }
@@ -329,47 +224,37 @@ impl MemoryHierarchy {
     /// Flushes the line containing `addr` from the entire hierarchy
     /// (`clflush`). The latency depends on where (and how dirty) the line
     /// was — the timing signal Flush+Flush reads.
-    pub fn flush_line(&mut self, addr: u64, now: u64) -> u64 {
-        let Self {
-            l1i,
-            l1d,
-            core_id,
-            uncore,
-            ..
-        } = self;
-        let core_id = *core_id;
-        uncore.with(|u| {
-            let mut lat = 10; // base cost of the flush micro-op
-            let in_l1 = l1d.probe(addr).is_some() || l1i.probe(addr).is_some();
-            let in_l2 = u.l2.probe(addr).is_some();
+    pub fn flush_line(&mut self, u: &mut Uncore, addr: u64, now: u64) -> u64 {
+        let mut lat = 10; // base cost of the flush micro-op
+        let in_l1 = self.l1d.probe(addr).is_some() || self.l1i.probe(addr).is_some();
+        let in_l2 = u.l2.probe(addr).is_some();
 
-            if in_l1 || in_l2 {
-                u.tol2bus.send(MemCmd::FlushReq, 0, now);
+        if in_l1 || in_l2 {
+            u.tol2bus.send(MemCmd::FlushReq, 0, now);
+        }
+        if let Some(ev) = self.l1d.invalidate(addr) {
+            lat += 15;
+            if ev.cmd == MemCmd::WritebackDirty {
+                u.tol2bus.send(MemCmd::WritebackDirty, LINE, now + lat);
+                u.membus.send(MemCmd::WritebackDirty, LINE, now + lat);
+                lat += 10 + u.mem_ctrl.write(ev.addr, LINE, now + lat);
             }
-            if let Some(ev) = l1d.invalidate(addr) {
-                lat += 15;
-                if ev.cmd == MemCmd::WritebackDirty {
-                    u.tol2bus.send(MemCmd::WritebackDirty, LINE, now + lat);
-                    u.membus.send(MemCmd::WritebackDirty, LINE, now + lat);
-                    lat += 10 + u.mem_ctrl.write(ev.addr, LINE, now + lat);
-                }
+        }
+        if self.l1i.invalidate(addr).is_some() {
+            lat += 10;
+        }
+        if in_l2 {
+            u.membus.send(MemCmd::FlushReq, 0, now + lat);
+        }
+        if let Some(ev) = u.l2.invalidate(addr) {
+            lat += 20;
+            if ev.cmd == MemCmd::WritebackDirty {
+                u.membus.send(MemCmd::WritebackDirty, LINE, now + lat);
+                lat += 10 + u.mem_ctrl.write(ev.addr, LINE, now + lat);
             }
-            if l1i.invalidate(addr).is_some() {
-                lat += 10;
-            }
-            if in_l2 {
-                u.membus.send(MemCmd::FlushReq, 0, now + lat);
-            }
-            if let Some(ev) = u.l2.invalidate(addr) {
-                lat += 20;
-                if ev.cmd == MemCmd::WritebackDirty {
-                    u.membus.send(MemCmd::WritebackDirty, LINE, now + lat);
-                    lat += 10 + u.mem_ctrl.write(ev.addr, LINE, now + lat);
-                }
-                u.l2_eviction_snoop(ev.addr, core_id);
-            }
-            lat
-        })
+            u.l2_eviction_snoop(ev.addr, self.core_id);
+        }
+        lat
     }
 
     /// Applies a snoop back-invalidation to this core's private L1s (a
@@ -394,15 +279,18 @@ impl MemoryHierarchy {
     }
 
     /// Applies CEASER-style index randomization to the data-side caches
-    /// (the §IV-G1 mitigation a suspected cache attack triggers). Resident
-    /// lines are invalidated by the remap.
-    pub fn randomize_indexing(&mut self, key: u64) {
+    /// (the §IV-G1 mitigation a suspected cache attack triggers): this
+    /// core's L1D and the L2 behind it. Resident lines are invalidated by
+    /// the remap.
+    pub fn randomize_indexing(&mut self, uncore: &mut Uncore, key: u64) {
         self.l1d.set_index_key(key);
-        self.uncore.with(|u| u.l2.set_index_key(key.rotate_left(7)));
+        uncore.l2.set_index_key(key.rotate_left(7));
     }
 }
 
 impl StatGroup for MemoryHierarchy {
+    /// Publishes the private L1s only; the uncore below them is published
+    /// once, by its owner.
     fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
         let p = |s: &str| {
             if prefix.is_empty() {
@@ -413,11 +301,6 @@ impl StatGroup for MemoryHierarchy {
         };
         self.l1i.visit(&p("icache"), v);
         self.l1d.visit(&p("dcache"), v);
-        // A shared uncore is published once by the machine, not once per
-        // core; an owned uncore keeps the historical flat layout.
-        if let UncoreHandle::Owned(u) = &self.uncore {
-            u.visit_stats(prefix, v);
-        }
     }
 }
 
@@ -426,28 +309,48 @@ mod tests {
     use super::*;
     use uarch_stats::Snapshot;
 
+    /// One core's private slice and a one-core uncore: the single-core
+    /// layout.
+    fn standalone() -> (MemoryHierarchy, Uncore) {
+        let cfg = HierarchyConfig::default();
+        let u = Uncore::try_new(&cfg, 1).expect("uncore builds");
+        let h = MemoryHierarchy::try_new(cfg.l1i, cfg.l1d, 0).expect("hierarchy builds");
+        (h, u)
+    }
+
+    /// The pair's statistics in the machine's single-core layout: private
+    /// L1s, then the uncore groups.
+    struct Standalone<'a>(&'a MemoryHierarchy, &'a Uncore);
+
+    impl StatGroup for Standalone<'_> {
+        fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
+            self.0.visit(prefix, v);
+            self.1.visit(prefix, v);
+        }
+    }
+
     #[test]
     fn load_miss_fills_all_levels() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
+        let (mut h, mut u) = standalone();
         h.memory_mut().write(0x4000, 8, 77);
-        let r = h.load(0x4000, 8, 0);
+        let r = h.load(&mut u, 0x4000, 8, 0);
         assert_eq!(r.outcome, AccessOutcome::MemAccess);
         assert_eq!(r.value, 77);
         assert!(h.cached_in_l1d(0x4000));
-        assert!(h.l2().probe(0x4000).is_some());
-        let r2 = h.load(0x4000, 8, r.latency + 1);
+        assert!(u.l2().probe(0x4000).is_some());
+        let r2 = h.load(&mut u, 0x4000, 8, r.latency + 1);
         assert_eq!(r2.outcome, AccessOutcome::L1Hit);
         assert!(r2.latency < r.latency);
     }
 
     #[test]
     fn flush_removes_line_everywhere_and_costs_more_when_resident() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
-        h.load(0x4000, 8, 0);
-        let lat_present = h.flush_line(0x4000, 100);
+        let (mut h, mut u) = standalone();
+        h.load(&mut u, 0x4000, 8, 0);
+        let lat_present = h.flush_line(&mut u, 0x4000, 100);
         assert!(!h.cached_in_l1d(0x4000));
-        assert!(h.l2().probe(0x4000).is_none());
-        let lat_absent = h.flush_line(0x4000, 200);
+        assert!(u.l2().probe(0x4000).is_none());
+        let lat_absent = h.flush_line(&mut u, 0x4000, 200);
         assert!(
             lat_present > lat_absent,
             "flush of resident line ({lat_present}) must exceed absent ({lat_absent})"
@@ -456,55 +359,55 @@ mod tests {
 
     #[test]
     fn store_dirties_line_and_flush_writes_back() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
-        h.store(0x9000, 8, 42, 0);
-        let lat_dirty = h.flush_line(0x9000, 100);
-        h.load(0x9000, 8, 200);
-        let lat_clean = h.flush_line(0x9000, 500);
+        let (mut h, mut u) = standalone();
+        h.store(&mut u, 0x9000, 8, 42, 0);
+        let lat_dirty = h.flush_line(&mut u, 0x9000, 100);
+        h.load(&mut u, 0x9000, 8, 200);
+        let lat_clean = h.flush_line(&mut u, 0x9000, 500);
         assert!(lat_dirty > lat_clean, "dirty flush writes back");
         assert_eq!(h.memory().read(0x9000, 8), 42);
     }
 
     #[test]
     fn l2_hit_after_l1_eviction() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
+        let (mut h, mut u) = standalone();
         // L1D is 64KB 8-way = 128 sets. Fill 9 lines mapping to set 0 to
         // force one eviction; the victim should still hit in L2.
         let stride = 128 * 64; // one L1D set apart
         for i in 0..9u64 {
-            h.load(0x10_0000 + i * stride, 8, i * 1000);
+            h.load(&mut u, 0x10_0000 + i * stride, 8, i * 1000);
         }
-        let r = h.load(0x10_0000, 8, 100_000);
+        let r = h.load(&mut u, 0x10_0000, 8, 100_000);
         assert_eq!(r.outcome, AccessOutcome::L2Hit);
     }
 
     #[test]
     fn prime_like_sweep_emits_clean_evictions_on_tol2bus() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
+        let (mut h, mut u) = standalone();
         let stride = 128 * 64;
         for i in 0..64u64 {
-            h.load(0x20_0000 + i * stride, 8, i * 500);
+            h.load(&mut u, 0x20_0000 + i * stride, 8, i * 500);
         }
         assert!(
-            h.tol2bus().stats().trans_dist.get(MemCmd::CleanEvict) > 0,
+            u.tol2bus().stats().trans_dist.get(MemCmd::CleanEvict) > 0,
             "L1 conflict evictions of clean lines must show up on the bus"
         );
     }
 
     #[test]
     fn fetch_uses_icache() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
-        let (miss_lat, out) = h.fetch(0x100, 0);
+        let (mut h, mut u) = standalone();
+        let (miss_lat, out) = h.fetch(&mut u, 0x100, 0);
         assert_eq!(out, AccessOutcome::MemAccess);
-        let (hit_lat, out2) = h.fetch(0x104, miss_lat);
+        let (hit_lat, out2) = h.fetch(&mut u, 0x104, miss_lat);
         assert_eq!(out2, AccessOutcome::L1Hit);
         assert!(hit_lat < miss_lat);
     }
 
     #[test]
     fn stats_tree_has_expected_names() {
-        let h = MemoryHierarchy::new(HierarchyConfig::default());
-        let snap = Snapshot::of(&h, "system");
+        let (h, u) = standalone();
+        let snap = Snapshot::of(&Standalone(&h, &u), "system");
         assert!(snap.get("system.dcache.ReadReq_misses").is_some());
         assert!(snap
             .get("system.l2.ReadSharedReq_mshr_miss_latency")
@@ -516,17 +419,17 @@ mod tests {
 
     #[test]
     fn single_core_uncore_records_no_snoops_or_arb_stats() {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
-        h.store(0x4000, 8, 1, 0);
-        h.load(0x8000, 8, 100);
-        h.flush_line(0x4000, 200);
+        let (mut h, mut u) = standalone();
+        h.store(&mut u, 0x4000, 8, 1, 0);
+        h.load(&mut u, 0x8000, 8, 100);
+        h.flush_line(&mut u, 0x4000, 200);
         assert_eq!(
-            h.with_uncore_mut(|u| u.take_pending_invalidations()).len(),
+            u.take_pending_invalidations().len(),
             0,
             "single-core uncore must not queue snoops"
         );
-        assert_eq!(h.tol2bus().stats().snoop_filter.tot_snoops.value(), 0);
-        let snap = Snapshot::of(&h, "");
+        assert_eq!(u.tol2bus().stats().snoop_filter.tot_snoops.value(), 0);
+        let snap = Snapshot::of(&Standalone(&h, &u), "");
         assert!(
             snap.get("tol2bus.arbGrants::core0").is_none(),
             "single-core schema must not grow arbiter stats"
@@ -536,18 +439,17 @@ mod tests {
     #[test]
     fn shared_uncore_queues_back_invalidations() {
         let cfg = HierarchyConfig::default();
-        let uncore = Arc::new(Mutex::new(Uncore::try_new(&cfg, 2).expect("uncore builds")));
+        let mut u = Uncore::try_new(&cfg, 2).expect("uncore builds");
         let mut a =
-            MemoryHierarchy::try_shared(cfg.l1i.clone(), cfg.l1d.clone(), uncore.clone(), 0)
-                .expect("core0 hierarchy");
-        let mut b = MemoryHierarchy::try_shared(cfg.l1i, cfg.l1d, uncore, 1).expect("core1");
+            MemoryHierarchy::try_new(cfg.l1i.clone(), cfg.l1d.clone(), 0).expect("core0 hierarchy");
+        let mut b = MemoryHierarchy::try_new(cfg.l1i, cfg.l1d, 1).expect("core1");
 
         // Core 1 caches a line; core 0 stores to the same line address —
         // the exclusive request queues a snoop against core 1's copy.
-        b.load(0x4000, 8, 0);
+        b.load(&mut u, 0x4000, 8, 0);
         assert!(b.cached_in_l1d(0x4000));
-        a.store(0x4000, 8, 7, 100);
-        let pending = a.with_uncore_mut(|u| u.take_pending_invalidations());
+        a.store(&mut u, 0x4000, 8, 7, 100);
+        let pending = u.take_pending_invalidations();
         assert!(
             pending
                 .iter()

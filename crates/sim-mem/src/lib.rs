@@ -13,15 +13,22 @@
 //! core and no DMA this is exact, and it keeps the out-of-order core free to
 //! replay/squash memory operations without corrupting data.
 //!
+//! Ownership follows the hardware split: each core owns a
+//! [`MemoryHierarchy`] (its private L1s and functional memory), and one
+//! [`Uncore`] (L2, crossbars, DRAM) is owned by whoever drives the cores
+//! and lent to every timed access.
+//!
 //! # Example
 //!
 //! ```
-//! use sim_mem::{HierarchyConfig, MemoryHierarchy};
+//! use sim_mem::{HierarchyConfig, MemoryHierarchy, Uncore};
 //!
-//! let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
+//! let cfg = HierarchyConfig::default();
+//! let mut uncore = Uncore::try_new(&cfg, 1).unwrap();
+//! let mut mem = MemoryHierarchy::try_new(cfg.l1i, cfg.l1d, 0).unwrap();
 //! mem.memory_mut().write(0x1000, 8, 0xdead_beef);
-//! let miss = mem.load(0x1000, 8, 0);
-//! let hit = mem.load(0x1000, 8, miss.latency);
+//! let miss = mem.load(&mut uncore, 0x1000, 8, 0);
+//! let hit = mem.load(&mut uncore, 0x1000, 8, miss.latency);
 //! assert!(hit.latency < miss.latency, "second access hits in L1D");
 //! assert_eq!(hit.value, 0xdead_beef);
 //! ```
@@ -46,4 +53,4 @@ pub use dram::{DramConfig, MemCtrl, PowerState};
 pub use error::MemError;
 pub use hierarchy::{AccessOutcome, HierarchyConfig, LoadResult, MemoryHierarchy};
 pub use memory::Memory;
-pub use uncore::{ArbiterStats, PendingInvalidation, Uncore, UncoreHandle};
+pub use uncore::{ArbiterStats, PendingInvalidation, Uncore};

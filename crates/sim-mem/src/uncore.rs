@@ -1,19 +1,17 @@
 //! The shared uncore: everything below the private L1s.
 //!
-//! A single-core machine owns its uncore outright; a multi-core machine
-//! wires every core's [`MemoryHierarchy`](crate::MemoryHierarchy) to one
-//! shared [`Uncore`] behind an [`UncoreHandle`], so all cores contend on
-//! the same L2, the
-//! same L1↔L2 crossbar, the same memory bus and the same DRAM controller —
-//! the physical substrate of cross-core Prime+Probe.
+//! The machine owns exactly one [`Uncore`] and lends it, by `&mut`, to
+//! each core's [`MemoryHierarchy`](crate::MemoryHierarchy) access in turn,
+//! so all cores contend on the same L2, the same L1↔L2 crossbar, the same
+//! memory bus and the same DRAM controller — the physical substrate of
+//! cross-core Prime+Probe. Cores tick sequentially, so plain borrowing is
+//! all the sharing needs: no lock, no reference count.
 //!
 //! Multi-core-only machinery (the shared-bus arbiter accounting and the
 //! snoop back-invalidation queue) is armed only when the uncore is built
 //! for more than one core: a single-core uncore records and publishes
 //! exactly the statistics it always has, preserving the golden-snapshot
 //! bit-identity guarantee.
-
-use std::sync::{Arc, Mutex};
 
 use uarch_stats::{StatGroup, StatVisitor};
 
@@ -86,7 +84,23 @@ impl Uncore {
     /// Builds an uncore for `n_cores` cores from the shared parts of a
     /// hierarchy configuration. Snooping and arbiter accounting arm only
     /// for `n_cores > 1`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects degenerate L2 geometry, and a DRAM configuration with zero
+    /// banks or a zero row size (the bank/row decode divides by both).
     pub fn try_new(cfg: &HierarchyConfig, n_cores: usize) -> Result<Self, MemError> {
+        let dram = |param, value| MemError::InvalidGeometry {
+            param,
+            value,
+            reason: "must be at least 1",
+        };
+        if cfg.dram.banks == 0 {
+            return Err(dram("dram.banks", 0));
+        }
+        if cfg.dram.row_size == 0 {
+            return Err(dram("dram.row_size", 0));
+        }
         Ok(Self {
             l2: Cache::try_new(cfg.l2.clone())?,
             tol2bus: Bus::new(cfg.tol2bus_latency),
@@ -242,12 +256,14 @@ impl Uncore {
         lat += self.tol2bus.send(MemCmd::ReadResp, LINE, now + lat);
         (lat, outcome)
     }
+}
 
+impl StatGroup for Uncore {
     /// Walks the uncore's statistic groups in the canonical order
     /// (`l2`, `tol2bus`, `membus`, `mem_ctrls`). The arbiter counters are
     /// appended under `tol2bus` only on multi-core uncores, keeping the
     /// single-core schema pinned at 1159 names.
-    pub fn visit_stats(&self, prefix: &str, v: &mut dyn StatVisitor) {
+    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
         let p = |s: &str| {
             if prefix.is_empty() {
                 s.to_string()
@@ -268,43 +284,5 @@ impl Uncore {
         }
         self.membus.visit(&p("membus"), v);
         self.mem_ctrl.visit(&p("mem_ctrls"), v);
-    }
-}
-
-/// How a [`MemoryHierarchy`](crate::MemoryHierarchy) reaches its uncore:
-/// owned outright (single standalone core — the historical layout, no
-/// locking) or shared with the other cores of a machine.
-#[derive(Debug)]
-pub enum UncoreHandle {
-    /// The hierarchy owns the uncore (standalone single core).
-    Owned(Box<Uncore>),
-    /// The uncore is shared between the cores of a machine. Cores tick
-    /// sequentially, so the mutex is never contended; it exists to keep
-    /// the hierarchy `Send` for parallel corpus collection.
-    Shared(Arc<Mutex<Uncore>>),
-}
-
-impl UncoreHandle {
-    /// Runs `f` with mutable access to the uncore.
-    #[inline]
-    pub fn with<R>(&mut self, f: impl FnOnce(&mut Uncore) -> R) -> R {
-        match self {
-            UncoreHandle::Owned(u) => f(u),
-            UncoreHandle::Shared(a) => f(&mut a.lock().expect("uncore lock poisoned")),
-        }
-    }
-
-    /// Runs `f` with shared access to the uncore.
-    #[inline]
-    pub fn with_ref<R>(&self, f: impl FnOnce(&Uncore) -> R) -> R {
-        match self {
-            UncoreHandle::Owned(u) => f(u),
-            UncoreHandle::Shared(a) => f(&a.lock().expect("uncore lock poisoned")),
-        }
-    }
-
-    /// Whether this handle owns its uncore (single standalone core).
-    pub fn is_owned(&self) -> bool {
-        matches!(self, UncoreHandle::Owned(_))
     }
 }

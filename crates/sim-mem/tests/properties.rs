@@ -1,7 +1,15 @@
 //! Property-based tests for the memory substrate.
 
 use proptest::prelude::*;
-use sim_mem::{Cache, CacheConfig, HierarchyConfig, MemCmd, Memory, MemoryHierarchy};
+use sim_mem::{Cache, CacheConfig, HierarchyConfig, MemCmd, Memory, MemoryHierarchy, Uncore};
+
+/// One core's private slice and a one-core uncore.
+fn standalone() -> (MemoryHierarchy, Uncore) {
+    let cfg = HierarchyConfig::default();
+    let u = Uncore::try_new(&cfg, 1).expect("uncore builds");
+    let h = MemoryHierarchy::try_new(cfg.l1i, cfg.l1d, 0).expect("hierarchy builds");
+    (h, u)
+}
 
 proptest! {
     #[test]
@@ -58,11 +66,11 @@ proptest! {
     fn hierarchy_load_returns_functional_value(
         pairs in proptest::collection::vec((0u64..0x4000, any::<u64>()), 1..40)
     ) {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
+        let (mut h, mut u) = standalone();
         let mut now = 0u64;
         for (addr, value) in &pairs {
             let addr = addr * 8; // aligned
-            now += h.store(addr, 8, *value, now) + 1;
+            now += h.store(&mut u, addr, 8, *value, now) + 1;
         }
         // Last write wins per address.
         let mut model = std::collections::HashMap::new();
@@ -70,7 +78,7 @@ proptest! {
             model.insert(addr * 8, *value);
         }
         for (addr, value) in model {
-            let r = h.load(addr, 8, now);
+            let r = h.load(&mut u, addr, 8, now);
             now += r.latency + 1;
             prop_assert_eq!(r.value, value);
         }
@@ -80,14 +88,14 @@ proptest! {
     fn flush_always_leaves_line_uncached(
         addrs in proptest::collection::vec(0u64..0x8000, 1..40)
     ) {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::default());
+        let (mut h, mut u) = standalone();
         let mut now = 0;
         for &addr in &addrs {
-            let r = h.load(addr, 1, now);
+            let r = h.load(&mut u, addr, 1, now);
             now += r.latency + 1;
-            now += h.flush_line(addr, now) + 1;
+            now += h.flush_line(&mut u, addr, now) + 1;
             prop_assert!(!h.cached_in_l1d(addr));
-            prop_assert!(h.l2().probe(addr).is_none());
+            prop_assert!(u.l2().probe(addr).is_none());
         }
     }
 }

@@ -536,11 +536,11 @@ mod tests {
             "P+P should recover nibbles, got {correct}/32"
         );
         assert!(
-            m.with_uncore(|u| u
+            m.uncore()
                 .tol2bus()
                 .stats()
                 .trans_dist
-                .get(sim_mem::MemCmd::CleanEvict))
+                .get(sim_mem::MemCmd::CleanEvict)
                 > 0,
             "priming evicts clean lines onto the L2 bus"
         );

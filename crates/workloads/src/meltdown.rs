@@ -206,7 +206,7 @@ mod tests {
         let m = run_on_machine(cacheout(), 1_000_000);
         let core = m.core(0);
         assert!(
-            m.with_uncore(|u| u.mem_ctrl().stats().bytes_read_wr_q.value()) > 0,
+            m.uncore().mem_ctrl().stats().bytes_read_wr_q.value() > 0,
             "CacheOut analog must exercise write-queue read servicing"
         );
         assert!(core.stats().commit.faults.value() > 0);

@@ -75,6 +75,6 @@ fn main() {
     println!(
         "  {:<30} {}",
         "mem_ctrls.bytesReadWrQ",
-        machine.with_uncore(|u| u.mem_ctrl().stats().bytes_read_wr_q.value())
+        machine.uncore().mem_ctrl().stats().bytes_read_wr_q.value()
     );
 }

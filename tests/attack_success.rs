@@ -111,14 +111,14 @@ fn attacks_leave_their_signature_footprints() {
     // Prime+Probe: clean-eviction storms on the L2 bus.
     let pp = run("prime-probe", 300_000);
     assert!(
-        pp.with_uncore(|u| u
+        pp.uncore()
             .tol2bus()
             .stats()
             .trans_dist
-            .get(perspectron_repro::sim_mem::MemCmd::CleanEvict))
+            .get(perspectron_repro::sim_mem::MemCmd::CleanEvict)
             > 50
     );
     // CacheOut analog: write-queue read servicing.
     let co = run("cacheout", 300_000);
-    assert!(co.with_uncore(|u| u.mem_ctrl().stats().bytes_read_wr_q.value()) > 0);
+    assert!(co.uncore().mem_ctrl().stats().bytes_read_wr_q.value() > 0);
 }
