@@ -1,12 +1,15 @@
 //! The simulator hot loop, A/B: the optimized core (decoded-instruction
-//! cache, ready-queue wakeup/select, completion min-heap, tick-skip) against
-//! the reference machine (per-fetch decode, full-window scans, stepped
-//! clock), and each optimization's runtime toggle in isolation.
+//! cache, one age-ordered ready queue for wakeup/select, completion
+//! min-heap, an allocation-free stepped cycle, tick-skip with bulk stall
+//! crediting) against the reference machine (full-window scans, stepped
+//! clock), and each optimization's runtime toggle in isolation: the
+//! `no_tick_skip` arm times stepped cycles alone.
 //!
 //! The two paths are bit-identical in every statistic (see the
 //! `reference_equivalence` tests in sim-cpu); this bench measures what the
-//! identity buys. `PERSPECTRON_QUICK=1` shrinks the instruction budget for
-//! CI smoke runs.
+//! identity buys. The steady-state allocation gate lives in sim-cpu's
+//! `steady_state_allocs` test. `PERSPECTRON_QUICK=1` shrinks the
+//! instruction budget for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sim_cpu::{CoreConfig, Machine};

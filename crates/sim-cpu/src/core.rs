@@ -407,13 +407,13 @@ impl Core {
             cycle: self.cycle,
         });
 
-        self.end_of_cycle();
+        self.end_of_cycles(1);
     }
 
     /// Analyzes whether every stage is provably stalled this cycle.
     /// Returns the per-stage stall classification (and wake bounds) if so,
     /// or `None` when any stage could make progress. The only mutation is
-    /// the stat-neutral eviction of stale ready-set entries (the select
+    /// the stat-neutral eviction of stale ready-queue entries (the select
     /// loop removes them silently on first visit anyway).
     pub(crate) fn stall_plan(&mut self) -> Option<StallPlan> {
         // Commit: retirement must be provably stuck. An executed head
@@ -436,7 +436,7 @@ impl Core {
             return None;
         }
 
-        // Issue: every ready-set entry must be stale or an eligible load
+        // Issue: every ready-queue entry must be stale or an eligible load
         // the select loop would turn away at a saturated L1D MSHR pool
         // (its memory port is free: nothing issues, and `mem_ports` is
         // validated positive). Any other live entry would issue or
@@ -446,38 +446,34 @@ impl Core {
         // nothing issuing, committing or squashing, only a completion
         // lowers the in-flight count, and completions are wake events.
         // Dropping stale entries here is stat-neutral (the select loop
-        // removes them silently on first visit), and `retain` on a
-        // taken-out set keeps the per-step check allocation-free.
+        // removes them silently on first visit), and `retain` on the
+        // taken-out queue keeps the per-step check allocation-free.
         let mshrs_full = self.window.mem_outstanding_count >= self.mem.l1d().config().mshrs;
         let mut mshr_blocked_loads = 0u64;
         let mut stale = false;
-        for set in &self.window.ready {
-            for &seq in set {
-                match self.window.find(seq) {
-                    Some(d) if d.in_iq && !d.issued && !d.squashed => {
-                        let turned_away = mshrs_full
-                            && d.load
-                            && (!d.non_spec || d.can_exec_non_spec)
-                            && d.srcs.iter().flatten().all(|&r| self.regs.phys_ready[r]);
-                        if !turned_away {
-                            return None;
-                        }
-                        mshr_blocked_loads += 1;
+        for &seq in &self.window.ready {
+            match self.window.find(seq) {
+                Some(d) if d.in_iq && !d.issued && !d.squashed => {
+                    let turned_away = mshrs_full
+                        && d.load
+                        && (!d.non_spec || d.can_exec_non_spec)
+                        && d.srcs.iter().flatten().all(|&r| self.regs.phys_ready[r]);
+                    if !turned_away {
+                        return None;
                     }
-                    _ => stale = true,
+                    mshr_blocked_loads += 1;
                 }
+                _ => stale = true,
             }
         }
         if stale {
-            for pool in 0..self.window.ready.len() {
-                let mut set = std::mem::take(&mut self.window.ready[pool]);
-                set.retain(|&seq| {
-                    self.window
-                        .find(seq)
-                        .is_some_and(|d| d.in_iq && !d.issued && !d.squashed)
-                });
-                self.window.ready[pool] = set;
-            }
+            let mut ready = std::mem::take(&mut self.window.ready);
+            ready.retain(|&seq| {
+                self.window
+                    .find(seq)
+                    .is_some_and(|d| d.in_iq && !d.issued && !d.squashed)
+            });
+            self.window.ready = ready;
         }
 
         // Rename: the stage must stall on its very first candidate, in
@@ -556,75 +552,83 @@ impl Core {
     /// Credits, for every cycle up to (but excluding) `skip_to`, exactly
     /// the stall statistics the stepped loop would have recorded under
     /// `plan`, and advances the clock there.
+    ///
+    /// Nothing changes state inside a skip, so every stepped cycle would
+    /// record the same thing: counters take the skip length `k` in one
+    /// add and constant-valued distributions one
+    /// [`record_n`](uarch_stats::Distribution::record_n). The work per skip
+    /// is O(1) in `k` except for the two statistics
+    /// [`end_of_cycles`](Self::end_of_cycles) still walks cycle by cycle.
     pub(crate) fn credit_stall_cycles(&mut self, plan: &StallPlan, skip_to: u64) {
-        while self.cycle < skip_to {
-            match plan.commit {
-                CommitStall::Idle => self.commit.stats.idle_cycles.inc(),
-                CommitStall::HeadWait { non_spec } => {
-                    if non_spec {
-                        self.commit.stats.non_spec_stalls.inc();
-                    }
+        let k = skip_to.saturating_sub(self.cycle);
+        match plan.commit {
+            CommitStall::Idle => self.commit.stats.idle_cycles.add(k),
+            CommitStall::HeadWait { non_spec } => {
+                if non_spec {
+                    self.commit.stats.non_spec_stalls.add(k);
                 }
             }
-            self.commit.stats.committed_per_cycle.0.record(0.0);
-
-            let lsq = &mut self.exec.stats.lsq;
-            lsq.rescheduled_loads.add(plan.mshr_blocked_loads);
-            lsq.blocked_loads.add(plan.mshr_blocked_loads);
-            lsq.cache_blocked.add(plan.mshr_blocked_loads);
-            self.issue.stats.issued_per_cycle.0.record(0.0);
-            self.issue.stats.empty_issue_cycles.inc();
-            self.exec.stats.idle_cycles.inc();
-
-            match plan.rename {
-                RenameStall::Idle => self.rename.stats.idle_cycles.inc(),
-                RenameStall::Serialize => {
-                    self.rename.stats.serialize_stall_cycles.inc();
-                    self.fetch.stats.pending_drain_cycles.inc();
-                }
-                RenameStall::RobFull => {
-                    self.rename.stats.rob_full_events.inc();
-                    self.rename.stats.block_cycles.inc();
-                }
-                RenameStall::IqFull => {
-                    self.rename.stats.iq_full_events.inc();
-                    self.rename.stats.block_cycles.inc();
-                }
-                RenameStall::LqFull => {
-                    self.rename.stats.lq_full_events.inc();
-                    self.rename.stats.block_cycles.inc();
-                }
-                RenameStall::SqFull => {
-                    self.rename.stats.sq_full_events.inc();
-                    self.rename.stats.block_cycles.inc();
-                }
-                RenameStall::RegsFull => {
-                    self.rename.stats.full_registers_events.inc();
-                    self.rename.stats.block_cycles.inc();
-                }
-            }
-
-            if plan.decode_blocked {
-                self.decode.stats.blocked_cycles.inc();
-            } else {
-                self.decode.stats.idle_cycles.inc();
-            }
-
-            match plan.fetch {
-                FetchStall::Idle => self.fetch.stats.idle_cycles.inc(),
-                FetchStall::PendingTrap => self.fetch.stats.pending_trap_stall_cycles.inc(),
-                FetchStall::SquashWait => self.fetch.stats.squash_cycles.inc(),
-                FetchStall::Quiesce => {
-                    self.fetch.stats.pending_quiesce_stall_cycles.inc();
-                    self.cpu.quiesce_cycles.inc();
-                }
-                FetchStall::ICache => self.fetch.stats.icache_stall_cycles.inc(),
-                FetchStall::QueueFullMisc => self.fetch.stats.misc_stall_cycles.inc(),
-                FetchStall::QueueFullBlocked => self.fetch.stats.blocked_cycles.inc(),
-            }
-
-            self.end_of_cycle();
         }
+        self.commit.stats.committed_per_cycle.0.record_n(0.0, k);
+
+        let lsq = &mut self.exec.stats.lsq;
+        lsq.rescheduled_loads.add(plan.mshr_blocked_loads * k);
+        lsq.blocked_loads.add(plan.mshr_blocked_loads * k);
+        lsq.cache_blocked.add(plan.mshr_blocked_loads * k);
+        self.issue.stats.issued_per_cycle.0.record_n(0.0, k);
+        self.issue.stats.empty_issue_cycles.add(k);
+        self.exec.stats.idle_cycles.add(k);
+
+        let rename = &mut self.rename.stats;
+        match plan.rename {
+            RenameStall::Idle => rename.idle_cycles.add(k),
+            RenameStall::Serialize => {
+                rename.serialize_stall_cycles.add(k);
+                self.fetch.stats.pending_drain_cycles.add(k);
+            }
+            RenameStall::RobFull => {
+                rename.rob_full_events.add(k);
+                rename.block_cycles.add(k);
+            }
+            RenameStall::IqFull => {
+                rename.iq_full_events.add(k);
+                rename.block_cycles.add(k);
+            }
+            RenameStall::LqFull => {
+                rename.lq_full_events.add(k);
+                rename.block_cycles.add(k);
+            }
+            RenameStall::SqFull => {
+                rename.sq_full_events.add(k);
+                rename.block_cycles.add(k);
+            }
+            RenameStall::RegsFull => {
+                rename.full_registers_events.add(k);
+                rename.block_cycles.add(k);
+            }
+        }
+
+        if plan.decode_blocked {
+            self.decode.stats.blocked_cycles.add(k);
+        } else {
+            self.decode.stats.idle_cycles.add(k);
+        }
+
+        let fetch = &mut self.fetch.stats;
+        match plan.fetch {
+            FetchStall::Idle => fetch.idle_cycles.add(k),
+            FetchStall::PendingTrap => fetch.pending_trap_stall_cycles.add(k),
+            FetchStall::SquashWait => fetch.squash_cycles.add(k),
+            FetchStall::Quiesce => {
+                fetch.pending_quiesce_stall_cycles.add(k);
+                self.cpu.quiesce_cycles.add(k);
+            }
+            FetchStall::ICache => fetch.icache_stall_cycles.add(k),
+            FetchStall::QueueFullMisc => fetch.misc_stall_cycles.add(k),
+            FetchStall::QueueFullBlocked => fetch.blocked_cycles.add(k),
+        }
+
+        self.end_of_cycles(k);
     }
 
     /// Applies a stage's squash request through the squash unit, then
@@ -659,18 +663,31 @@ impl Core {
     // Housekeeping
     // ------------------------------------------------------------------
 
-    fn end_of_cycle(&mut self) {
-        self.cpu.num_cycles.inc();
+    /// Per-cycle housekeeping for `k` consecutive cycles over which no
+    /// pipeline state changes: the end of one stepped cycle (`k == 1`) or
+    /// a whole tick-skip. Occupancies are constant over such a run, so
+    /// their distributions take one `record_n`. Two statistics still walk
+    /// the cycles one by one: the ROB head's age grows by one each cycle,
+    /// and the `+0.2` static-energy steps round differently at every
+    /// magnitude. The six stages' energy sums receive identical steps
+    /// from zero, so they are always equal and one walk serves all six.
+    fn end_of_cycles(&mut self, k: u64) {
+        self.cpu.num_cycles.add(k);
         self.fetch
             .stats
             .queue_occupancy
             .0
-            .record(self.fetch_q.len() as f64);
+            .record_n(self.fetch_q.len() as f64, k);
         self.decode
             .stats
             .queue_occupancy
             .0
-            .record(self.decode_q.len() as f64);
+            .record_n(self.decode_q.len() as f64, k);
+        let before = self.fetch.stats.power.static_energy.value();
+        let mut after = before;
+        for _ in 0..k {
+            after += 0.2;
+        }
         for e in [
             &mut self.fetch.stats.power,
             &mut self.decode.stats.power,
@@ -679,41 +696,44 @@ impl Core {
             &mut self.exec.stats.power,
             &mut self.commit.stats.power,
         ] {
-            e.static_energy.add(0.2);
+            debug_assert_eq!(e.static_energy.value().to_bits(), before.to_bits());
+            e.static_energy.set(after);
         }
         self.commit
             .rob
             .occupancy
             .0
-            .record(self.window.rob.len() as f64);
+            .record_n(self.window.rob.len() as f64, k);
         if let Some(head) = self.window.rob.front() {
-            self.commit
-                .rob
-                .head_age
-                .0
-                .record(self.cycle.saturating_sub(head.dispatch_cycle) as f64);
-            self.cpu.busy_cycles.inc();
+            for cycle in self.cycle..self.cycle + k {
+                self.commit
+                    .rob
+                    .head_age
+                    .0
+                    .record(cycle.saturating_sub(head.dispatch_cycle) as f64);
+            }
+            self.cpu.busy_cycles.add(k);
         } else {
-            self.cpu.idle_cycles.inc();
+            self.cpu.idle_cycles.add(k);
         }
         self.issue
             .stats
             .occupancy
             .0
-            .record(self.window.iq_used as f64);
+            .record_n(self.window.iq_used as f64, k);
         self.exec
             .stats
             .lsq
             .lq_occupancy
             .0
-            .record(self.window.lq_used as f64);
+            .record_n(self.window.lq_used as f64, k);
         self.exec
             .stats
             .lsq
             .sq_occupancy
             .0
-            .record(self.window.sq_used as f64);
-        self.cycle += 1;
+            .record_n(self.window.sq_used as f64, k);
+        self.cycle += k;
     }
 }
 

@@ -17,7 +17,10 @@
 //! only when *every* active core proves all of its stages stalled
 //! (`Core::stall_plan`), jumping everyone to the earliest wake event and
 //! crediting each core the exact per-cycle stall statistics the stepped
-//! loop would have recorded. One busy core vetoes the skip for the whole
+//! loop would have recorded. The credit is bulk (`Core::credit_stall_cycles`):
+//! counters add the skip length and constant-valued distributions record
+//! it in one step, so a skip costs about as much as one stepped cycle
+//! however long it is. One busy core vetoes the skip for the whole
 //! machine.
 //!
 //! The machine is the simulator's only driver — the only way to build or
@@ -269,7 +272,8 @@ impl Machine {
     /// Fast-forwards past cycles in which *every* active core is provably
     /// stalled. Any core that could make progress vetoes the whole skip;
     /// otherwise all active cores jump to the earliest wake event across
-    /// the machine, each crediting its exact per-cycle stall statistics.
+    /// the machine, each crediting, in bulk, its exact per-cycle stall
+    /// statistics.
     ///
     /// The plans are not kept between the veto pass and the credit pass:
     /// a core's plan is a pure function of state the veto pass leaves

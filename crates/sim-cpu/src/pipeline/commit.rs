@@ -63,13 +63,12 @@ impl PipelineComponent for CommitStage {
                         d.can_exec_non_spec = true;
                         // Authorization is the wakeup event non-speculative
                         // instructions wait for: if the sources are already
-                        // ready, join the ready set now (otherwise the
+                        // ready, join the ready queue now (otherwise the
                         // source-completion wakeup will, seeing the flag).
                         if !p.cfg.reference_scan {
-                            let pool = d.pool;
                             let srcs = d.srcs;
                             if srcs.iter().flatten().all(|&r| p.regs.phys_ready[r]) {
-                                p.window.ready[pool].insert(seq);
+                                p.window.enqueue_ready(seq);
                             }
                         }
                     }

@@ -37,6 +37,9 @@ pub struct ExecuteStage {
     /// Pending completions `(ready_cycle, seq)`, min-ordered. Fed at issue,
     /// drained by the tick; unused under `CoreConfig::reference_scan`.
     pub(crate) completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Scratch for the sequence numbers completing this tick, reused
+    /// across cycles to keep the hot loop allocation-free.
+    due: Vec<u64>,
 }
 
 /// Execute's view of the machine for the completion tick.
@@ -71,6 +74,7 @@ impl ExecuteStage {
             dtb: TlbStats::default(),
             dtlb_entries: cfg.dtlb_entries,
             completions: BinaryHeap::new(),
+            due: Vec::new(),
         }
     }
 
@@ -454,11 +458,11 @@ impl PipelineComponent for ExecuteStage {
         // Collect completions this cycle: pop everything due from the
         // min-heap (fast path) or scan the window (reference), then process
         // in sequence order — the order the reference scan visits them.
-        let mut completions: Vec<u64> = Vec::new();
+        self.due.clear();
         if p.reference_scan {
             for d in &p.window.rob {
                 if d.issued && !d.executed && !d.squashed && d.ready_cycle <= p.cycle {
-                    completions.push(d.seq);
+                    self.due.push(d.seq);
                 }
             }
         } else {
@@ -470,13 +474,14 @@ impl PipelineComponent for ExecuteStage {
                 // Lazy validation: squashed instructions leave stale entries.
                 if let Some(d) = p.window.find(seq) {
                     if d.issued && !d.executed && !d.squashed {
-                        completions.push(seq);
+                        self.due.push(seq);
                     }
                 }
             }
-            completions.sort_unstable();
+            self.due.sort_unstable();
         }
-        for (i, &seq) in completions.iter().enumerate() {
+        for i in 0..self.due.len() {
+            let seq = self.due[i];
             let (dest, result, is_ctrl, is_load, was_outstanding) = {
                 let d = p.window.inst_mut(seq);
                 d.executed = true;
@@ -493,11 +498,13 @@ impl PipelineComponent for ExecuteStage {
                 p.cpu.int_regfile_writes.inc();
                 if !p.reference_scan {
                     // Wakeup network: re-check every instruction waiting on
-                    // this register; the fully-ready ones join their pool's
-                    // ready set (non-speculative ones wait for commit's
-                    // authorization instead).
-                    let waiters = std::mem::take(&mut p.regs.dependents[phys]);
-                    for wseq in waiters {
+                    // this register; the fully-ready ones join the ready
+                    // queue (non-speculative ones wait for commit's
+                    // authorization instead). The list is drained in
+                    // place so its capacity survives for the register's
+                    // next producer.
+                    let regs = &mut *p.regs;
+                    for &wseq in &regs.dependents[phys] {
                         let Some(d) = p.window.find(wseq) else {
                             continue;
                         };
@@ -505,13 +512,13 @@ impl PipelineComponent for ExecuteStage {
                             continue;
                         }
                         if (d.non_spec && !d.can_exec_non_spec)
-                            || !d.srcs.iter().flatten().all(|&r| p.regs.phys_ready[r])
+                            || !d.srcs.iter().flatten().all(|&r| regs.phys_ready[r])
                         {
                             continue;
                         }
-                        let pool = d.pool;
-                        p.window.ready[pool].insert(wseq);
+                        p.window.enqueue_ready(wseq);
                     }
+                    regs.dependents[phys].clear();
                 }
             }
             self.stats.executed_insts.inc();
@@ -539,8 +546,8 @@ impl PipelineComponent for ExecuteStage {
                     // The unprocessed tail goes back on the heap; entries
                     // the squash kills validate out when next popped.
                     if !p.reference_scan {
-                        for &later in &completions[i + 1..] {
-                            self.completions.push(Reverse((p.cycle, later)));
+                        for k in i + 1..self.due.len() {
+                            self.completions.push(Reverse((p.cycle, self.due[k])));
                         }
                     }
                     return req;
@@ -558,6 +565,7 @@ impl PipelineComponent for ExecuteStage {
             dtb: TlbStats::default(),
             dtlb_entries: entries,
             completions: BinaryHeap::new(),
+            due: Vec::new(),
         };
     }
 

@@ -4,9 +4,12 @@
 //!
 //! Two select implementations share one set of statistics:
 //!
-//! * the **ready-queue path** (default) selects from the per-pool ready
-//!   sets the wakeup network maintains — cost proportional to the number
-//!   of ready instructions, not the window size;
+//! * the **ready-queue path** (default) selects oldest-first from the one
+//!   age-ordered ready queue the wakeup network maintains
+//!   (`Window::ready`, a sorted `Vec` of sequence numbers across every
+//!   functional-unit pool) — cost proportional to the number of ready
+//!   instructions, not the window size, with no per-cycle merge or sort
+//!   and no allocation;
 //! * the **reference scan** (`CoreConfig::reference_scan`) walks the whole
 //!   window every cycle, exactly as the original core did.
 //!
@@ -30,9 +33,6 @@ use super::{join_prefix, PipelineComponent, SquashRequest};
 #[derive(Debug, Default)]
 pub struct IssueStage {
     pub(crate) stats: IqStats,
-    /// Scratch for the ready-queue select's merged candidate list, reused
-    /// across cycles to keep the hot loop allocation-free.
-    cand_buf: Vec<(u64, usize)>,
 }
 
 /// Issue's view of the machine for one tick: the execute stage it wakes
@@ -78,12 +78,13 @@ impl IssueStage {
         None
     }
 
-    /// Ready-queue select: candidates come from the per-pool ready sets,
-    /// merged oldest-first. Entries are validated lazily (a squashed
+    /// Ready-queue select: candidates come from the age-ordered ready
+    /// queue, oldest first. Entries are validated lazily (a squashed
     /// instruction's sequence number may linger until first visited) and
     /// stay queued across cycles while blocked on a functional unit or a
     /// saturated MSHR pool, so the per-cycle blocked statistics repeat
-    /// exactly as the full scan reports them.
+    /// exactly as the full scan reports them. One in-place `retain` pass
+    /// drops the stale and the issued entries.
     fn tick_ready_queues(&mut self, mut p: IssuePorts<'_>) -> Option<SquashRequest> {
         let w = &mut p.wake;
         let mut fu_avail = [
@@ -96,43 +97,36 @@ impl IssueStage {
         let mut issued_this_cycle = 0usize;
         let mut violation: Option<(u64, usize)> = None;
 
-        let mut cands = std::mem::take(&mut self.cand_buf);
-        cands.clear();
-        for (pool, set) in w.window.ready.iter().enumerate() {
-            cands.extend(set.iter().map(|&seq| (seq, pool)));
-        }
-        cands.sort_unstable();
-
-        for &(seq, rpool) in &cands {
-            if issued_this_cycle >= w.cfg.issue_width {
-                break;
+        // Issue never enqueues, so the queue can leave the window while
+        // the functional units borrow it.
+        let mut ready = std::mem::take(&mut w.window.ready);
+        ready.retain(|&seq| {
+            if violation.is_some() || issued_this_cycle >= w.cfg.issue_width {
+                return true;
             }
             let (class, pool, is_load) = match w.window.find(seq) {
                 Some(d) if d.in_iq && !d.issued && !d.squashed => {
                     if d.non_spec && !d.can_exec_non_spec {
-                        continue;
+                        return true;
                     }
                     if !d.srcs.iter().flatten().all(|&r| w.regs.phys_ready[r]) {
-                        continue;
+                        return true;
                     }
                     (d.class, d.pool, d.load)
                 }
-                _ => {
-                    // Stale entry: squashed or retired since enqueue.
-                    w.window.ready[rpool].remove(&seq);
-                    continue;
-                }
+                // Stale entry: squashed or retired since enqueue.
+                _ => return false,
             };
             if class != OpClass::NoOpClass && class != OpClass::IntAlu && fu_avail[pool] == 0 {
                 self.stats.fu_full.inc(class);
-                continue;
+                return true;
             }
             // Loads blocked by a saturated L1D MSHR pool reschedule.
             if is_load && w.window.mem_outstanding_count >= w.mem.l1d().config().mshrs {
                 p.exec.stats.lsq.rescheduled_loads.inc();
                 p.exec.stats.lsq.blocked_loads.inc();
                 p.exec.stats.lsq.cache_blocked.inc();
-                continue;
+                return true;
             }
 
             if class != OpClass::NoOpClass && fu_avail[pool] > 0 {
@@ -141,9 +135,8 @@ impl IssueStage {
                     self.stats.fu_busy.inc(class);
                 }
             }
-            w.window.ready[rpool].remove(&seq);
             issued_this_cycle += 1;
-            let v = p.exec.execute_at_issue(seq, w);
+            violation = p.exec.execute_at_issue(seq, w);
             // Per-issue bookkeeping lives here (the IQ owns it).
             self.stats.issued_inst_type.inc(class);
             let dispatch = w.window.inst_of(seq).dispatch_cycle;
@@ -152,12 +145,9 @@ impl IssueStage {
                 .0
                 .record(w.cycle.saturating_sub(dispatch) as f64);
             self.stats.power.dynamic_energy.add(1.1);
-            if let Some(v) = v {
-                violation = Some(v);
-                break;
-            }
-        }
-        self.cand_buf = cands;
+            false
+        });
+        w.window.ready = ready;
 
         self.epilogue(p.exec, issued_this_cycle, violation)
     }

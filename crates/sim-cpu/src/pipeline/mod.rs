@@ -17,7 +17,7 @@
 //! out in its ports struct instead of hiding behind `&mut self` on one
 //! monolithic core.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use uarch_isa::{Inst, Reg};
 use uarch_stats::registry::ComponentId;
@@ -172,14 +172,16 @@ pub struct Window {
     pub(crate) lq_used: usize,
     pub(crate) sq_used: usize,
     pub(crate) membars_in_flight: usize,
-    /// Per-functional-unit-pool ready sets (see
-    /// [`fu_pool`](crate::decoded::fu_pool) for the pool indices): the
-    /// sequence numbers of queued instructions whose sources are all
-    /// ready. Maintained by the wakeup network (rename dispatch, execute
-    /// completion, commit's non-speculative authorization); consumed by
-    /// the ready-queue select in issue. Unused under
-    /// `CoreConfig::reference_scan`.
-    pub(crate) ready: [BTreeSet<u64>; 5],
+    /// The age-ordered ready queue: the sequence numbers of queued
+    /// instructions whose sources are all ready, strictly increasing (no
+    /// duplicates), across every functional-unit pool. An entry's pool is
+    /// its instruction's [`DynInst::pool`]. Maintained by the wakeup
+    /// network (rename dispatch, execute completion, commit's
+    /// non-speculative authorization) through [`Window::enqueue_ready`];
+    /// consumed oldest-first by the select in issue, which removes what
+    /// it issues. Entries of squashed instructions go stale and are
+    /// dropped lazily. Unused under `CoreConfig::reference_scan`.
+    pub(crate) ready: Vec<u64>,
     /// Instructions in the window with a memory response in flight
     /// (`DynInst::mem_outstanding`), maintained incrementally so issue's
     /// MSHR back-pressure check is O(1) instead of a window scan.
@@ -225,6 +227,21 @@ impl Window {
     /// whose instruction may have been squashed or retired since enqueue.
     pub(crate) fn find(&self, seq: u64) -> Option<&DynInst> {
         self.position(seq).map(|i| &self.rob[i])
+    }
+
+    /// Adds `seq` to the ready queue, keeping it sorted and free of
+    /// duplicates (a waiter listed twice under one register wakes twice).
+    /// Dispatch enqueues the youngest instruction, so the common case is
+    /// an append.
+    pub(crate) fn enqueue_ready(&mut self, seq: u64) {
+        match self.ready.last() {
+            Some(&last) if last >= seq => {
+                if let Err(at) = self.ready.binary_search(&seq) {
+                    self.ready.insert(at, seq);
+                }
+            }
+            _ => self.ready.push(seq),
+        }
     }
 }
 

@@ -198,8 +198,8 @@ impl PipelineComponent for RenameStage {
 
             // Wakeup registration: waiters index themselves under each
             // unready source; source-ready instructions go straight to
-            // their pool's ready set (non-speculative ones wait for
-            // commit's authorization instead).
+            // the ready queue (non-speculative ones wait for commit's
+            // authorization instead).
             if !p.cfg.reference_scan {
                 let mut all_ready = true;
                 for src in d.srcs.iter().flatten() {
@@ -209,7 +209,7 @@ impl PipelineComponent for RenameStage {
                     }
                 }
                 if all_ready && !d.non_spec {
-                    p.window.ready[d.pool].insert(d.seq);
+                    p.window.enqueue_ready(d.seq);
                 }
             }
 

@@ -1,11 +1,11 @@
 //! Bit-identity of the optimized hot loop against the reference machine.
 //!
 //! The fast path differs from the reference in three mechanisms — the
-//! ready-queue wakeup/select (vs. the full-window scan), the completion
+//! age-ordered ready queue (vs. the full-window scan), the completion
 //! min-heap (vs. scanning the ROB for due instructions) and tick-skipping
-//! over fully-stalled cycles — and every one of them is required to be
-//! *statistically invisible*: all 1159 counters, distributions and energy
-//! accumulators must come out bit-identical. That is the paper's bar: the
+//! over fully-stalled cycles with bulk stall crediting — and every one of
+//! them is required to be *statistically invisible*: all 1159 counters,
+//! distributions and energy accumulators must come out bit-identical. That is the paper's bar: the
 //! detector's feature vectors may not depend on how fast the simulator
 //! computed them.
 //!
@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 use sim_cpu::{CoreConfig, Machine, RunSummary};
+use sim_mem::HierarchyConfig;
 use uarch_isa::{AluOp, Assembler, Inst, Program, Reg, Width};
 use uarch_stats::{SampleSink, Snapshot};
 
@@ -39,7 +40,18 @@ fn run_sampled(
     insts: u64,
     interval: u64,
 ) -> (Vec<Vec<f64>>, Snapshot, RunSummary) {
-    let mut m = Machine::single_core(&cfg, program.clone());
+    run_machine_sampled(cfg, vec![program.clone()], insts, interval)
+}
+
+/// [`run_sampled`] on a machine with one core per program.
+fn run_machine_sampled(
+    cfg: CoreConfig,
+    programs: Vec<Program>,
+    insts: u64,
+    interval: u64,
+) -> (Vec<Vec<f64>>, Snapshot, RunSummary) {
+    let mut m = Machine::try_new(&cfg, &HierarchyConfig::default(), programs)
+        .expect("valid machine configuration");
     let mut trace = RowTrace::default();
     let summary = m
         .run_with_sink(insts, interval, &mut trace)
@@ -193,6 +205,34 @@ fn ready_queues_match_reference_scan_on_real_workloads() {
         assert_eq!(sum_fast.cycles, sum_ref.cycles, "{name}");
         assert_rows_identical(&rows_fast, &rows_ref, name);
         assert_snapshots_identical(&snap_fast, &snap_ref, name);
+    }
+}
+
+/// The repository benchmark's `collect` shape: every suite workload on a
+/// one-core machine and every cross-core scenario on a two-core one, 20K
+/// machine-wide instructions sampled every 10K. Tick-skip must match the
+/// stepped clock row for row; the attacks' long DRAM-bound skips are
+/// where bulk stall crediting could drift.
+#[test]
+fn collect_shaped_runs_skip_exactly() {
+    let jobs = workloads::full_suite()
+        .into_iter()
+        .map(|w| (w.name, vec![w.program]))
+        .chain(
+            workloads::cross_core_suite()
+                .into_iter()
+                .map(|s| (s.name, s.programs)),
+        );
+    for (name, programs) in jobs {
+        let (rows_skip, snap_skip, sum_skip) =
+            run_machine_sampled(fast(), programs.clone(), 20_000, 10_000);
+        let (rows_step, snap_step, sum_step) =
+            run_machine_sampled(no_skip(), programs, 20_000, 10_000);
+        assert_eq!(sum_skip.committed, sum_step.committed, "{name}");
+        assert_eq!(sum_skip.cycles, sum_step.cycles, "{name}");
+        assert_eq!(rows_skip.len(), 2, "{name}: one row per 10K instructions");
+        assert_rows_identical(&rows_skip, &rows_step, &name);
+        assert_snapshots_identical(&snap_skip, &snap_step, &name);
     }
 }
 

@@ -54,15 +54,40 @@ impl Distribution {
     pub fn record(&mut self, x: f64) {
         self.sum += x;
         self.total += 1;
+        *self.slot(x) += 1;
+    }
+
+    /// Records the observation `x` `n` times, bit-for-bit as `n` calls of
+    /// [`record`](Self::record) would.
+    ///
+    /// The counts take `n` in one step. The running sum does too when every
+    /// partial sum is exact: `x` and the sum are integers and
+    /// `|sum| + n·|x| <= 2^53`, so no addition of the loop rounds.
+    /// Otherwise (fractional values, or a sum near 2^53) the sum is
+    /// accumulated one addition at a time, in the loop's rounding order.
+    pub fn record_n(&mut self, x: f64, n: u64) {
+        if n > 1 && sums_exactly(self.sum, x, n) {
+            self.sum += n as f64 * x;
+        } else {
+            for _ in 0..n {
+                self.sum += x;
+            }
+        }
+        self.total += n;
+        *self.slot(x) += n;
+    }
+
+    /// The count an observation of `x` lands in.
+    fn slot(&mut self, x: f64) -> &mut u64 {
         if x < self.lo {
-            self.underflow += 1;
+            &mut self.underflow
         } else if x >= self.hi {
-            self.overflow += 1;
+            &mut self.overflow
         } else {
             let width = (self.hi - self.lo) / self.buckets.len() as f64;
             let idx = ((x - self.lo) / width) as usize;
             let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
+            &mut self.buckets[idx]
         }
     }
 
@@ -93,6 +118,19 @@ impl Distribution {
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
     }
+}
+
+/// Whether adding `x` to `sum` `n` times rounds nowhere: both are
+/// integers and no partial sum leaves `[-2^53, 2^53]`, where every integer
+/// is an `f64`. Non-finite and huge values fail the `as i64` round trip.
+fn sums_exactly(sum: f64, x: f64, n: u64) -> bool {
+    const EXACT: u128 = 1 << 53;
+    let integer = |v: f64| v as i64 as f64 == v && v.abs() <= EXACT as f64;
+    integer(sum)
+        && integer(x)
+        && u128::from((sum as i64).unsigned_abs())
+            + u128::from(n) * u128::from((x as i64).unsigned_abs())
+            <= EXACT
 }
 
 impl StatItem for Distribution {
@@ -128,6 +166,7 @@ mod tests {
     use super::*;
     use crate::Snapshot;
     use crate::StatGroup;
+    use proptest::prelude::*;
 
     struct Holder(Distribution);
     impl StatGroup for Holder {
@@ -171,5 +210,127 @@ mod tests {
     #[should_panic(expected = "at least one bucket")]
     fn zero_buckets_panics() {
         let _ = Distribution::new(0.0, 1.0, 0);
+    }
+
+    /// `record_n(x, n)` on a clone of `d` against `n` calls of
+    /// `record(x)` on another: every count and the sum's bits must match.
+    fn assert_record_n_matches_loop(d: &Distribution, x: f64, n: u64) -> Distribution {
+        let mut bulk = d.clone();
+        bulk.record_n(x, n);
+        let mut looped = d.clone();
+        for _ in 0..n {
+            looped.record(x);
+        }
+        assert_eq!(bulk.buckets, looped.buckets, "buckets, x={x} n={n}");
+        assert_eq!(bulk.underflow, looped.underflow, "underflow, x={x} n={n}");
+        assert_eq!(bulk.overflow, looped.overflow, "overflow, x={x} n={n}");
+        assert_eq!(bulk.total, looped.total, "total, x={x} n={n}");
+        assert_eq!(
+            bulk.sum.to_bits(),
+            looped.sum.to_bits(),
+            "sum {} vs {}, x={x} n={n}",
+            bulk.sum,
+            looped.sum
+        );
+        bulk
+    }
+
+    #[test]
+    fn record_n_matches_the_loop_on_integer_values() {
+        let mut d = Distribution::new(0.0, 192.0, 8);
+        d.record(3.0);
+        d.record(170.0);
+        for (x, n) in [
+            (0.0, 1),
+            (0.0, 5000),
+            (7.0, 1),
+            (24.0, 999),
+            (191.0, 12_345),
+        ] {
+            d = assert_record_n_matches_loop(&d, x, n);
+        }
+        assert_eq!(d.total(), 2 + 1 + 5000 + 1 + 999 + 12_345);
+    }
+
+    #[test]
+    fn record_n_matches_the_loop_on_fractional_values() {
+        // 0.2 has no exact binary form: each addition rounds, so the
+        // result is not `sum + n * 0.2` and must come from the loop.
+        let mut d = Distribution::new(0.0, 10.0, 5);
+        d.record(1.5);
+        for (x, n) in [(0.2, 1), (0.2, 7), (0.2, 10_000), (2.75, 333), (0.1, 4096)] {
+            d = assert_record_n_matches_loop(&d, x, n);
+        }
+    }
+
+    #[test]
+    fn record_n_matches_the_loop_on_underflow_and_overflow() {
+        let d = Distribution::new(10.0, 20.0, 2);
+        let d = assert_record_n_matches_loop(&d, 5.0, 40);
+        let d = assert_record_n_matches_loop(&d, 25.0, 60);
+        let d = assert_record_n_matches_loop(&d, -3.5, 11);
+        let d = assert_record_n_matches_loop(&d, 20.0, 3); // `hi` overflows
+        assert_eq!(d.underflow, 51);
+        assert_eq!(d.overflow, 63);
+        assert_record_n_matches_loop(&d, 10.0, 0); // n = 0 records nothing
+    }
+
+    #[test]
+    fn record_n_falls_back_near_two_to_the_53() {
+        // At 2^53 adding 1.0 rounds back to 2^53 (ties to even), so the
+        // loop stalls there; one `sum + n * x` would land on 2^53 + 4.
+        let two53 = (1u64 << 53) as f64;
+        let mut d = Distribution::new(0.0, 8.0, 4);
+        d.record(two53 - 1.0);
+        let bulk = assert_record_n_matches_loop(&d, 1.0, 5);
+        assert_eq!(bulk.sum, two53);
+        assert_ne!(bulk.sum, (two53 - 1.0) + 5.0 * 1.0);
+        // Exactly at the bound the single step is still exact.
+        assert_record_n_matches_loop(&d, 1.0, 1);
+        // Negative sums are bounded by magnitude as well.
+        let mut neg = Distribution::new(0.0, 8.0, 4);
+        neg.record(-(two53 - 2.0));
+        assert_record_n_matches_loop(&neg, -1.0, 6);
+        // Huge and non-finite values never take the single step.
+        for x in [1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut d = Distribution::new(0.0, 8.0, 4);
+            d.record(2.0);
+            let mut bulk = d.clone();
+            bulk.record_n(x, 3);
+            for _ in 0..3 {
+                d.record(x);
+            }
+            assert_eq!(bulk.sum.to_bits(), d.sum.to_bits(), "x={x}");
+            assert_eq!(bulk.total, d.total, "x={x}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn record_n_is_bit_identical_to_repeated_record(
+            history in proptest::collection::vec(
+                prop_oneof![
+                    (-50i64..500).prop_map(|v| v as f64),
+                    -50.0f64..500.0,
+                    (0i64..4).prop_map(|k| (1u64 << 53) as f64 - k as f64),
+                ],
+                0..6,
+            ),
+            x in prop_oneof![
+                (-50i64..500).prop_map(|v| v as f64),
+                -50.0f64..500.0,
+                (0u8..4).prop_map(|k| [0.2, 0.1, 1.0 / 3.0, 0.5][k as usize]),
+                (0i64..4).prop_map(|k| (1u64 << 52) as f64 + k as f64),
+            ],
+            n in 0u64..3000,
+        ) {
+            let mut d = Distribution::new(0.0, 400.0, 8);
+            for v in history {
+                d.record(v);
+            }
+            assert_record_n_matches_loop(&d, x, n);
+        }
     }
 }
