@@ -666,11 +666,12 @@ impl Core {
     /// Per-cycle housekeeping for `k` consecutive cycles over which no
     /// pipeline state changes: the end of one stepped cycle (`k == 1`) or
     /// a whole tick-skip. Occupancies are constant over such a run, so
-    /// their distributions take one `record_n`. Two statistics still walk
-    /// the cycles one by one: the ROB head's age grows by one each cycle,
-    /// and the `+0.2` static-energy steps round differently at every
-    /// magnitude. The six stages' energy sums receive identical steps
-    /// from zero, so they are always equal and one walk serves all six.
+    /// their distributions take one `record_n`; the ROB head's age grows
+    /// by one each cycle, so its distribution takes one `record_run`. Only
+    /// the `+0.2` static-energy steps still walk the cycles one by one:
+    /// they round differently at every magnitude. The six stages' energy
+    /// sums receive identical steps from zero, so they are always equal
+    /// and one walk serves all six.
     fn end_of_cycles(&mut self, k: u64) {
         self.cpu.num_cycles.add(k);
         self.fetch
@@ -705,13 +706,14 @@ impl Core {
             .0
             .record_n(self.window.rob.len() as f64, k);
         if let Some(head) = self.window.rob.front() {
-            for cycle in self.cycle..self.cycle + k {
-                self.commit
-                    .rob
-                    .head_age
-                    .0
-                    .record(cycle.saturating_sub(head.dispatch_cycle) as f64);
+            // The head's age at each of the `k` cycles: 0 (saturated)
+            // before its dispatch cycle, then one more every cycle.
+            let head_age = &mut self.commit.rob.head_age.0;
+            let unborn = head.dispatch_cycle.saturating_sub(self.cycle).min(k);
+            if unborn > 0 {
+                head_age.record_n(0.0, unborn);
             }
+            head_age.record_run(self.cycle.saturating_sub(head.dispatch_cycle), k - unborn);
             self.cpu.busy_cycles.add(k);
         } else {
             self.cpu.idle_cycles.add(k);

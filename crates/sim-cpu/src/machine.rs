@@ -32,6 +32,7 @@
 //! statistics under `core0.`, `core1.`, … while the shared uncore groups
 //! stay unprefixed.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use sim_mem::{HierarchyConfig, MemoryHierarchy, Uncore};
@@ -66,6 +67,9 @@ pub struct Machine {
     cores: Vec<Core>,
     uncore: Uncore,
     cycle: u64,
+    /// The statistic schema, resolved on first use: the walk's names
+    /// depend only on the number of cores, fixed at construction.
+    schema: OnceLock<Schema>,
 }
 
 impl Machine {
@@ -135,6 +139,7 @@ impl Machine {
             cores,
             uncore,
             cycle: 0,
+            schema: OnceLock::new(),
         })
     }
 
@@ -189,11 +194,12 @@ impl Machine {
             .randomize_indexing(&mut self.uncore, key);
     }
 
-    /// Resolves the machine's full statistic schema without sampling: the
-    /// flat single-core layout for one core, `coreN.`-namespaced per-core
-    /// banks plus unprefixed shared-uncore groups otherwise.
+    /// The machine's full statistic schema: the flat single-core layout
+    /// for one core, `coreN.`-namespaced per-core banks plus unprefixed
+    /// shared-uncore groups otherwise. Resolved once per machine; every
+    /// call returns a clone sharing that storage.
     pub fn stat_schema(&self) -> Schema {
-        Schema::of(self, "")
+        self.schema.get_or_init(|| Schema::of(self, "")).clone()
     }
 
     /// The tightest cycle budget configured on any core (the machine
@@ -354,7 +360,7 @@ impl Machine {
         let started = Instant::now();
         let committed_before = self.total_committed();
         let cycles_before = self.cycle;
-        let mut sampler = Sampler::new(&*self, "");
+        let mut sampler = Sampler::with_schema(self.stat_schema(), &*self, "");
         let end = committed_before.saturating_add(insts);
         let mut next = committed_before.saturating_add(interval);
         let mut summary = RunSummary {

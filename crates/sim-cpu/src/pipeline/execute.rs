@@ -187,33 +187,32 @@ impl ExecuteStage {
                         }
                     }
                 }
-                let mut any_fwd = false;
-                let mut all_fwd = true;
-                let mut fwd_oldest: Option<u64> = None;
-                let mut bytes = [0u8; 8];
-                for (k, byte) in bytes.iter_mut().enumerate().take(mem_size as usize) {
-                    let b_addr = addr + k as u64;
-                    match covering[k] {
-                        Some((st_seq, sa, data)) => {
-                            *byte = (data >> ((b_addr - sa) * 8)) as u8;
-                            any_fwd = true;
-                            fwd_oldest = Some(fwd_oldest.map_or(st_seq, |f: u64| f.min(st_seq)));
-                        }
-                        None => {
-                            *byte = w.mem.memory().read_byte(b_addr);
-                            all_fwd = false;
-                        }
-                    }
-                }
+                let covering = &covering[..mem_size as usize];
+                let any_fwd = covering.iter().any(Option::is_some);
+                let all_fwd = covering.iter().all(Option::is_some);
                 // The violation-check exemption is only sound when EVERY
                 // byte came from the store queue; the oldest contributor
                 // bounds which later-resolving stores can be ignored.
-                fwd_youngest_out = if all_fwd { fwd_oldest } else { None };
-                if any_fwd {
-                    result = bytes[..mem_size as usize]
+                fwd_youngest_out = if all_fwd {
+                    covering
                         .iter()
-                        .enumerate()
-                        .fold(0u64, |v, (k, &b)| v | (b as u64) << (8 * k));
+                        .flatten()
+                        .map(|&(st_seq, _, _)| st_seq)
+                        .min()
+                } else {
+                    None
+                };
+                if any_fwd {
+                    // Only a merge reads the memory image here; a load no
+                    // store covers takes its value from the timed load.
+                    result = covering.iter().enumerate().fold(0u64, |v, (k, slot)| {
+                        let b_addr = addr + k as u64;
+                        let byte = match *slot {
+                            Some((_, sa, data)) => (data >> ((b_addr - sa) * 8)) as u8,
+                            None => w.mem.memory().read_byte(b_addr),
+                        };
+                        v | (byte as u64) << (8 * k)
+                    });
                     if all_fwd {
                         // Cleanly satisfied by the store queue.
                         forwarded = true;

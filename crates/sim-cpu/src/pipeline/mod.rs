@@ -202,16 +202,43 @@ impl Window {
     /// The ROB index holding `seq`, if it is in the window.
     ///
     /// Fetch numbers instructions one apart and squashes only cut the
-    /// ROB's tail, so the ROB is strictly increasing in `seq` and `seq`
-    /// sits at or before index `seq - front.seq`. That slot is an exact
-    /// hit unless a squash left a gap older than `seq`; then the ROB is
-    /// binary-searched.
+    /// ROB's tail, so the ROB is strictly increasing in `seq`. Of the
+    /// `gaps = back.seq - front.seq + 1 - len` numbers missing from it,
+    /// some `g` are older than `seq`, which then sits at index
+    /// `seq - front.seq - g`. The first probe takes `g = 0`, exact unless
+    /// a squash left a gap older than `seq`. The second takes
+    /// `g = gaps`, exact for every `seq` in the run of consecutive
+    /// numbers that ends at the back. Only a `seq` between two gaps (or
+    /// in one) misses both, and is binary-searched between the two
+    /// probed slots.
     pub(crate) fn position(&self, seq: u64) -> Option<usize> {
-        let offset = seq.checked_sub(self.rob.front()?.seq)?;
-        usize::try_from(offset)
-            .ok()
-            .filter(|&i| self.rob.get(i).is_some_and(|d| d.seq == seq))
-            .or_else(|| self.rob.binary_search_by_key(&seq, |d| d.seq).ok())
+        let front = self.rob.front()?.seq;
+        let offset = usize::try_from(seq.checked_sub(front)?).ok()?;
+        let holds = |i: usize| self.rob.get(i).is_some_and(|d| d.seq == seq);
+        if holds(offset) {
+            return Some(offset);
+        }
+        let back = self.rob.back()?.seq;
+        if seq > back {
+            return None;
+        }
+        // `seq <= back` keeps `offset - gaps` within the ROB.
+        let gaps = usize::try_from(back - front).ok()? + 1 - self.rob.len();
+        let mut lo = offset.saturating_sub(gaps);
+        if holds(lo) {
+            return Some(lo);
+        }
+        let mut hi = offset.min(self.rob.len());
+        lo += 1;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.rob[mid].seq.cmp(&seq) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     pub(crate) fn inst_of(&self, seq: u64) -> &DynInst {
@@ -357,6 +384,12 @@ mod tests {
             vec![5, 6, 7],
             vec![5, 9, 10, 11, 40],
             vec![100, 150, 151, 300],
+            // Two or more gaps: the second probe hits the run at the back
+            // (60..=64), misses between the gaps (20..=22, 40) and sends
+            // those to the binary search.
+            vec![10, 11, 20, 21, 22, 40, 60, 61, 62, 63, 64],
+            vec![1, 3, 5, 7, 8, 9],
+            vec![2, 4, 5, 9, 10, 30, 31, 32, 33],
         ] {
             let w = Window {
                 rob: seqs.into_iter().map(nop).collect(),

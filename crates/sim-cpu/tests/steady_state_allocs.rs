@@ -10,6 +10,13 @@
 //! Each machine runs 20K instructions to warm up, then is counted over
 //! 20K more. Run it with `--nocapture` to print each workload's
 //! allocations per 1,000 committed instructions.
+//!
+//! A sampled run is gated too: a warmed machine whose statistic schema is
+//! already resolved samples 20K instructions every 10K into a sink that
+//! drops the rows. The sampler reuses that schema, so the call allocates
+//! its three row buffers and the stat walks' prefix strings, not one
+//! string per statistic: the gate is half an allocation per statistic in
+//! the schema, where rebuilding the names alone would take one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sim_cpu::{CoreConfig, Machine};
 use sim_mem::HierarchyConfig;
 use uarch_isa::Program;
+use uarch_stats::SampleSink;
 
 /// Forwards to the system allocator, counting allocations and
 /// reallocations (frees are not counted).
@@ -55,6 +63,15 @@ const WARM_UP_INSTS: u64 = 20_000;
 const COUNTED_INSTS: u64 = 20_000;
 /// The gate: allocations per 1,000 committed instructions.
 const MAX_ALLOCS_PER_KINST: f64 = 8.0;
+/// Sample every 10K instructions in the sampled run (two samples).
+const SAMPLE_INTERVAL: u64 = 10_000;
+
+/// Drops every row.
+struct Discard;
+
+impl SampleSink for Discard {
+    fn on_sample(&mut self, _insts: u64, _row: &[f64]) {}
+}
 
 #[test]
 fn warmed_up_machines_barely_allocate() {
@@ -112,4 +129,30 @@ fn warmed_up_machines_barely_allocate() {
         "steady-state allocations per 1K instructions above {MAX_ALLOCS_PER_KINST}: {}",
         over.join(", ")
     );
+
+    // The sampled run, on a one-core and a two-core machine.
+    for (name, programs) in [
+        ("hmmer", one_core("hmmer")),
+        ("xbenign-stream-compute", two_core("xbenign-stream-compute")),
+    ] {
+        let mut m = Machine::try_new(
+            &CoreConfig::default(),
+            &HierarchyConfig::default(),
+            programs,
+        )
+        .expect("default machine builds");
+        m.run(WARM_UP_INSTS);
+        let width = m.stat_schema().len();
+        let allocs_before = ALLOCS.load(Ordering::Relaxed);
+        m.run_with_sink(COUNTED_INSTS, SAMPLE_INTERVAL, &mut Discard)
+            .expect("sampled run completes");
+        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+        println!(
+            "{name}: sampled run ({width} stats, every {SAMPLE_INTERVAL} of {COUNTED_INSTS}) made {allocs} allocations"
+        );
+        assert!(
+            allocs * 2 <= width as u64,
+            "{name}: sampled run made {allocs} allocations, above half of its {width} statistics"
+        );
+    }
 }

@@ -258,12 +258,26 @@ impl Sampler {
     /// Creates a sampler whose baseline is the group's current values. The
     /// schema is resolved here, once.
     pub fn new<G: StatGroup + ?Sized>(group: &G, prefix: &str) -> Self {
-        let snap = Snapshot::of(group, prefix);
-        let width = snap.len();
+        Self::with_schema(Schema::of(group, prefix), group, prefix)
+    }
+
+    /// Creates a sampler against an already-resolved `schema` (a group
+    /// that resolves its schema once and reuses it across runs): the
+    /// baseline walk collects values only, building no names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group's walk produces a different number of
+    /// statistics than `schema`.
+    pub fn with_schema<G: StatGroup + ?Sized>(schema: Schema, group: &G, prefix: &str) -> Self {
+        let width = schema.len();
+        let mut prev = Vec::with_capacity(width);
+        group.visit(prefix, &mut ValueCollector { values: &mut prev });
+        assert_eq!(prev.len(), width, "stat group shape does not match schema");
         Self {
-            schema: snap.schema().clone(),
+            schema,
             prefix: prefix.to_string(),
-            prev: snap.values().to_vec(),
+            prev,
             cur: Vec::with_capacity(width),
             delta: Vec::with_capacity(width),
         }
@@ -469,6 +483,24 @@ mod tests {
         let snap = Snapshot::with_schema(&schema, &g, "g");
         assert!(snap.schema().same_as(&schema), "schema storage is shared");
         assert_eq!(snap.get("g.a"), Some(7.0));
+    }
+
+    #[test]
+    fn sampler_with_schema_shares_it_and_takes_the_current_baseline() {
+        let mut g = G::default();
+        let schema = Schema::of(&g, "g");
+        g.a.add(4);
+        let mut s = Sampler::with_schema(schema.clone(), &g, "g");
+        assert!(s.schema().same_as(&schema), "schema storage is shared");
+        g.b.add(2);
+        assert_eq!(s.sample(&g), vec![0.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match schema")]
+    fn sampler_with_schema_rejects_a_mismatched_group() {
+        let g = G::default();
+        let _ = Sampler::with_schema(Schema::from_names(vec!["g.a".into()]), &g, "g");
     }
 
     #[test]
