@@ -273,7 +273,7 @@ pub fn check_run(
     let mut series = Vec::new();
     for _ in 0..samples.max(1) {
         let summary = machine.run(chunk);
-        series.push(Snapshot::with_schema(&schema, &machine, ""));
+        series.push(Snapshot::with_schema(&schema, &machine));
         if summary.halted {
             break;
         }

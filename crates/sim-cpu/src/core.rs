@@ -15,7 +15,7 @@
 use sim_mem::{MemoryHierarchy, Uncore};
 use uarch_isa::{MarkKind, Program, Reg};
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{StatGroup, StatVisitor};
+use uarch_stats::{StatGroup, StatItem, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::decoded::DecodedProgram;
@@ -28,8 +28,7 @@ use crate::pipeline::issue::{IssuePorts, IssueStage};
 use crate::pipeline::rename::{RenamePorts, RenameStage};
 use crate::pipeline::squash::{SquashPorts, SquashUnit};
 use crate::pipeline::{
-    join_prefix, DecodeToRename, FetchToDecode, PipelineComponent, Predictors, RegFile,
-    SquashRequest, Window,
+    DecodeToRename, FetchToDecode, PipelineComponent, Predictors, RegFile, SquashRequest, Window,
 };
 use crate::stats::{
     BPredStats, CommitStats, CpuStats, DecodeStats, FetchStats, IewStats, IqStats, RenameStats,
@@ -569,13 +568,13 @@ impl Core {
                 }
             }
         }
-        self.commit.stats.committed_per_cycle.0.record_n(0.0, k);
+        self.commit.stats.committed_per_cycle.record_n(0.0, k);
 
         let lsq = &mut self.exec.stats.lsq;
         lsq.rescheduled_loads.add(plan.mshr_blocked_loads * k);
         lsq.blocked_loads.add(plan.mshr_blocked_loads * k);
         lsq.cache_blocked.add(plan.mshr_blocked_loads * k);
-        self.issue.stats.issued_per_cycle.0.record_n(0.0, k);
+        self.issue.stats.issued_per_cycle.record_n(0.0, k);
         self.issue.stats.empty_issue_cycles.add(k);
         self.exec.stats.idle_cycles.add(k);
 
@@ -677,12 +676,10 @@ impl Core {
         self.fetch
             .stats
             .queue_occupancy
-            .0
             .record_n(self.fetch_q.len() as f64, k);
         self.decode
             .stats
             .queue_occupancy
-            .0
             .record_n(self.decode_q.len() as f64, k);
         let before = self.fetch.stats.power.static_energy.value();
         let mut after = before;
@@ -703,12 +700,11 @@ impl Core {
         self.commit
             .rob
             .occupancy
-            .0
             .record_n(self.window.rob.len() as f64, k);
         if let Some(head) = self.window.rob.front() {
             // The head's age at each of the `k` cycles: 0 (saturated)
             // before its dispatch cycle, then one more every cycle.
-            let head_age = &mut self.commit.rob.head_age.0;
+            let head_age = &mut self.commit.rob.head_age;
             let unborn = head.dispatch_cycle.saturating_sub(self.cycle).min(k);
             if unborn > 0 {
                 head_age.record_n(0.0, unborn);
@@ -721,19 +717,16 @@ impl Core {
         self.issue
             .stats
             .occupancy
-            .0
             .record_n(self.window.iq_used as f64, k);
         self.exec
             .stats
             .lsq
             .lq_occupancy
-            .0
             .record_n(self.window.lq_used as f64, k);
         self.exec
             .stats
             .lsq
             .sq_occupancy
-            .0
             .record_n(self.window.sq_used as f64, k);
         self.cycle += k;
     }
@@ -751,44 +744,35 @@ impl std::fmt::Debug for Core {
 }
 
 impl StatGroup for Core {
-    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
+    fn visit(&self, v: &mut dyn StatVisitor) {
         // The flat-name layout is pinned by the 1159-stat census and the
         // golden snapshot: groups appear in the legacy order (which
         // interleaves the TLBs after branchPred rather than following
-        // stage ownership), with every prefix resolved through the
-        // component registry.
-        let p = |c: ComponentId| join_prefix(prefix, c.prefix());
-        self.fetch.stats.visit(&p(ComponentId::Fetch), v);
-        self.decode.stats.visit(&p(ComponentId::Decode), v);
-        self.rename.stats.visit(&p(ComponentId::Rename), v);
-        self.issue.stats.visit(&p(ComponentId::Iq), v);
-        self.exec.stats.visit(&p(ComponentId::Iew), v);
+        // stage ownership), with every scope named by the component
+        // registry.
+        use ComponentId::*;
+        self.fetch.stats.visit_item(Fetch.prefix(), v);
+        self.decode.stats.visit_item(Decode.prefix(), v);
+        self.rename.stats.visit_item(Rename.prefix(), v);
+        self.issue.stats.visit_item(Iq.prefix(), v);
+        self.exec.stats.visit_item(Iew.prefix(), v);
         // gem5 (and the paper's Table I) also exposes the LSQ and memDep
         // groups at top level (`lsq.squashedLoads`, `memDep.conflictingStores`)
         // in addition to the nested `iew.lsq.thread0.*` names; emit both.
-        let iew_aliases = ComponentId::Iew.alias_prefixes();
-        self.exec
-            .stats
-            .lsq
-            .visit(&join_prefix(prefix, iew_aliases[0]), v);
-        self.exec
-            .stats
-            .mem_dep
-            .visit(&join_prefix(prefix, iew_aliases[1]), v);
-        self.commit.stats.visit(&p(ComponentId::Commit), v);
-        self.commit.rob.visit(&p(ComponentId::Rob), v);
-        self.pred.stats.visit(&p(ComponentId::BranchPred), v);
-        self.exec.dtb.visit(&p(ComponentId::Dtb), v);
-        self.fetch.itb.visit(&p(ComponentId::Itb), v);
+        let iew_aliases = Iew.alias_prefixes();
+        self.exec.stats.lsq.visit_item(iew_aliases[0], v);
+        self.exec.stats.mem_dep.visit_item(iew_aliases[1], v);
+        self.commit.stats.visit_item(Commit.prefix(), v);
+        self.commit.rob.visit_item(Rob.prefix(), v);
+        self.pred.stats.visit_item(BranchPred.prefix(), v);
+        self.exec.dtb.visit_item(Dtb.prefix(), v);
+        self.fetch.itb.visit_item(Itb.prefix(), v);
         // Table I spells the data TLB both `dtb` and `dtlb`; emit the alias
         // so either name resolves (they are perfectly correlated features,
         // which is exactly the paper's replicated-feature premise).
-        self.exec.dtb.visit(
-            &join_prefix(prefix, ComponentId::Dtb.alias_prefixes()[0]),
-            v,
-        );
-        self.cpu.visit(prefix, v);
-        self.mem.visit(prefix, v);
+        self.exec.dtb.visit_item(Dtb.alias_prefixes()[0], v);
+        self.cpu.visit(v);
+        self.mem.visit(v);
     }
 }
 

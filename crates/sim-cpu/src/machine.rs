@@ -42,7 +42,6 @@ use uarch_stats::{SampleSink, Sampler, Schema, StatGroup, StatVisitor};
 use crate::config::CoreConfig;
 use crate::core::Core;
 use crate::error::SimError;
-use crate::pipeline::join_prefix;
 
 /// Outcome of a [`Machine::run`] or [`Machine::run_with_sink`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -360,7 +359,7 @@ impl Machine {
         let started = Instant::now();
         let committed_before = self.total_committed();
         let cycles_before = self.cycle;
-        let mut sampler = Sampler::with_schema(self.stat_schema(), &*self, "");
+        let mut sampler = Sampler::with_schema(self.stat_schema(), &*self);
         let end = committed_before.saturating_add(insts);
         let mut next = committed_before.saturating_add(interval);
         let mut summary = RunSummary {
@@ -402,17 +401,19 @@ impl Machine {
 }
 
 impl StatGroup for Machine {
-    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
+    fn visit(&self, v: &mut dyn StatVisitor) {
         if self.cores.len() == 1 {
             // Standalone layout: the core's flat groups (which end at
             // the private L1s) followed by the uncore groups in their
             // historical positions — exactly the pinned 1159-name census.
-            self.cores[0].visit(prefix, v);
+            self.cores[0].visit(v);
         } else {
             for (i, core) in self.cores.iter().enumerate() {
-                core.visit(&join_prefix(prefix, &format!("core{i}")), v);
+                v.enter(format_args!("core{i}"));
+                core.visit(v);
+                v.leave();
             }
         }
-        self.uncore.visit(prefix, v);
+        self.uncore.visit(v);
     }
 }

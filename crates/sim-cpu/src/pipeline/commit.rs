@@ -4,14 +4,13 @@
 use sim_mem::{MemoryHierarchy, Uncore};
 use uarch_isa::{Inst, OpClass, Program};
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{StatGroup, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::core::MarkEvent;
 use crate::stats::{CommitStats, CpuStats, IewStats, RobStats};
 
 use super::rename::RenameStage;
-use super::{join_prefix, PipelineComponent, RegFile, SquashRequest, TrapRequest, Window};
+use super::{PipelineComponent, RegFile, SquashRequest, TrapRequest, Window};
 
 /// The commit stage. Owns the fault-recognition timer and the `commit`
 /// and `rob` statistic groups.
@@ -135,7 +134,6 @@ impl PipelineComponent for CommitStage {
                     p.iew_stats
                         .lsq
                         .store_lifetime
-                        .0
                         .record(p.cycle.saturating_sub(head.dispatch_cycle) as f64);
                     p.window.sq_used -= 1;
                     let addr = head.eff_addr.expect("store executed");
@@ -176,7 +174,6 @@ impl PipelineComponent for CommitStage {
             }
             self.stats
                 .commit_latency
-                .0
                 .record(p.cycle.saturating_sub(head.dispatch_cycle) as f64);
             self.stats.power.dynamic_energy.add(1.0);
 
@@ -202,19 +199,11 @@ impl PipelineComponent for CommitStage {
         }
         self.stats
             .committed_per_cycle
-            .0
             .record(committed_this_cycle as f64);
         None
     }
 
     fn reset(&mut self) {
         *self = Self::default();
-    }
-
-    fn visit_stats(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.stats
-            .visit(&join_prefix(prefix, ComponentId::Commit.prefix()), v);
-        self.rob
-            .visit(&join_prefix(prefix, ComponentId::Rob.prefix()), v);
     }
 }

@@ -3,12 +3,11 @@
 
 use uarch_isa::Inst;
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{StatGroup, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::stats::DecodeStats;
 
-use super::{join_prefix, DecodeToRename, FetchToDecode, PipelineComponent, SquashRequest};
+use super::{DecodeToRename, FetchToDecode, PipelineComponent, SquashRequest};
 
 /// The decode stage. Owns the `decode` statistic group; the queues it
 /// drains and fills are the typed fetch→decode and decode→rename ports.
@@ -60,10 +59,5 @@ impl PipelineComponent for DecodeStage {
 
     fn reset(&mut self) {
         self.stats = DecodeStats::default();
-    }
-
-    fn visit_stats(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.stats
-            .visit(&join_prefix(prefix, ComponentId::Decode.prefix()), v);
     }
 }

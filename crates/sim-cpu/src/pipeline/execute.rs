@@ -14,14 +14,13 @@ use std::collections::BinaryHeap;
 use sim_mem::{AccessOutcome, MemoryHierarchy, Uncore};
 use uarch_isa::{AluOp, FaluOp, Inst, OpClass, Program};
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{StatGroup, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::core::KERNEL_SPACE_BASE;
 use crate::stats::{CpuStats, IewStats, IqStats, TlbStats};
 use crate::tlb::Tlb;
 
-use super::{join_prefix, PipelineComponent, Predictors, RegFile, SquashRequest, Window};
+use super::{PipelineComponent, Predictors, RegFile, SquashRequest, Window};
 
 /// The execute/writeback stage.
 ///
@@ -218,7 +217,7 @@ impl ExecuteStage {
                         forwarded = true;
                         ready = w.cycle + 2 + tlb_lat;
                         self.stats.lsq.forw_loads.inc();
-                        self.stats.lsq.forw_distance.0.record(1.0);
+                        self.stats.lsq.forw_distance.record(1.0);
                     } else {
                         // Partial overlap: merge and replay more slowly.
                         ready = w.cycle + 10 + tlb_lat;
@@ -229,11 +228,7 @@ impl ExecuteStage {
                     result = res.value;
                     ready = w.cycle + base_lat + tlb_lat + res.latency;
                     mem_outstanding = res.outcome != AccessOutcome::L1Hit;
-                    self.stats
-                        .lsq
-                        .load_latency
-                        .0
-                        .record((ready - w.cycle) as f64);
+                    self.stats.lsq.load_latency.record((ready - w.cycle) as f64);
                 }
             }
             Inst::Store { offset, width, .. } => {
@@ -310,7 +305,7 @@ impl ExecuteStage {
                 let addr = v(0).wrapping_add(offset as u64);
                 eff_addr = Some(addr);
                 let lat = w.mem.flush_line(w.uncore, addr, w.cycle);
-                self.stats.flush_latency.0.record(lat as f64);
+                self.stats.flush_latency.record(lat as f64);
                 ready = w.cycle + lat;
             }
             Inst::Fence => {
@@ -380,7 +375,6 @@ impl ExecuteStage {
             let fetched_at = p.window.inst_of(seq).fetch_cycle;
             self.stats
                 .resolution_delay
-                .0
                 .record(p.cycle.saturating_sub(fetched_at) as f64);
         }
 
@@ -566,21 +560,6 @@ impl PipelineComponent for ExecuteStage {
             completions: BinaryHeap::new(),
             due: Vec::new(),
         };
-    }
-
-    fn visit_stats(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        let iew = ComponentId::Iew;
-        self.stats.visit(&join_prefix(prefix, iew.prefix()), v);
-        self.stats
-            .lsq
-            .visit(&join_prefix(prefix, iew.alias_prefixes()[0]), v);
-        self.stats
-            .mem_dep
-            .visit(&join_prefix(prefix, iew.alias_prefixes()[1]), v);
-        let dtb = ComponentId::Dtb;
-        self.dtb.visit(&join_prefix(prefix, dtb.prefix()), v);
-        self.dtb
-            .visit(&join_prefix(prefix, dtb.alias_prefixes()[0]), v);
     }
 }
 

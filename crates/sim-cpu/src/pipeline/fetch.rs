@@ -4,7 +4,6 @@
 use sim_mem::{AccessOutcome, MemoryHierarchy, Uncore};
 use uarch_isa::Inst;
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{StatGroup, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::decoded::DecodedProgram;
@@ -12,7 +11,7 @@ use crate::dyninst::DynInst;
 use crate::stats::{CpuStats, FetchStats, TlbStats};
 use crate::tlb::Tlb;
 
-use super::{join_prefix, FetchToDecode, PipelineComponent, Predictors, SquashRequest};
+use super::{FetchToDecode, PipelineComponent, Predictors, SquashRequest};
 
 /// The fetch stage.
 ///
@@ -249,7 +248,7 @@ impl PipelineComponent for FetchStage {
                 break;
             }
         }
-        self.stats.nisn_dist.0.record(fetched as f64);
+        self.stats.nisn_dist.record(fetched as f64);
         if fetched > 0 {
             self.stats.cycles.inc();
         }
@@ -273,12 +272,5 @@ impl PipelineComponent for FetchStage {
             itb: TlbStats::default(),
             itlb_entries: entries,
         };
-    }
-
-    fn visit_stats(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.stats
-            .visit(&join_prefix(prefix, ComponentId::Fetch.prefix()), v);
-        self.itb
-            .visit(&join_prefix(prefix, ComponentId::Itb.prefix()), v);
     }
 }

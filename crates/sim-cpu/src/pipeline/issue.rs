@@ -20,13 +20,12 @@
 
 use uarch_isa::OpClass;
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{StatGroup, StatVisitor};
 
 use crate::decoded::fu_pool;
 use crate::stats::IqStats;
 
 use super::execute::{ExecuteStage, FuWakeup};
-use super::{join_prefix, PipelineComponent, SquashRequest};
+use super::{PipelineComponent, SquashRequest};
 
 /// The issue stage. Owns the `iq` statistic group; the instructions it
 /// schedules live in the shared window.
@@ -52,10 +51,7 @@ impl IssueStage {
         violation: Option<(u64, usize)>,
     ) -> Option<SquashRequest> {
         self.stats.insts_issued.add(issued_this_cycle as u64);
-        self.stats
-            .issued_per_cycle
-            .0
-            .record(issued_this_cycle as f64);
+        self.stats.issued_per_cycle.record(issued_this_cycle as f64);
         if issued_this_cycle == 0 {
             self.stats.empty_issue_cycles.inc();
             exec.stats.idle_cycles.inc();
@@ -142,7 +138,6 @@ impl IssueStage {
             let dispatch = w.window.inst_of(seq).dispatch_cycle;
             self.stats
                 .issue_delay
-                .0
                 .record(w.cycle.saturating_sub(dispatch) as f64);
             self.stats.power.dynamic_energy.add(1.1);
             false
@@ -244,7 +239,6 @@ impl IssueStage {
             let dispatch = w.window.inst_of(seq).dispatch_cycle;
             self.stats
                 .issue_delay
-                .0
                 .record(w.cycle.saturating_sub(dispatch) as f64);
             self.stats.power.dynamic_energy.add(1.1);
             if let Some(v) = v {
@@ -274,10 +268,5 @@ impl PipelineComponent for IssueStage {
 
     fn reset(&mut self) {
         self.stats = IqStats::default();
-    }
-
-    fn visit_stats(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.stats
-            .visit(&join_prefix(prefix, ComponentId::Iq.prefix()), v);
     }
 }

@@ -21,7 +21,6 @@ use std::collections::VecDeque;
 
 use uarch_isa::{Inst, Reg};
 use uarch_stats::registry::ComponentId;
-use uarch_stats::StatVisitor;
 
 use crate::bpred::{Btb, PredCheckpoint, Ras, TournamentPredictor};
 use crate::config::CoreConfig;
@@ -57,10 +56,6 @@ pub trait PipelineComponent {
 
     /// Restores power-on state (architectural state and statistics).
     fn reset(&mut self);
-
-    /// Visits the statistic groups this stage owns, registered under the
-    /// component's canonical prefix relative to `prefix`.
-    fn visit_stats(&self, prefix: &str, v: &mut dyn StatVisitor);
 }
 
 /// A squash demand raised by a stage tick.
@@ -325,16 +320,6 @@ impl Predictors {
             choice_idx: 0,
             used_global: false,
         }
-    }
-}
-
-/// Joins a visit prefix with a component prefix the way
-/// [`StatGroup`] walks expect (no leading dot at top level).
-pub(crate) fn join_prefix(prefix: &str, seg: &str) -> String {
-    if prefix.is_empty() {
-        seg.to_string()
-    } else {
-        format!("{prefix}.{seg}")
     }
 }
 

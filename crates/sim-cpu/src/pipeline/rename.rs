@@ -3,14 +3,11 @@
 
 use uarch_isa::Inst;
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{StatGroup, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::stats::{FetchStats, IewStats, IqStats, RenameStats, RobStats};
 
-use super::{
-    join_prefix, DecodeToRename, HistEntry, PipelineComponent, RegFile, SquashRequest, Window,
-};
+use super::{DecodeToRename, HistEntry, PipelineComponent, RegFile, SquashRequest, Window};
 
 /// One undoable speculative call-stack operation, tagged with the
 /// renaming instruction's sequence number.
@@ -223,10 +220,5 @@ impl PipelineComponent for RenameStage {
 
     fn reset(&mut self) {
         *self = Self::default();
-    }
-
-    fn visit_stats(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.stats
-            .visit(&join_prefix(prefix, ComponentId::Rename.prefix()), v);
     }
 }

@@ -11,7 +11,6 @@
 
 use uarch_isa::Inst;
 use uarch_stats::registry::ComponentId;
-use uarch_stats::StatVisitor;
 
 use crate::config::CoreConfig;
 use crate::stats::CpuStats;
@@ -168,6 +167,4 @@ impl PipelineComponent for SquashUnit {
     }
 
     fn reset(&mut self) {}
-
-    fn visit_stats(&self, _prefix: &str, _v: &mut dyn StatVisitor) {}
 }

@@ -6,9 +6,7 @@
 //! onto fields here.
 
 use uarch_isa::OpClass;
-use uarch_stats::{
-    stat_group, Counter, Distribution, Scalar, StatItem, StatKey, StatVisitor, VectorStat,
-};
+use uarch_stats::{stat_group, Counter, Distribution, Scalar, StatKey, VectorStat};
 
 /// Control-flow instruction kinds (for per-kind predictor and commit
 /// statistics).
@@ -57,69 +55,6 @@ impl StatKey for CtrlKind {
     }
 }
 
-/// Declares a `Distribution` newtype with a fixed bucket layout so it can
-/// live inside `stat_group!` structs (which require `Default`).
-macro_rules! dist_wrapper {
-    ($(#[$meta:meta])* $name:ident, $lo:expr, $hi:expr, $n:expr) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone)]
-        pub struct $name(pub Distribution);
-
-        impl Default for $name {
-            fn default() -> Self {
-                Self(Distribution::new($lo, $hi, $n))
-            }
-        }
-
-        impl StatItem for $name {
-            fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-                self.0.visit_item(prefix, name, v);
-            }
-        }
-    };
-}
-
-dist_wrapper!(
-    /// Per-cycle width distribution (0..=8 instructions).
-    WidthDist, 0.0, 9.0, 9
-);
-dist_wrapper!(
-    /// ROB occupancy distribution.
-    RobOccupancyDist, 0.0, 192.0, 8
-);
-dist_wrapper!(
-    /// IQ occupancy distribution.
-    IqOccupancyDist, 0.0, 64.0, 8
-);
-dist_wrapper!(
-    /// Load/store queue occupancy distribution.
-    LsqOccupancyDist, 0.0, 32.0, 8
-);
-dist_wrapper!(
-    /// Load-to-use latency distribution in cycles.
-    LoadLatencyDist, 0.0, 400.0, 8
-);
-dist_wrapper!(
-    /// Queue occupancy distribution (fetch/decode buffers).
-    QueueOccDist, 0.0, 32.0, 8
-);
-dist_wrapper!(
-    /// Dispatch-to-issue delay distribution in cycles.
-    IssueDelayDist, 0.0, 64.0, 8
-);
-dist_wrapper!(
-    /// Dispatch-to-commit latency distribution in cycles.
-    CommitLatencyDist, 0.0, 256.0, 8
-);
-dist_wrapper!(
-    /// Flush instruction latency distribution in cycles.
-    FlushLatencyDist, 0.0, 120.0, 8
-);
-dist_wrapper!(
-    /// Branch fetch-to-resolution delay distribution in cycles.
-    ResolutionDelayDist, 0.0, 128.0, 8
-);
-
 stat_group! {
     /// Per-stage energy accounting (the paper examines "features related to
     /// energy consumption in different microarchitectural units").
@@ -165,11 +100,11 @@ stat_group! {
         /// Cycles with no fetch activity at all.
         pub idle_cycles: Counter => "IdleCycles",
         /// Distribution of instructions fetched per cycle.
-        pub nisn_dist: WidthDist => "rateDist",
+        pub nisn_dist: Distribution = (0.0, 9.0, 9) => "rateDist",
         /// Fetched control instructions per kind.
         pub branch_kind: VectorStat<CtrlKind> => "branchDist",
         /// Fetch-queue occupancy, sampled per cycle.
-        pub queue_occupancy: QueueOccDist => "queueOccupancy",
+        pub queue_occupancy: Distribution = (0.0, 32.0, 8) => "queueOccupancy",
         /// Energy accounting.
         pub power: StageEnergy => "power",
     }
@@ -195,7 +130,7 @@ stat_group! {
         /// Instructions dropped because they were squashed.
         pub squashed_insts: Counter => "SquashedInsts",
         /// Decode-queue occupancy, sampled per cycle.
-        pub queue_occupancy: QueueOccDist => "queueOccupancy",
+        pub queue_occupancy: Distribution = (0.0, 32.0, 8) => "queueOccupancy",
         /// Energy accounting.
         pub power: StageEnergy => "power",
     }
@@ -271,15 +206,15 @@ stat_group! {
         /// Full events.
         pub full_events: Counter => "iqFullEvents",
         /// Distribution of instructions issued per cycle.
-        pub issued_per_cycle: WidthDist => "issued_per_cycle",
+        pub issued_per_cycle: Distribution = (0.0, 9.0, 9) => "issued_per_cycle",
         /// IQ occupancy distribution (sampled per cycle).
-        pub occupancy: IqOccupancyDist => "occupancy",
+        pub occupancy: Distribution = (0.0, 64.0, 8) => "occupancy",
         /// Instructions whose execution completed, per op class.
         pub executed_class: VectorStat<OpClass> => "statExecutedInstType_0",
         /// Issues that consumed the last free unit of a pool.
         pub fu_busy: VectorStat<OpClass> => "fuBusy",
         /// Dispatch-to-issue delay distribution.
-        pub issue_delay: IssueDelayDist => "issueDelay",
+        pub issue_delay: Distribution = (0.0, 64.0, 8) => "issueDelay",
         /// Energy accounting.
         pub power: StageEnergy => "power",
     }
@@ -309,15 +244,15 @@ stat_group! {
         /// Stores inserted.
         pub inserted_stores: Counter => "insertedStores",
         /// Load queue occupancy distribution.
-        pub lq_occupancy: LsqOccupancyDist => "lqOccupancy",
+        pub lq_occupancy: Distribution = (0.0, 32.0, 8) => "lqOccupancy",
         /// Store queue occupancy distribution.
-        pub sq_occupancy: LsqOccupancyDist => "sqOccupancy",
+        pub sq_occupancy: Distribution = (0.0, 32.0, 8) => "sqOccupancy",
         /// Load-to-use latency distribution.
-        pub load_latency: LoadLatencyDist => "loadToUse",
+        pub load_latency: Distribution = (0.0, 400.0, 8) => "loadToUse",
         /// Distance (in sequence numbers) between forwarding store and load.
-        pub forw_distance: IssueDelayDist => "forwDistance",
+        pub forw_distance: Distribution = (0.0, 64.0, 8) => "forwDistance",
         /// Store dispatch-to-commit lifetime distribution.
-        pub store_lifetime: CommitLatencyDist => "storeLifetime",
+        pub store_lifetime: Distribution = (0.0, 256.0, 8) => "storeLifetime",
     }
 }
 
@@ -379,9 +314,9 @@ stat_group! {
         /// Memory dependence unit statistics.
         pub mem_dep: MemDepStats => "memDep",
         /// Flush (`clflush`) execution latency distribution.
-        pub flush_latency: FlushLatencyDist => "flushLatency",
+        pub flush_latency: Distribution = (0.0, 120.0, 8) => "flushLatency",
         /// Branch fetch-to-resolution delay distribution.
-        pub resolution_delay: ResolutionDelayDist => "branchResolutionDelay",
+        pub resolution_delay: Distribution = (0.0, 128.0, 8) => "branchResolutionDelay",
         /// Energy accounting.
         pub power: StageEnergy => "power",
     }
@@ -422,13 +357,13 @@ stat_group! {
         /// Committed op-class distribution.
         pub op_class: VectorStat<OpClass> => "op_class_0",
         /// Distribution of instructions committed per cycle.
-        pub committed_per_cycle: WidthDist => "committed_per_cycle",
+        pub committed_per_cycle: Distribution = (0.0, 9.0, 9) => "committed_per_cycle",
         /// Cycles commit was idle (nothing to commit).
         pub idle_cycles: Counter => "IdleCycles",
         /// Committed control instructions per kind.
         pub control_kind: VectorStat<CtrlKind> => "controlDist",
         /// Dispatch-to-commit latency distribution.
-        pub commit_latency: CommitLatencyDist => "commitLatency",
+        pub commit_latency: Distribution = (0.0, 256.0, 8) => "commitLatency",
         /// Energy accounting.
         pub power: StageEnergy => "power",
     }
@@ -442,9 +377,9 @@ stat_group! {
         /// ROB writes.
         pub writes: Counter => "rob_writes",
         /// ROB occupancy distribution (sampled per cycle).
-        pub occupancy: RobOccupancyDist => "occupancy",
+        pub occupancy: Distribution = (0.0, 192.0, 8) => "occupancy",
         /// Age (cycles since dispatch) of the ROB head, sampled per cycle.
-        pub head_age: CommitLatencyDist => "headAge",
+        pub head_age: Distribution = (0.0, 256.0, 8) => "headAge",
     }
 }
 

@@ -11,12 +11,13 @@
 //! 20K more. Run it with `--nocapture` to print each workload's
 //! allocations per 1,000 committed instructions.
 //!
-//! A sampled run is gated too: a warmed machine whose statistic schema is
-//! already resolved samples 20K instructions every 10K into a sink that
-//! drops the rows. The sampler reuses that schema, so the call allocates
-//! its three row buffers and the stat walks' prefix strings, not one
-//! string per statistic: the gate is half an allocation per statistic in
-//! the schema, where rebuilding the names alone would take one.
+//! Sampling is gated too, on a warmed one-core and a two-core machine.
+//! A stat walk that only collects values builds no name, so once a
+//! `Sampler` exists its `sample_into` calls make no allocation at all.
+//! And a sampled run (`run_with_sink`, 20K instructions sampled every
+//! 10K, rows dropped) on a machine whose schema is already resolved makes
+//! exactly the allocations of the same unsampled run plus the sampler's
+//! three row buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sim_cpu::{CoreConfig, Machine};
 use sim_mem::HierarchyConfig;
 use uarch_isa::Program;
-use uarch_stats::SampleSink;
+use uarch_stats::{SampleSink, Sampler};
 
 /// Forwards to the system allocator, counting allocations and
 /// reallocations (frees are not counted).
@@ -65,6 +66,11 @@ const COUNTED_INSTS: u64 = 20_000;
 const MAX_ALLOCS_PER_KINST: f64 = 8.0;
 /// Sample every 10K instructions in the sampled run (two samples).
 const SAMPLE_INTERVAL: u64 = 10_000;
+/// `sample_into` calls counted per machine, 1K instructions apart.
+const SAMPLES: u64 = 8;
+/// The allocations a `Sampler` makes up front: previous, current and delta
+/// rows.
+const SAMPLER_BUFFERS: u64 = 3;
 
 /// Drops every row.
 struct Discard;
@@ -130,29 +136,62 @@ fn warmed_up_machines_barely_allocate() {
         over.join(", ")
     );
 
-    // The sampled run, on a one-core and a two-core machine.
+    // Sampling, on a one-core and a two-core machine.
     for (name, programs) in [
         ("hmmer", one_core("hmmer")),
         ("xbenign-stream-compute", two_core("xbenign-stream-compute")),
     ] {
-        let mut m = Machine::try_new(
-            &CoreConfig::default(),
-            &HierarchyConfig::default(),
-            programs,
-        )
-        .expect("default machine builds");
-        m.run(WARM_UP_INSTS);
-        let width = m.stat_schema().len();
-        let allocs_before = ALLOCS.load(Ordering::Relaxed);
-        m.run_with_sink(COUNTED_INSTS, SAMPLE_INTERVAL, &mut Discard)
+        let warmed = || {
+            let mut m = Machine::try_new(
+                &CoreConfig::default(),
+                &HierarchyConfig::default(),
+                programs.clone(),
+            )
+            .expect("default machine builds");
+            m.run(WARM_UP_INSTS);
+            m.stat_schema();
+            m
+        };
+
+        let mut m = warmed();
+        let mut sampler = Sampler::new(&m, "");
+        let mut walk_allocs = 0;
+        for _ in 0..SAMPLES {
+            m.run(1_000);
+            let before = ALLOCS.load(Ordering::Relaxed);
+            sampler.sample_into(&m, m.total_committed(), &mut Discard);
+            walk_allocs += ALLOCS.load(Ordering::Relaxed) - before;
+        }
+        println!("{name}: {SAMPLES} sample_into calls made {walk_allocs} allocations");
+        assert_eq!(
+            walk_allocs, 0,
+            "{name}: {SAMPLES} warmed sample_into calls made {walk_allocs} allocations"
+        );
+
+        let mut unsampled = warmed();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        unsampled.run(COUNTED_INSTS);
+        let run_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let mut sampled = warmed();
+        let width = sampled.stat_schema().len();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        sampled
+            .run_with_sink(COUNTED_INSTS, SAMPLE_INTERVAL, &mut Discard)
             .expect("sampled run completes");
-        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            sampled.total_committed(),
+            unsampled.total_committed(),
+            "{name}: the sampled and unsampled runs diverged"
+        );
         println!(
-            "{name}: sampled run ({width} stats, every {SAMPLE_INTERVAL} of {COUNTED_INSTS}) made {allocs} allocations"
+            "{name}: sampled run ({width} stats, every {SAMPLE_INTERVAL} of {COUNTED_INSTS}) \
+             made {allocs} allocations, the unsampled run {run_allocs}"
         );
         assert!(
-            allocs * 2 <= width as u64,
-            "{name}: sampled run made {allocs} allocations, above half of its {width} statistics"
+            allocs <= run_allocs + SAMPLER_BUFFERS,
+            "{name}: sampled run made {allocs} allocations, above the unsampled \
+             run's {run_allocs} plus {SAMPLER_BUFFERS} row buffers"
         );
     }
 }

@@ -116,8 +116,8 @@ impl Bus {
 }
 
 impl StatGroup for Bus {
-    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.stats.visit(prefix, v);
+    fn visit(&self, v: &mut dyn StatVisitor) {
+        self.stats.visit(v);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Set-associative caches with MSHRs and write buffers.
 
-use uarch_stats::{stat_group, Counter, Distribution, StatGroup, StatItem, StatVisitor};
+use uarch_stats::{stat_group, Counter, Distribution, StatGroup, StatVisitor};
 
 use crate::calendar::EventCalendar;
 use crate::cmd::MemCmd;
@@ -119,7 +119,7 @@ pub struct Eviction {
 
 /// Per-command counters emitted as `{Cmd}_{stat}` — gem5's flat cache stat
 /// names (`ReadReq_hits`, `ReadSharedReq_mshr_miss_latency`, ...).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PerCmdStats {
     hits: [u64; MemCmd::COUNT],
     hit_latency: [u64; MemCmd::COUNT],
@@ -129,21 +129,6 @@ pub struct PerCmdStats {
     mshr_hits: [u64; MemCmd::COUNT],
     mshr_misses: [u64; MemCmd::COUNT],
     mshr_miss_latency: [u64; MemCmd::COUNT],
-}
-
-impl Default for PerCmdStats {
-    fn default() -> Self {
-        Self {
-            hits: [0; MemCmd::COUNT],
-            hit_latency: [0; MemCmd::COUNT],
-            misses: [0; MemCmd::COUNT],
-            accesses: [0; MemCmd::COUNT],
-            miss_latency: [0; MemCmd::COUNT],
-            mshr_hits: [0; MemCmd::COUNT],
-            mshr_misses: [0; MemCmd::COUNT],
-            mshr_miss_latency: [0; MemCmd::COUNT],
-        }
-    }
 }
 
 impl PerCmdStats {
@@ -168,43 +153,35 @@ impl PerCmdStats {
     }
 }
 
-impl StatItem for PerCmdStats {
-    fn visit_item(&self, prefix: &str, _name: &str, v: &mut dyn StatVisitor) {
-        use std::fmt::Write;
+impl StatGroup for PerCmdStats {
+    fn visit(&self, v: &mut dyn StatVisitor) {
         use uarch_stats::StatKey;
-        // One scratch name reused across all per-command statistics: this
-        // walk runs once per sampling interval on every cache in the
-        // hierarchy, so nine format! calls per command label add up.
-        let mut sub = String::with_capacity(32);
-        let mut emit = |sub: &mut String, label: &str, suffix: &str, value: f64| {
-            sub.clear();
-            let _ = write!(sub, "{label}{suffix}");
-            v.scalar(prefix, sub, value);
-        };
         for i in 0..MemCmd::COUNT {
             let label = MemCmd::label(i);
-            emit(&mut sub, label, "_hits", self.hits[i] as f64);
-            emit(&mut sub, label, "_hit_latency", self.hit_latency[i] as f64);
+            v.scalar(format_args!("{label}_hits"), self.hits[i] as f64);
+            v.scalar(
+                format_args!("{label}_hit_latency"),
+                self.hit_latency[i] as f64,
+            );
             let avg_miss = if self.misses[i] == 0 {
                 0.0
             } else {
                 self.miss_latency[i] as f64 / self.misses[i] as f64
             };
-            emit(&mut sub, label, "_avg_miss_latency", avg_miss);
-            emit(&mut sub, label, "_misses", self.misses[i] as f64);
-            emit(&mut sub, label, "_accesses", self.accesses[i] as f64);
-            emit(
-                &mut sub,
-                label,
-                "_miss_latency",
+            v.scalar(format_args!("{label}_avg_miss_latency"), avg_miss);
+            v.scalar(format_args!("{label}_misses"), self.misses[i] as f64);
+            v.scalar(format_args!("{label}_accesses"), self.accesses[i] as f64);
+            v.scalar(
+                format_args!("{label}_miss_latency"),
                 self.miss_latency[i] as f64,
             );
-            emit(&mut sub, label, "_mshr_hits", self.mshr_hits[i] as f64);
-            emit(&mut sub, label, "_mshr_misses", self.mshr_misses[i] as f64);
-            emit(
-                &mut sub,
-                label,
-                "_mshr_miss_latency",
+            v.scalar(format_args!("{label}_mshr_hits"), self.mshr_hits[i] as f64);
+            v.scalar(
+                format_args!("{label}_mshr_misses"),
+                self.mshr_misses[i] as f64,
+            );
+            v.scalar(
+                format_args!("{label}_mshr_miss_latency"),
                 self.mshr_miss_latency[i] as f64,
             );
         }
@@ -249,49 +226,18 @@ stat_group! {
     }
 }
 
-/// Full statistics of one cache.
-#[derive(Debug, Default, Clone)]
-pub struct CacheStats {
-    /// Per-command counters.
-    pub cmd: PerCmdStats,
-    /// Aggregates.
-    pub agg: CacheAggStats,
-    /// Demand miss latency distribution.
-    pub miss_latency_dist: MissLatencyDist,
-    /// Valid ways in the accessed set, sampled per access.
-    pub set_occupancy: SetOccupancyDist,
-}
-
-/// Wrapper giving the set-occupancy distribution a default bucket layout.
-#[derive(Debug, Clone)]
-pub struct SetOccupancyDist(pub Distribution);
-
-impl Default for SetOccupancyDist {
-    fn default() -> Self {
-        Self(Distribution::new(0.0, 9.0, 9))
-    }
-}
-
-/// Wrapper giving the miss-latency distribution a default bucket layout.
-#[derive(Debug, Clone)]
-pub struct MissLatencyDist(pub Distribution);
-
-impl Default for MissLatencyDist {
-    fn default() -> Self {
-        Self(Distribution::new(0.0, 400.0, 8))
-    }
-}
-
-impl StatGroup for CacheStats {
-    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.cmd.visit_item(prefix, "", v);
-        self.agg.visit(prefix, v);
-        self.miss_latency_dist
-            .0
-            .visit_item(prefix, "missLatencyDist", v);
-        self.set_occupancy
-            .0
-            .visit_item(prefix, "setOccupancyDist", v);
+stat_group! {
+    /// Full statistics of one cache: the per-command and aggregate
+    /// counters flat under the cache's own scope, then its distributions.
+    pub struct CacheStats {
+        /// Per-command counters.
+        pub cmd: PerCmdStats => "",
+        /// Aggregates.
+        pub agg: CacheAggStats => "",
+        /// Demand miss latency distribution.
+        pub miss_latency_dist: Distribution = (0.0, 400.0, 8) => "missLatencyDist",
+        /// Valid ways in the accessed set, sampled per access.
+        pub set_occupancy: Distribution = (0.0, 9.0, 9) => "setOccupancyDist",
     }
 }
 
@@ -484,7 +430,7 @@ impl Cache {
         let tag = self.line_addr(addr);
         let set = self.set_index(addr);
         let valid_ways = self.sets[set].iter().filter(|l| l.valid).count();
-        self.stats.set_occupancy.0.record(valid_ways as f64);
+        self.stats.set_occupancy.record(valid_ways as f64);
         let clock = self.use_clock;
         if let Some(line) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
             line.last_use = clock;
@@ -558,7 +504,7 @@ impl Cache {
         let i = cmd.index();
         self.stats.cmd.miss_latency[i] += miss_latency;
         self.stats.cmd.mshr_miss_latency[i] += miss_latency.saturating_sub(self.cfg.tag_latency);
-        self.stats.miss_latency_dist.0.record(miss_latency as f64);
+        self.stats.miss_latency_dist.record(miss_latency as f64);
         let tag = self.line_addr(addr);
         self.mshrs.push((tag, now + miss_latency, 1));
         self.mshr_events.schedule(now + miss_latency, tag);
@@ -701,8 +647,8 @@ impl Cache {
 }
 
 impl StatGroup for Cache {
-    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.stats.visit(prefix, v);
+    fn visit(&self, v: &mut dyn StatVisitor) {
+        self.stats.visit(v);
     }
 }
 

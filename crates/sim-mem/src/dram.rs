@@ -13,50 +13,14 @@ use uarch_stats::{
     VectorStat,
 };
 
-/// Wrapper giving the queue-length distributions a default bucket layout.
-#[derive(Debug, Clone)]
-pub struct QueueLenDist(pub Distribution);
-
-impl Default for QueueLenDist {
-    fn default() -> Self {
-        Self(Distribution::new(0.0, 64.0, 8))
-    }
-}
-
-impl StatItem for QueueLenDist {
-    fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-        self.0.visit_item(prefix, name, v);
-    }
-}
-
-/// Wrapper giving the read-latency distribution a default bucket layout.
-#[derive(Debug, Clone)]
-pub struct ReadLatencyDist(pub Distribution);
-
-impl Default for ReadLatencyDist {
-    fn default() -> Self {
-        Self(Distribution::new(0.0, 120.0, 8))
-    }
-}
-
-impl StatItem for ReadLatencyDist {
-    fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-        self.0.visit_item(prefix, name, v);
-    }
-}
-
 /// Per-bank activation counters emitted as `perBankActivations::N`.
 #[derive(Debug, Clone, Default)]
 pub struct PerBankActivations(pub Vec<u64>);
 
 impl StatItem for PerBankActivations {
-    fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-        use std::fmt::Write;
-        let mut sub = String::with_capacity(name.len() + 8);
+    fn visit_item(&self, name: &str, v: &mut dyn StatVisitor) {
         for (i, c) in self.0.iter().enumerate() {
-            sub.clear();
-            let _ = write!(sub, "{name}::{i}");
-            v.scalar(prefix, &sub, *c as f64);
+            v.scalar(format_args!("{name}::{i}"), *c as f64);
         }
     }
 }
@@ -192,11 +156,11 @@ stat_group! {
         /// Average queueing latency per serviced read.
         pub avg_q_lat: Average => "avgQLat",
         /// Write-queue length sampled at each write arrival.
-        pub wr_q_len_pdf: QueueLenDist => "wrQLenPdf",
+        pub wr_q_len_pdf: Distribution = (0.0, 64.0, 8) => "wrQLenPdf",
         /// Write-queue length sampled at each read arrival.
-        pub rd_q_len_pdf: QueueLenDist => "rdQLenPdf",
+        pub rd_q_len_pdf: Distribution = (0.0, 64.0, 8) => "rdQLenPdf",
         /// Read service latency distribution.
-        pub read_latency_dist: ReadLatencyDist => "readLatencyDist",
+        pub read_latency_dist: Distribution = (0.0, 120.0, 8) => "readLatencyDist",
         /// Activations per bank.
         pub per_bank_activations: PerBankActivations => "perBankActivations",
     }
@@ -347,7 +311,7 @@ impl MemCtrl {
         self.account_idle(now);
         self.stats.read_reqs.inc();
         self.stats.read_bursts.inc();
-        self.stats.rd_q_len_pdf.0.record(self.write_q.len() as f64);
+        self.stats.rd_q_len_pdf.record(self.write_q.len() as f64);
 
         // Serviced by the write queue?
         let line = addr & !63;
@@ -376,7 +340,7 @@ impl MemCtrl {
         self.stats.read_energy.add(4.0);
         self.stats.tot_q_lat.add(lat);
         self.stats.avg_q_lat.record(lat as f64);
-        self.stats.read_latency_dist.0.record(lat as f64);
+        self.stats.read_latency_dist.record(lat as f64);
         self.stats.memory_state_time.add(PowerState::Active, lat);
         self.stats.total_energy.set(self.total_energy_now());
         self.last_busy = now + lat;
@@ -389,7 +353,7 @@ impl MemCtrl {
         self.account_idle(now);
         self.stats.write_reqs.inc();
         self.stats.bytes_written.add(bytes);
-        self.stats.wr_q_len_pdf.0.record(self.write_q.len() as f64);
+        self.stats.wr_q_len_pdf.record(self.write_q.len() as f64);
         self.write_q.push_back(addr);
         let mut lat = 1;
         if self.write_q.len() >= self.cfg.write_queue {
@@ -414,8 +378,8 @@ impl MemCtrl {
 }
 
 impl StatGroup for MemCtrl {
-    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        self.stats.visit(prefix, v);
+    fn visit(&self, v: &mut dyn StatVisitor) {
+        self.stats.visit(v);
     }
 }
 

@@ -7,7 +7,7 @@
 //! access, so every core of a machine contends on the same L2/bus/DRAM
 //! timing state.
 
-use uarch_stats::{StatGroup, StatVisitor};
+use uarch_stats::{StatGroup, StatItem, StatVisitor};
 
 use crate::cache::{Cache, CacheConfig};
 use crate::cmd::MemCmd;
@@ -291,16 +291,9 @@ impl MemoryHierarchy {
 impl StatGroup for MemoryHierarchy {
     /// Publishes the private L1s only; the uncore below them is published
     /// once, by its owner.
-    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        let p = |s: &str| {
-            if prefix.is_empty() {
-                s.to_string()
-            } else {
-                format!("{prefix}.{s}")
-            }
-        };
-        self.l1i.visit(&p("icache"), v);
-        self.l1d.visit(&p("dcache"), v);
+    fn visit(&self, v: &mut dyn StatVisitor) {
+        self.l1i.visit_item("icache", v);
+        self.l1d.visit_item("dcache", v);
     }
 }
 
@@ -323,9 +316,9 @@ mod tests {
     struct Standalone<'a>(&'a MemoryHierarchy, &'a Uncore);
 
     impl StatGroup for Standalone<'_> {
-        fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-            self.0.visit(prefix, v);
-            self.1.visit(prefix, v);
+        fn visit(&self, v: &mut dyn StatVisitor) {
+            self.0.visit(v);
+            self.1.visit(v);
         }
     }
 

@@ -13,7 +13,7 @@
 //! exactly the statistics it always has, preserving the golden-snapshot
 //! bit-identity guarantee.
 
-use uarch_stats::{StatGroup, StatVisitor};
+use uarch_stats::{StatGroup, StatItem, StatVisitor};
 
 use crate::bus::Bus;
 use crate::cache::{Cache, Eviction};
@@ -263,26 +263,20 @@ impl StatGroup for Uncore {
     /// (`l2`, `tol2bus`, `membus`, `mem_ctrls`). The arbiter counters are
     /// appended under `tol2bus` only on multi-core uncores, keeping the
     /// single-core schema pinned at 1159 names.
-    fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-        let p = |s: &str| {
-            if prefix.is_empty() {
-                s.to_string()
-            } else {
-                format!("{prefix}.{s}")
-            }
-        };
-        self.l2.visit(&p("l2"), v);
-        self.tol2bus.visit(&p("tol2bus"), v);
+    fn visit(&self, v: &mut dyn StatVisitor) {
+        self.l2.visit_item("l2", v);
+        v.enter(format_args!("tol2bus"));
+        self.tol2bus.visit(v);
         if self.n_cores > 1 {
-            let bus = p("tol2bus");
             for (i, g) in self.arb.grants.iter().enumerate() {
-                v.scalar(&bus, &format!("arbGrants::core{i}"), *g as f64);
+                v.scalar(format_args!("arbGrants::core{i}"), *g as f64);
             }
             for (i, w) in self.arb.wait_cycles.iter().enumerate() {
-                v.scalar(&bus, &format!("arbWaitCycles::core{i}"), *w as f64);
+                v.scalar(format_args!("arbWaitCycles::core{i}"), *w as f64);
             }
         }
-        self.membus.visit(&p("membus"), v);
-        self.mem_ctrl.visit(&p("mem_ctrls"), v);
+        v.leave();
+        self.membus.visit_item("membus", v);
+        self.mem_ctrl.visit_item("mem_ctrls", v);
     }
 }

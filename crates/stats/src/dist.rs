@@ -260,29 +260,19 @@ fn sums_exactly(sum: f64, added: u128) -> bool {
 }
 
 impl StatItem for Distribution {
-    fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-        use std::fmt::Write;
-        // One scratch subname reused across buckets (walks run every
-        // sampling interval; a format! per bucket is measurable).
-        let mut sub = String::with_capacity(name.len() + 24);
-        let mut emit = |sub: &mut String, tail: std::fmt::Arguments<'_>, value: f64| {
-            sub.clear();
-            let _ = write!(sub, "{name}::{tail}");
-            v.scalar(prefix, sub, value);
-        };
-        emit(&mut sub, format_args!("underflow"), self.underflow as f64);
+    fn visit_item(&self, name: &str, v: &mut dyn StatVisitor) {
+        v.scalar(format_args!("{name}::underflow"), self.underflow as f64);
         for (i, b) in self.buckets.iter().enumerate() {
             let lo = self.lo + self.width * i as f64;
-            let hi = lo + self.width - 1.0;
-            emit(
-                &mut sub,
-                format_args!("{}-{}", lo as i64, hi.max(lo) as i64),
+            let hi = (lo + self.width - 1.0).max(lo);
+            v.scalar(
+                format_args!("{name}::{}-{}", lo as i64, hi as i64),
                 *b as f64,
             );
         }
-        emit(&mut sub, format_args!("overflow"), self.overflow as f64);
-        emit(&mut sub, format_args!("total"), self.total as f64);
-        emit(&mut sub, format_args!("mean"), self.mean());
+        v.scalar(format_args!("{name}::overflow"), self.overflow as f64);
+        v.scalar(format_args!("{name}::total"), self.total as f64);
+        v.scalar(format_args!("{name}::mean"), self.mean());
     }
 }
 
@@ -295,8 +285,8 @@ mod tests {
 
     struct Holder(Distribution);
     impl StatGroup for Holder {
-        fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-            self.0.visit_item(prefix, "lat", v);
+        fn visit(&self, v: &mut dyn StatVisitor) {
+            self.0.visit_item("lat", v);
         }
     }
 

@@ -1,17 +1,23 @@
 //! Sampling machinery: turning repeated stat walks into the
 //! multi-dimensional time series the detector trains on.
 //!
-//! The data path is *schema-resolved*: the dotted stat names are walked
+//! The data path is *schema-resolved*: the dotted stat names are built
 //! exactly once per run (building a [`Schema`]), and every subsequent
 //! sample only collects values against it. Per-interval rows flow through
 //! the [`SampleSink`] trait, so callers can stream (score online, forward
 //! over a channel) or materialize (append to a columnar [`SampleTrace`])
 //! without the sampler ever accumulating state itself.
+//!
+//! Names are built in one place, the name collector here: a walk reports
+//! scopes and leaf names in pieces (see [`StatVisitor`]), and only this
+//! module joins them with dots. A value walk ignores the pieces, so it
+//! formats and allocates nothing.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
-use crate::group::{join_name, StatGroup, StatVisitor};
+use crate::group::{StatGroup, StatItem, StatVisitor};
 
 /// The (ordered) set of statistic names produced by a stat group walk.
 ///
@@ -28,17 +34,7 @@ pub struct Schema {
 impl Schema {
     /// Walks `group` under `prefix` and resolves its schema (names only).
     pub fn of<G: StatGroup + ?Sized>(group: &G, prefix: &str) -> Self {
-        struct NameCollector {
-            names: Vec<String>,
-        }
-        impl StatVisitor for NameCollector {
-            fn scalar(&mut self, prefix: &str, name: &str, _value: f64) {
-                self.names.push(join_name(prefix, name));
-            }
-        }
-        let mut c = NameCollector { names: Vec::new() };
-        group.visit(prefix, &mut c);
-        Self::from_names(c.names)
+        Self::from_names(NameCollector::walk(group, prefix).names)
     }
 
     /// Builds a schema from an explicit name list.
@@ -52,11 +48,6 @@ impl Schema {
             names: Arc::new(names),
             index: Arc::new(index),
         }
-    }
-
-    /// The schema a snapshot was taken against (shared, not rebuilt).
-    pub fn from_snapshot(snap: &Snapshot) -> Self {
-        snap.schema().clone()
     }
 
     /// Number of statistics in the schema.
@@ -109,40 +100,25 @@ impl Snapshot {
     /// Walks `group` under `prefix` and captures every statistic,
     /// resolving a fresh schema (names + values in a single walk).
     pub fn of<G: StatGroup + ?Sized>(group: &G, prefix: &str) -> Self {
-        struct FullCollector {
-            names: Vec<String>,
-            values: Vec<f64>,
-        }
-        impl StatVisitor for FullCollector {
-            fn scalar(&mut self, prefix: &str, name: &str, value: f64) {
-                self.names.push(join_name(prefix, name));
-                self.values.push(value);
-            }
-        }
-        let mut c = FullCollector {
-            names: Vec::new(),
-            values: Vec::new(),
-        };
-        group.visit(prefix, &mut c);
+        let c = NameCollector::walk(group, prefix);
         Self {
             schema: Schema::from_names(c.names),
             values: c.values,
         }
     }
 
-    /// Walks `group` under `prefix` collecting values only, against an
-    /// already-resolved schema — no string allocation.
+    /// Walks `group` collecting values only, against an already-resolved
+    /// schema — no name is built.
     ///
     /// # Panics
     ///
     /// Panics if the walk produces a different number of statistics than
     /// the schema.
-    pub fn with_schema<G: StatGroup + ?Sized>(schema: &Schema, group: &G, prefix: &str) -> Self {
+    pub fn with_schema<G: StatGroup + ?Sized>(schema: &Schema, group: &G) -> Self {
         let mut values = Vec::with_capacity(schema.len());
-        let mut c = ValueCollector {
+        group.visit(&mut ValueCollector {
             values: &mut values,
-        };
-        group.visit(prefix, &mut c);
+        });
         assert_eq!(
             values.len(),
             schema.len(),
@@ -207,14 +183,86 @@ impl<S: SampleSink + ?Sized> SampleSink for &mut S {
     }
 }
 
-/// Fast value-only collector reusing a caller-owned buffer.
+/// Builds the dotted name of every statistic a walk reports — the only
+/// code that joins scopes and leaf names — and keeps the values beside
+/// them.
+#[derive(Default)]
+struct NameCollector {
+    /// The open scopes, dot-joined; each leaf's name is built on its end.
+    path: String,
+    /// `path`'s length before each open scope.
+    marks: Vec<usize>,
+    names: Vec<String>,
+    values: Vec<f64>,
+}
+
+impl NameCollector {
+    /// Walks `group` inside the root scope `prefix` (none when empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk leaves a scope it never entered or leaves one
+    /// open.
+    fn walk<G: StatGroup + ?Sized>(group: &G, prefix: &str) -> Self {
+        let mut c = Self::default();
+        group.visit_item(prefix, &mut c);
+        assert!(
+            c.marks.is_empty(),
+            "stat walk left {} scope(s) open",
+            c.marks.len()
+        );
+        c
+    }
+
+    /// Appends `segment` to `path`, after a dot unless either is empty.
+    fn push(&mut self, segment: fmt::Arguments<'_>) {
+        let mark = self.path.len();
+        if mark > 0 {
+            self.path.push('.');
+        }
+        let start = self.path.len();
+        self.path
+            .write_fmt(segment)
+            .expect("writing to a String cannot fail");
+        if self.path.len() == start {
+            // An empty segment adds no dot either.
+            self.path.truncate(mark);
+        }
+    }
+}
+
+impl StatVisitor for NameCollector {
+    fn enter(&mut self, scope: fmt::Arguments<'_>) {
+        self.marks.push(self.path.len());
+        self.push(scope);
+    }
+
+    fn leave(&mut self) {
+        let mark = self
+            .marks
+            .pop()
+            .expect("stat walk left a scope it never entered");
+        self.path.truncate(mark);
+    }
+
+    fn scalar(&mut self, name: fmt::Arguments<'_>, value: f64) {
+        let mark = self.path.len();
+        self.push(name);
+        self.names.push(self.path.clone());
+        self.path.truncate(mark);
+        self.values.push(value);
+    }
+}
+
+/// Value-only collector reusing a caller-owned buffer: it ignores every
+/// scope and name, so its walk builds no string.
 struct ValueCollector<'a> {
     values: &'a mut Vec<f64>,
 }
 
 impl StatVisitor for ValueCollector<'_> {
     #[inline]
-    fn scalar(&mut self, _prefix: &str, _name: &str, value: f64) {
+    fn scalar(&mut self, _name: fmt::Arguments<'_>, value: f64) {
         self.values.push(value);
     }
 }
@@ -223,10 +271,9 @@ impl StatVisitor for ValueCollector<'_> {
 ///
 /// Statistics are cumulative; the paper's traces are per-window activity,
 /// so each sample is `current - previous` for every column. The sampler
-/// owns three reusable buffers (previous, current, delta), so steady-state
-/// sampling via [`Sampler::sample_into`] allocates nothing itself — the
-/// only per-sample allocations left are the stat walk's own nested-prefix
-/// joins, ~40× fewer than rebuilding a named snapshot per interval.
+/// owns three reusable buffers (previous, current, delta) and its walks
+/// collect values only, building no name, so steady-state sampling via
+/// [`Sampler::sample_into`] allocates nothing.
 ///
 /// # Example
 ///
@@ -248,7 +295,6 @@ impl StatVisitor for ValueCollector<'_> {
 #[derive(Debug)]
 pub struct Sampler {
     schema: Schema,
-    prefix: String,
     prev: Vec<f64>,
     cur: Vec<f64>,
     delta: Vec<f64>,
@@ -258,7 +304,7 @@ impl Sampler {
     /// Creates a sampler whose baseline is the group's current values. The
     /// schema is resolved here, once.
     pub fn new<G: StatGroup + ?Sized>(group: &G, prefix: &str) -> Self {
-        Self::with_schema(Schema::of(group, prefix), group, prefix)
+        Self::with_schema(Schema::of(group, prefix), group)
     }
 
     /// Creates a sampler against an already-resolved `schema` (a group
@@ -269,14 +315,13 @@ impl Sampler {
     ///
     /// Panics if the group's walk produces a different number of
     /// statistics than `schema`.
-    pub fn with_schema<G: StatGroup + ?Sized>(schema: Schema, group: &G, prefix: &str) -> Self {
+    pub fn with_schema<G: StatGroup + ?Sized>(schema: Schema, group: &G) -> Self {
         let width = schema.len();
         let mut prev = Vec::with_capacity(width);
-        group.visit(prefix, &mut ValueCollector { values: &mut prev });
+        group.visit(&mut ValueCollector { values: &mut prev });
         assert_eq!(prev.len(), width, "stat group shape does not match schema");
         Self {
             schema,
-            prefix: prefix.to_string(),
             prev,
             cur: Vec::with_capacity(width),
             delta: Vec::with_capacity(width),
@@ -292,10 +337,9 @@ impl Sampler {
     /// delta row in place; the result lives in `self.delta`.
     fn advance<G: StatGroup + ?Sized>(&mut self, group: &G) {
         self.cur.clear();
-        let mut c = ValueCollector {
+        group.visit(&mut ValueCollector {
             values: &mut self.cur,
-        };
-        group.visit(&self.prefix, &mut c);
+        });
         assert_eq!(
             self.cur.len(),
             self.schema.len(),
@@ -480,7 +524,7 @@ mod tests {
         let mut g = G::default();
         let schema = Schema::of(&g, "g");
         g.a.add(7);
-        let snap = Snapshot::with_schema(&schema, &g, "g");
+        let snap = Snapshot::with_schema(&schema, &g);
         assert!(snap.schema().same_as(&schema), "schema storage is shared");
         assert_eq!(snap.get("g.a"), Some(7.0));
     }
@@ -490,7 +534,7 @@ mod tests {
         let mut g = G::default();
         let schema = Schema::of(&g, "g");
         g.a.add(4);
-        let mut s = Sampler::with_schema(schema.clone(), &g, "g");
+        let mut s = Sampler::with_schema(schema.clone(), &g);
         assert!(s.schema().same_as(&schema), "schema storage is shared");
         g.b.add(2);
         assert_eq!(s.sample(&g), vec![0.0, 2.0]);
@@ -500,7 +544,7 @@ mod tests {
     #[should_panic(expected = "does not match schema")]
     fn sampler_with_schema_rejects_a_mismatched_group() {
         let g = G::default();
-        let _ = Sampler::with_schema(Schema::from_names(vec!["g.a".into()]), &g, "g");
+        let _ = Sampler::with_schema(Schema::from_names(vec!["g.a".into()]), &g);
     }
 
     #[test]

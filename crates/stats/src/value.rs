@@ -46,8 +46,8 @@ impl Counter {
 }
 
 impl StatItem for Counter {
-    fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-        v.scalar(prefix, name, self.0 as f64);
+    fn visit_item(&self, name: &str, v: &mut dyn StatVisitor) {
+        v.scalar(format_args!("{name}"), self.0 as f64);
     }
 }
 
@@ -98,8 +98,8 @@ impl Scalar {
 }
 
 impl StatItem for Scalar {
-    fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-        v.scalar(prefix, name, self.0);
+    fn visit_item(&self, name: &str, v: &mut dyn StatVisitor) {
+        v.scalar(format_args!("{name}"), self.0);
     }
 }
 
@@ -164,14 +164,9 @@ impl Average {
 }
 
 impl StatItem for Average {
-    fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-        use std::fmt::Write;
-        let mut sub = String::with_capacity(name.len() + 4);
-        let _ = write!(sub, "{name}_sum");
-        v.scalar(prefix, &sub, self.sum);
-        sub.truncate(name.len());
-        let _ = write!(sub, "_avg");
-        v.scalar(prefix, &sub, self.mean());
+    fn visit_item(&self, name: &str, v: &mut dyn StatVisitor) {
+        v.scalar(format_args!("{name}_sum"), self.sum);
+        v.scalar(format_args!("{name}_avg"), self.mean());
     }
 }
 

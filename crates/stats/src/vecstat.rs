@@ -85,15 +85,9 @@ impl<K: StatKey> Default for VectorStat<K> {
 }
 
 impl<K: StatKey> StatItem for VectorStat<K> {
-    fn visit_item(&self, prefix: &str, name: &str, v: &mut dyn StatVisitor) {
-        use std::fmt::Write;
-        // One scratch subname reused across labels: walks happen once per
-        // sampling interval, so per-label format! allocations add up.
-        let mut sub = String::with_capacity(name.len() + 18);
+    fn visit_item(&self, name: &str, v: &mut dyn StatVisitor) {
         for (i, c) in self.counts.iter().enumerate() {
-            sub.clear();
-            let _ = write!(sub, "{name}::{}", K::label(i));
-            v.scalar(prefix, &sub, *c as f64);
+            v.scalar(format_args!("{name}::{}", K::label(i)), *c as f64);
         }
     }
 }
@@ -121,8 +115,8 @@ mod tests {
 
     struct Holder(VectorStat<Cmd>);
     impl StatGroup for Holder {
-        fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-            self.0.visit_item(prefix, "trans_dist", v);
+        fn visit(&self, v: &mut dyn StatVisitor) {
+            self.0.visit_item("trans_dist", v);
         }
     }
 

@@ -65,8 +65,8 @@ proptest! {
 
         struct Holder(Distribution);
         impl StatGroup for Holder {
-            fn visit(&self, prefix: &str, v: &mut dyn StatVisitor) {
-                self.0.visit_item(prefix, "d", v);
+            fn visit(&self, v: &mut dyn StatVisitor) {
+                self.0.visit_item("d", v);
             }
         }
         let snap = Snapshot::of(&Holder(d), "x");
