@@ -211,7 +211,7 @@ fn bench_pipeline(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"corpus_collection_quick\",\n  \"workloads\": {},\n  \"insts_per_workload\": {},\n  \"samples\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"oversubscribed\": {},\n  \"parallel_path\": \"{}\",\n  \"serial_secs\": {:.3},\n  \"parallel_secs\": {:.3},\n  \"speedup\": {:.2},\n  \"serial_samples_per_sec\": {:.1},\n  \"parallel_samples_per_sec\": {:.1},\n  \"insts_per_sec\": {:.0},\n  \"cycles_per_sec\": {:.0},\n  \"allocs_per_sample_snapshot_path\": {:.1},\n  \"allocs_per_sample_streaming_path\": {:.1},\n  \"alloc_reduction\": {:.1},\n  \"two_core_scenarios\": {},\n  \"two_core_threads\": {},\n  \"two_core_samples\": {},\n  \"two_core_secs\": {:.3},\n  \"two_core_samples_per_sec\": {:.1},\n  \"two_core_samples_per_sec_per_core\": {:.1},\n  \"one_core_insts_per_sec\": {:.0},\n  \"two_core_insts_per_sec\": {:.0},\n  \"core_scaling\": {:.2}\n}}\n",
+        "{{\n  \"bench\": \"corpus_collection_quick\",\n  \"workloads\": {},\n  \"insts_per_workload\": {},\n  \"samples\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"oversubscribed\": {},\n  \"parallel_path\": \"{}\",\n  \"serial_secs\": {:.3},\n  \"parallel_secs\": {:.3},\n  \"speedup\": {:.2},\n  \"serial_samples_per_sec\": {:.1},\n  \"parallel_samples_per_sec\": {:.1},\n  \"insts_per_sec\": {:.0},\n  \"cycles_per_sec\": {:.0},\n  \"allocs_per_sample_snapshot_path\": {:.1},\n  \"allocs_per_sample_streaming_path\": {:.1},\n  \"two_core_scenarios\": {},\n  \"two_core_threads\": {},\n  \"two_core_samples\": {},\n  \"two_core_secs\": {:.3},\n  \"two_core_samples_per_sec\": {:.1},\n  \"two_core_samples_per_sec_per_core\": {:.1},\n  \"one_core_insts_per_sec\": {:.0},\n  \"two_core_insts_per_sec\": {:.0},\n  \"core_scaling\": {:.2}\n}}\n",
         spec.workloads.len(),
         spec.insts_per_workload,
         samples,
@@ -228,7 +228,6 @@ fn bench_pipeline(c: &mut Criterion) {
         hot_summary.sim_cycles_per_sec,
         snapshot_allocs,
         streaming_allocs,
-        snapshot_allocs / streaming_allocs.max(1.0),
         scen.scenarios.len(),
         scen_threads,
         two_core_samples,

@@ -438,20 +438,14 @@ pub struct CorpusReader {
 
 impl CorpusReader {
     /// Opens and validates a corpus file, memory-mapping it when possible
-    /// and falling back to positioned reads otherwise. Setting the
-    /// `PERSPECTRON_NO_MMAP` environment variable forces the fallback
-    /// (useful for exercising the `pread` path on hosts where `mmap`
-    /// works).
+    /// and falling back to positioned reads when mapping fails
+    /// ([`CorpusReader::open_pread`] forces the fallback).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CorpusIoError> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        let source = if std::env::var_os("PERSPECTRON_NO_MMAP").is_some() {
-            Source::Pread { file, len }
-        } else {
-            match MappedFile::map(&file) {
-                Ok(map) => Source::Mapped(map),
-                Err(_) => Source::Pread { file, len },
-            }
+        let source = match MappedFile::map(&file) {
+            Ok(map) => Source::Mapped(map),
+            Err(_) => Source::Pread { file, len },
         };
         Self::from_source(source)
     }

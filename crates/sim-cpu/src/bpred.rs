@@ -21,8 +21,6 @@ pub struct PredCheckpoint {
     pub global_idx: usize,
     /// Index into the choice predictor used.
     pub choice_idx: usize,
-    /// Whether the chooser selected the global component.
-    pub used_global: bool,
 }
 
 /// Tournament (local/global/chooser) conditional branch direction predictor.
@@ -90,7 +88,6 @@ impl TournamentPredictor {
             local_idx,
             global_idx,
             choice_idx,
-            used_global,
         };
         // Speculatively update the global history.
         self.ghr = (self.ghr << 1) | taken as u64;

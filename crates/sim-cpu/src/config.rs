@@ -173,6 +173,9 @@ impl CoreConfig {
             ("global_predictor_size", self.global_predictor_size),
             ("choice_predictor_size", self.choice_predictor_size),
             ("int_alu_units", self.int_alu_units),
+            ("int_mult_units", self.int_mult_units),
+            ("fp_units", self.fp_units),
+            ("simd_units", self.simd_units),
             ("mem_ports", self.mem_ports),
             ("dtlb_entries", self.dtlb_entries),
             ("itlb_entries", self.itlb_entries),

@@ -2,15 +2,19 @@
 //! pipeline with gem5-style statistics.
 //!
 //! The pipeline is cycle-driven and the [`Core`] is an *orchestrator*: the
-//! stages themselves live in [`crate::pipeline`] as first-class components
-//! that own their architectural state and statistics. Each `Core::step`
-//! ticks commit, execute, issue, rename/dispatch, decode and fetch for one
-//! cycle, wiring them together through small typed ports (fetch→decode and
-//! decode→rename queues, the issue→execute wakeup port, and the
-//! [`SquashRequest`] channel into the squash unit). Speculation is real:
+//! stages themselves live in the crate-private `pipeline` module as
+//! components that own their architectural state and statistics. Each
+//! `Core::step` calls the inherent `tick` of commit, execute, issue,
+//! rename/dispatch, decode and fetch for one cycle, wiring them together
+//! through small ports (the fetch→decode and decode→rename instruction
+//! queues, the issue→execute wakeup port, and the squash request that
+//! commit, execute and issue may return, applied by the squash walk before
+//! the next stage runs). Speculation is real:
 //! fetch follows the predictors, wrong-path instructions execute (and touch
 //! the caches — the side-channel), and squash walks undo the rename map,
 //! the call stack, the RAS and the global history.
+
+use std::collections::VecDeque;
 
 use sim_mem::{MemoryHierarchy, Uncore};
 use uarch_isa::{MarkKind, Program, Reg};
@@ -19,6 +23,7 @@ use uarch_stats::{StatGroup, StatItem, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::decoded::DecodedProgram;
+use crate::dyninst::DynInst;
 use crate::error::SimError;
 use crate::pipeline::commit::{CommitPorts, CommitStage};
 use crate::pipeline::decode::{DecodePorts, DecodeStage};
@@ -26,10 +31,8 @@ use crate::pipeline::execute::{ExecutePorts, ExecuteStage, FuWakeup};
 use crate::pipeline::fetch::{FetchPorts, FetchStage};
 use crate::pipeline::issue::{IssuePorts, IssueStage};
 use crate::pipeline::rename::{RenamePorts, RenameStage};
-use crate::pipeline::squash::{SquashPorts, SquashUnit};
-use crate::pipeline::{
-    DecodeToRename, FetchToDecode, PipelineComponent, Predictors, RegFile, SquashRequest, Window,
-};
+use crate::pipeline::squash::{self, SquashPorts};
+use crate::pipeline::{Predictors, RegFile, SquashRequest, Window};
 use crate::stats::{
     BPredStats, CommitStats, CpuStats, DecodeStats, FetchStats, IewStats, IqStats, RenameStats,
     RobStats, TlbStats,
@@ -177,7 +180,6 @@ pub struct Core {
     issue: IssueStage,
     exec: ExecuteStage,
     commit: CommitStage,
-    squash: SquashUnit,
 
     // Shared machine resources lent to the stages each cycle.
     window: Window,
@@ -185,9 +187,9 @@ pub struct Core {
     pred: Predictors,
     cpu: CpuStats,
 
-    // Inter-stage ports.
-    fetch_q: FetchToDecode,
-    decode_q: DecodeToRename,
+    // Inter-stage instruction queues: fetched, then decoded.
+    fetch_q: VecDeque<DynInst>,
+    decode_q: VecDeque<DynInst>,
 
     cycle: u64,
     committed: u64,
@@ -217,13 +219,12 @@ impl Core {
             issue: IssueStage::default(),
             exec: ExecuteStage::new(&cfg),
             commit: CommitStage::default(),
-            squash: SquashUnit,
             window: Window::default(),
             regs: RegFile::new(cfg.phys_int_regs),
             pred: Predictors::new(&cfg),
             cpu: CpuStats::default(),
-            fetch_q: FetchToDecode::default(),
-            decode_q: DecodeToRename::default(),
+            fetch_q: VecDeque::new(),
+            decode_q: VecDeque::new(),
             cycle: 0,
             committed: 0,
             halted: false,
@@ -320,7 +321,7 @@ impl Core {
     ///
     /// Stages tick oldest-first (commit → execute → issue → rename →
     /// decode → fetch), exactly as the monolithic core sequenced them. A
-    /// stage that requests a squash has it applied by the squash unit
+    /// stage that requests a squash has it applied by the squash walk
     /// before the next stage runs; a trap riding on a commit-stage squash
     /// is delivered to fetch right after the walk. `uncore` is the
     /// machine's, lent for the cycle.
@@ -477,7 +478,7 @@ impl Core {
 
         // Rename: the stage must stall on its very first candidate, in
         // the exact order its tick checks admission.
-        let rename = match self.decode_q.0.front() {
+        let rename = match self.decode_q.front() {
             None => RenameStall::Idle,
             Some(front) => {
                 if front.serializing && !self.window.rob.is_empty() {
@@ -630,7 +631,7 @@ impl Core {
         self.end_of_cycles(k);
     }
 
-    /// Applies a stage's squash request through the squash unit, then
+    /// Applies a stage's squash request through the squash walk, then
     /// delivers any trap riding on it to fetch (squash walk first, trap
     /// redirect second — the commit stage's original ordering).
     fn apply_squash(&mut self, req: &SquashRequest) {
@@ -649,7 +650,7 @@ impl Core {
             decode_q: &mut self.decode_q,
             cycle: self.cycle,
         };
-        self.squash.apply(req, &mut ports);
+        squash::apply(req, &mut ports);
         if let Some(trap) = req.trap {
             let pending_until = self.cycle + self.cfg.trap_latency;
             if self.fetch.take_trap(trap.handler, pending_until) {
@@ -1075,14 +1076,30 @@ mod tests {
     }
 
     #[test]
-    fn stage_components_report_their_registry_ids() {
-        let cfg = CoreConfig::default();
-        assert_eq!(FetchStage::new(&cfg).component_id(), ComponentId::Fetch);
-        assert_eq!(DecodeStage::default().component_id(), ComponentId::Decode);
-        assert_eq!(RenameStage::default().component_id(), ComponentId::Rename);
-        assert_eq!(IssueStage::default().component_id(), ComponentId::Iq);
-        assert_eq!(ExecuteStage::new(&cfg).component_id(), ComponentId::Iew);
-        assert_eq!(CommitStage::default().component_id(), ComponentId::Commit);
+    fn zero_functional_units_of_any_pool_are_rejected() {
+        // A pool with no units would leave its op class ready but never
+        // issued, vetoing every tick-skip until the cycle cap.
+        let program = || {
+            let mut a = Assembler::new("t");
+            a.halt();
+            a.finish().unwrap()
+        };
+        for name in ["int_mult_units", "fp_units", "simd_units"] {
+            let mut cfg = CoreConfig::default();
+            *match name {
+                "int_mult_units" => &mut cfg.int_mult_units,
+                "fp_units" => &mut cfg.fp_units,
+                _ => &mut cfg.simd_units,
+            } = 0;
+            let Err(err) = Machine::try_new(&cfg, &HierarchyConfig::default(), vec![program()])
+            else {
+                panic!("{name} = 0 must be rejected");
+            };
+            assert!(
+                matches!(err, SimError::InvalidConfig { param, .. } if param == name),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

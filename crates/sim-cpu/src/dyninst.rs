@@ -108,11 +108,9 @@ pub struct DynInst {
 }
 
 impl DynInst {
-    /// Creates a fresh dynamic instruction, decoding `inst` on the spot.
-    ///
-    /// The fetch stage uses [`DynInst::from_decoded`] with the program's
-    /// [`DecodedProgram`](crate::decoded::DecodedProgram) instead; this
-    /// constructor is the convenience path for tests and ad-hoc callers.
+    /// Creates a fresh dynamic instruction, decoding `inst` on the spot
+    /// (the fetch stage uses [`DynInst::from_decoded`] instead).
+    #[cfg(test)]
     pub fn new(seq: u64, pc: usize, inst: Inst) -> Self {
         Self::from_decoded(seq, pc, &DecodedInst::decode(inst))
     }
@@ -177,54 +175,5 @@ impl DynInst {
     /// Whether this is a control-flow instruction.
     pub fn is_ctrl(&self) -> bool {
         self.ctrl
-    }
-
-    /// Whether the byte ranges of two memory operations overlap.
-    pub fn mem_overlaps(&self, other: &DynInst) -> bool {
-        match (self.eff_addr, other.eff_addr) {
-            (Some(a), Some(b)) => a < b + other.mem_size && b < a + self.mem_size,
-            _ => false,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use uarch_isa::{Reg, Width};
-
-    fn load_at(addr: u64, size: u64) -> DynInst {
-        let mut d = DynInst::new(
-            0,
-            0,
-            Inst::Load {
-                rd: Reg::R1,
-                base: Reg::R2,
-                offset: 0,
-                width: Width::Double,
-                fp: false,
-            },
-        );
-        d.eff_addr = Some(addr);
-        d.mem_size = size;
-        d
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = load_at(100, 8);
-        let b = load_at(104, 8);
-        let c = load_at(108, 8);
-        assert!(a.mem_overlaps(&b));
-        assert!(!a.mem_overlaps(&c));
-        assert!(b.mem_overlaps(&c));
-    }
-
-    #[test]
-    fn unresolved_addresses_do_not_overlap() {
-        let a = load_at(100, 8);
-        let mut b = load_at(100, 8);
-        b.eff_addr = None;
-        assert!(!a.mem_overlaps(&b));
     }
 }

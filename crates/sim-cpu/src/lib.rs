@@ -32,21 +32,19 @@
 
 #![warn(missing_docs)]
 
-pub mod bpred;
+mod bpred;
 pub mod config;
 pub mod core;
-pub mod decoded;
-pub mod dyninst;
+mod decoded;
+mod dyninst;
 pub mod error;
 pub mod machine;
-pub mod pipeline;
+mod pipeline;
 pub mod stats;
-pub mod tlb;
+mod tlb;
 
 pub use crate::core::{Core, CoreStatsView, MarkEvent, KERNEL_SPACE_BASE};
 pub use config::CoreConfig;
-pub use decoded::{DecodedInst, DecodedProgram};
 pub use error::SimError;
 pub use machine::{Machine, RunSummary};
-pub use pipeline::{PipelineComponent, SquashRequest, TrapRequest};
 pub use stats::stat_invariants;

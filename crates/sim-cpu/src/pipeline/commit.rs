@@ -3,14 +3,13 @@
 
 use sim_mem::{MemoryHierarchy, Uncore};
 use uarch_isa::{Inst, OpClass, Program};
-use uarch_stats::registry::ComponentId;
 
 use crate::config::CoreConfig;
 use crate::core::MarkEvent;
 use crate::stats::{CommitStats, CpuStats, IewStats, RobStats};
 
 use super::rename::RenameStage;
-use super::{PipelineComponent, RegFile, SquashRequest, TrapRequest, Window};
+use super::{RegFile, SquashRequest, TrapRequest, Window};
 
 /// The commit stage. Owns the fault-recognition timer and the `commit`
 /// and `rob` statistic groups.
@@ -39,14 +38,10 @@ pub struct CommitPorts<'a> {
     pub(crate) marks: &'a mut Vec<MarkEvent>,
 }
 
-impl PipelineComponent for CommitStage {
-    type Ports<'a> = CommitPorts<'a>;
-
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Commit
-    }
-
-    fn tick(&mut self, p: CommitPorts<'_>) -> Option<SquashRequest> {
+impl CommitStage {
+    /// Retires up to `commit_width` instructions; a fault at the head
+    /// returns the squash (and trap) that delivers it.
+    pub(crate) fn tick(&mut self, p: CommitPorts<'_>) -> Option<SquashRequest> {
         let mut committed_this_cycle = 0u64;
         for _ in 0..p.cfg.commit_width {
             let Some(head) = p.window.rob.front() else {
@@ -201,9 +196,5 @@ impl PipelineComponent for CommitStage {
             .committed_per_cycle
             .record(committed_this_cycle as f64);
         None
-    }
-
-    fn reset(&mut self) {
-        *self = Self::default();
     }
 }

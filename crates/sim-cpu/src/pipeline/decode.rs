@@ -1,16 +1,16 @@
 //! The decode stage: moves instructions from the fetch queue into the
 //! decode queue, resolving direct jump/call targets early.
 
+use std::collections::VecDeque;
+
 use uarch_isa::Inst;
-use uarch_stats::registry::ComponentId;
 
 use crate::config::CoreConfig;
+use crate::dyninst::DynInst;
 use crate::stats::DecodeStats;
 
-use super::{DecodeToRename, FetchToDecode, PipelineComponent, SquashRequest};
-
 /// The decode stage. Owns the `decode` statistic group; the queues it
-/// drains and fills are the typed fetch→decode and decode→rename ports.
+/// drains and fills are the core's fetch→decode and decode→rename queues.
 #[derive(Debug, Default)]
 pub struct DecodeStage {
     pub(crate) stats: DecodeStats,
@@ -20,29 +20,24 @@ pub struct DecodeStage {
 pub struct DecodePorts<'a> {
     pub(crate) cfg: &'a CoreConfig,
     /// Inbound port from fetch.
-    pub(crate) input: &'a mut FetchToDecode,
+    pub(crate) input: &'a mut VecDeque<DynInst>,
     /// Outbound port into rename.
-    pub(crate) out: &'a mut DecodeToRename,
+    pub(crate) out: &'a mut VecDeque<DynInst>,
 }
 
-impl PipelineComponent for DecodeStage {
-    type Ports<'a> = DecodePorts<'a>;
-
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Decode
-    }
-
-    fn tick(&mut self, p: DecodePorts<'_>) -> Option<SquashRequest> {
+impl DecodeStage {
+    /// Advances decode one cycle.
+    pub(crate) fn tick(&mut self, p: DecodePorts<'_>) {
         let mut decoded = 0;
         while decoded < p.cfg.decode_width
             && !p.input.is_empty()
             && p.out.len() < p.cfg.decode_queue
         {
-            let d = p.input.0.pop_front().expect("checked non-empty");
+            let d = p.input.pop_front().expect("checked non-empty");
             if matches!(d.inst, Inst::Jump { .. } | Inst::Call { .. }) {
                 self.stats.branch_resolved.inc();
             }
-            p.out.0.push_back(d);
+            p.out.push_back(d);
             decoded += 1;
             self.stats.decoded_insts.inc();
             self.stats.power.dynamic_energy.add(0.5);
@@ -54,10 +49,5 @@ impl PipelineComponent for DecodeStage {
         } else {
             self.stats.blocked_cycles.inc();
         }
-        None
-    }
-
-    fn reset(&mut self) {
-        self.stats = DecodeStats::default();
     }
 }

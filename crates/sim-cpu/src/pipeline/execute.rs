@@ -13,14 +13,13 @@ use std::collections::BinaryHeap;
 
 use sim_mem::{AccessOutcome, MemoryHierarchy, Uncore};
 use uarch_isa::{AluOp, FaluOp, Inst, OpClass, Program};
-use uarch_stats::registry::ComponentId;
 
 use crate::config::CoreConfig;
 use crate::core::KERNEL_SPACE_BASE;
 use crate::stats::{CpuStats, IewStats, IqStats, TlbStats};
 use crate::tlb::Tlb;
 
-use super::{PipelineComponent, Predictors, RegFile, SquashRequest, Window};
+use super::{Predictors, RegFile, SquashRequest, Window};
 
 /// The execute/writeback stage.
 ///
@@ -32,7 +31,6 @@ pub struct ExecuteStage {
     pub(crate) dtlb: Tlb,
     pub(crate) stats: IewStats,
     pub(crate) dtb: TlbStats,
-    dtlb_entries: usize,
     /// Pending completions `(ready_cycle, seq)`, min-ordered. Fed at issue,
     /// drained by the tick; unused under `CoreConfig::reference_scan`.
     pub(crate) completions: BinaryHeap<Reverse<(u64, u64)>>,
@@ -71,7 +69,6 @@ impl ExecuteStage {
             dtlb: Tlb::new(cfg.dtlb_entries, 20),
             stats: IewStats::default(),
             dtb: TlbStats::default(),
-            dtlb_entries: cfg.dtlb_entries,
             completions: BinaryHeap::new(),
             due: Vec::new(),
         }
@@ -438,16 +435,10 @@ impl ExecuteStage {
         }
         None
     }
-}
 
-impl PipelineComponent for ExecuteStage {
-    type Ports<'a> = ExecutePorts<'a>;
-
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Iew
-    }
-
-    fn tick(&mut self, mut p: ExecutePorts<'_>) -> Option<SquashRequest> {
+    /// Completes and writes back the instructions due this cycle; a
+    /// mispredicted branch returns the squash that redirects fetch.
+    pub(crate) fn tick(&mut self, mut p: ExecutePorts<'_>) -> Option<SquashRequest> {
         // Collect completions this cycle: pop everything due from the
         // min-heap (fast path) or scan the window (reference), then process
         // in sequence order — the order the reference scan visits them.
@@ -548,18 +539,6 @@ impl PipelineComponent for ExecuteStage {
             }
         }
         None
-    }
-
-    fn reset(&mut self) {
-        let entries = self.dtlb_entries;
-        *self = Self {
-            dtlb: Tlb::new(entries, 20),
-            stats: IewStats::default(),
-            dtb: TlbStats::default(),
-            dtlb_entries: entries,
-            completions: BinaryHeap::new(),
-            due: Vec::new(),
-        };
     }
 }
 

@@ -1,9 +1,10 @@
 //! The fetch stage: instruction supply, branch prediction, I-TLB and
 //! I-cache timing, trap redirect delivery.
 
+use std::collections::VecDeque;
+
 use sim_mem::{AccessOutcome, MemoryHierarchy, Uncore};
 use uarch_isa::Inst;
-use uarch_stats::registry::ComponentId;
 
 use crate::config::CoreConfig;
 use crate::decoded::DecodedProgram;
@@ -11,7 +12,7 @@ use crate::dyninst::DynInst;
 use crate::stats::{CpuStats, FetchStats, TlbStats};
 use crate::tlb::Tlb;
 
-use super::{FetchToDecode, PipelineComponent, Predictors, SquashRequest};
+use super::Predictors;
 
 /// The fetch stage.
 ///
@@ -32,7 +33,6 @@ pub struct FetchStage {
     pub(crate) itlb: Tlb,
     pub(crate) stats: FetchStats,
     pub(crate) itb: TlbStats,
-    itlb_entries: usize,
 }
 
 /// Fetch's view of the machine for one tick.
@@ -45,7 +45,7 @@ pub struct FetchPorts<'a> {
     pub(crate) pred: &'a mut Predictors,
     pub(crate) cpu: &'a mut CpuStats,
     /// Outbound port into decode.
-    pub(crate) out: &'a mut FetchToDecode,
+    pub(crate) out: &'a mut VecDeque<DynInst>,
     /// Occupancy of the decode → rename port (back-pressure signal).
     pub(crate) decode_q_len: usize,
     /// A memory barrier is in flight: fetch must quiesce.
@@ -69,7 +69,6 @@ impl FetchStage {
             itlb: Tlb::new(cfg.itlb_entries, 20),
             stats: FetchStats::default(),
             itb: TlbStats::default(),
-            itlb_entries: cfg.itlb_entries,
         }
     }
 
@@ -90,37 +89,30 @@ impl FetchStage {
         self.pc = self.trap_redirect;
         halt
     }
-}
 
-impl PipelineComponent for FetchStage {
-    type Ports<'a> = FetchPorts<'a>;
-
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Fetch
-    }
-
-    fn tick(&mut self, p: FetchPorts<'_>) -> Option<SquashRequest> {
+    /// Advances fetch one cycle.
+    pub(crate) fn tick(&mut self, p: FetchPorts<'_>) {
         if p.halted || self.fetch_stopped {
             self.stats.idle_cycles.inc();
-            return None;
+            return;
         }
         if p.cycle < self.trap_pending_until {
             self.stats.pending_trap_stall_cycles.inc();
-            return None;
+            return;
         }
         if p.cycle < self.fetch_resume_at {
             self.stats.squash_cycles.inc();
-            return None;
+            return;
         }
         if p.quiesce {
             self.stats.pending_quiesce_stall_cycles.inc();
             p.cpu.quiesce_cycles.inc();
-            return None;
+            return;
         }
         if self.icache_outstanding {
             if p.cycle < self.icache_stall_until {
                 self.stats.icache_stall_cycles.inc();
-                return None;
+                return;
             }
             self.icache_outstanding = false;
         }
@@ -130,7 +122,7 @@ impl PipelineComponent for FetchStage {
             } else {
                 self.stats.blocked_cycles.inc();
             }
-            return None;
+            return;
         }
 
         let mut fetched = 0usize;
@@ -241,7 +233,7 @@ impl PipelineComponent for FetchStage {
 
             self.pc = next_pc;
             let is_halt = matches!(inst, Inst::Halt);
-            p.out.0.push_back(d);
+            p.out.push_back(d);
             if is_halt {
                 self.fetch_stopped = true;
                 p.cpu.num_fetch_suspends.inc();
@@ -252,25 +244,5 @@ impl PipelineComponent for FetchStage {
         if fetched > 0 {
             self.stats.cycles.inc();
         }
-        None
-    }
-
-    fn reset(&mut self) {
-        let entries = self.itlb_entries;
-        *self = Self {
-            pc: 0,
-            next_seq: 1,
-            fetch_stopped: false,
-            fetch_resume_at: 0,
-            icache_outstanding: false,
-            icache_stall_until: 0,
-            current_fetch_line: None,
-            trap_pending_until: 0,
-            trap_redirect: 0,
-            itlb: Tlb::new(entries, 20),
-            stats: FetchStats::default(),
-            itb: TlbStats::default(),
-            itlb_entries: entries,
-        };
     }
 }

@@ -19,13 +19,12 @@
 //! sequence order is the same computation.
 
 use uarch_isa::OpClass;
-use uarch_stats::registry::ComponentId;
 
 use crate::decoded::fu_pool;
 use crate::stats::IqStats;
 
 use super::execute::{ExecuteStage, FuWakeup};
-use super::{PipelineComponent, SquashRequest};
+use super::SquashRequest;
 
 /// The issue stage. Owns the `iq` statistic group; the instructions it
 /// schedules live in the shared window.
@@ -249,24 +248,14 @@ impl IssueStage {
 
         self.epilogue(p.exec, issued_this_cycle, violation)
     }
-}
 
-impl PipelineComponent for IssueStage {
-    type Ports<'a> = IssuePorts<'a>;
-
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Iq
-    }
-
-    fn tick(&mut self, p: IssuePorts<'_>) -> Option<SquashRequest> {
+    /// Selects and issues up to `issue_width` ready instructions; a memory
+    /// order violation returns the squash that replays the load.
+    pub(crate) fn tick(&mut self, p: IssuePorts<'_>) -> Option<SquashRequest> {
         if p.wake.cfg.reference_scan {
             self.tick_reference(p)
         } else {
             self.tick_ready_queues(p)
         }
-    }
-
-    fn reset(&mut self) {
-        self.stats = IqStats::default();
     }
 }

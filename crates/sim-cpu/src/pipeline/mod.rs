@@ -1,15 +1,17 @@
 //! The pipeline stages as first-class components.
 //!
 //! Each stage module owns its architectural state and its statistics and
-//! implements [`PipelineComponent`]; the [`Core`](crate::Core) is only an
-//! orchestrator that wires the stages together through small typed ports:
+//! has an inherent `tick` taking its ports struct; the
+//! [`Core`](crate::Core) is only an orchestrator that calls the six ticks
+//! in order and wires the stages together:
 //!
-//! * fetch → decode through [`FetchToDecode`],
-//! * decode → rename through [`DecodeToRename`],
+//! * fetch → decode and decode → rename through two instruction queues
+//!   (`VecDeque<DynInst>` fields of the core),
 //! * issue → execute through the [`FuWakeup`](execute::FuWakeup) port
 //!   (functional-unit wakeup at issue),
-//! * commit/execute/issue → squash through [`SquashRequest`], applied by
-//!   the [`SquashUnit`](squash::SquashUnit) between stage ticks.
+//! * commit/execute/issue → squash through the [`SquashRequest`] their
+//!   ticks return, applied by [`squash::apply`] before the next stage
+//!   runs. Decode, rename and fetch never squash.
 //!
 //! Cross-stage *resources* — the instruction window, the physical register
 //! file, the predictors — are shared structs the orchestrator lends to each
@@ -20,7 +22,6 @@
 use std::collections::VecDeque;
 
 use uarch_isa::{Inst, Reg};
-use uarch_stats::registry::ComponentId;
 
 use crate::bpred::{Btb, PredCheckpoint, Ras, TournamentPredictor};
 use crate::config::CoreConfig;
@@ -34,29 +35,6 @@ pub mod fetch;
 pub mod issue;
 pub mod rename;
 pub mod squash;
-
-/// A pipeline stage that can be ticked once per cycle.
-///
-/// Stages own their architectural state and statistics; everything else
-/// they touch is passed in through their `Ports` type, which the
-/// orchestrating [`Core`](crate::Core) constructs from the shared machine
-/// resources each cycle. A tick may request a squash (mispredict, memory
-/// order violation, fault); the orchestrator applies it through the
-/// [`SquashUnit`](squash::SquashUnit) before the next stage runs, exactly
-/// where the monolithic core performed it inline.
-pub trait PipelineComponent {
-    /// The stage's view of the rest of the machine for one tick.
-    type Ports<'a>;
-
-    /// The registry component this stage's statistics belong to.
-    fn component_id(&self) -> ComponentId;
-
-    /// Advances the stage one cycle.
-    fn tick(&mut self, ports: Self::Ports<'_>) -> Option<SquashRequest>;
-
-    /// Restores power-on state (architectural state and statistics).
-    fn reset(&mut self);
-}
 
 /// A squash demand raised by a stage tick.
 ///
@@ -80,32 +58,6 @@ pub struct TrapRequest {
     /// Fault handler entry point; `None` halts the machine.
     pub handler: Option<usize>,
 }
-
-/// The fetch → decode port: fetched instructions waiting to decode.
-#[derive(Debug, Default)]
-pub struct FetchToDecode(pub(crate) VecDeque<DynInst>);
-
-/// The decode → rename port: decoded instructions waiting to rename.
-#[derive(Debug, Default)]
-pub struct DecodeToRename(pub(crate) VecDeque<DynInst>);
-
-macro_rules! queue_api {
-    ($ty:ident) => {
-        impl $ty {
-            /// Instructions currently buffered in the port.
-            pub fn len(&self) -> usize {
-                self.0.len()
-            }
-
-            /// Whether the port is empty.
-            pub fn is_empty(&self) -> bool {
-                self.0.is_empty()
-            }
-        }
-    };
-}
-queue_api!(FetchToDecode);
-queue_api!(DecodeToRename);
 
 /// One undoable rename-map update (new mapping for `arch`, displacing
 /// `old_phys`), tagged with the renaming instruction's sequence number.
@@ -184,16 +136,6 @@ pub struct Window {
 }
 
 impl Window {
-    /// Instructions currently in flight in the window.
-    pub fn len(&self) -> usize {
-        self.rob.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rob.is_empty()
-    }
-
     /// The ROB index holding `seq`, if it is in the window.
     ///
     /// Fetch numbers instructions one apart and squashes only cut the
@@ -318,7 +260,6 @@ impl Predictors {
             local_idx: 0,
             global_idx: 0,
             choice_idx: 0,
-            used_global: false,
         }
     }
 }

@@ -1,13 +1,15 @@
 //! The rename/dispatch stage: register renaming, resource admission,
 //! speculative call-stack maintenance, dispatch into the window.
 
+use std::collections::VecDeque;
+
 use uarch_isa::Inst;
-use uarch_stats::registry::ComponentId;
 
 use crate::config::CoreConfig;
+use crate::dyninst::DynInst;
 use crate::stats::{FetchStats, IewStats, IqStats, RenameStats, RobStats};
 
-use super::{DecodeToRename, HistEntry, PipelineComponent, RegFile, SquashRequest, Window};
+use super::{HistEntry, RegFile, Window};
 
 /// One undoable speculative call-stack operation, tagged with the
 /// renaming instruction's sequence number.
@@ -21,11 +23,11 @@ pub(crate) enum CallOp {
 /// The rename/dispatch stage.
 ///
 /// Owns the architectural call stack (maintained speculatively here,
-/// rolled back by the squash unit) and the `rename` statistic group.
+/// rolled back by `squash::apply`) and the `rename` statistic group.
 #[derive(Debug, Default)]
 pub struct RenameStage {
     pub(crate) call_stack: Vec<usize>,
-    pub(crate) call_hist: std::collections::VecDeque<(u64, CallOp)>,
+    pub(crate) call_hist: VecDeque<(u64, CallOp)>,
     pub(crate) stats: RenameStats,
 }
 
@@ -33,7 +35,7 @@ pub struct RenameStage {
 pub struct RenamePorts<'a> {
     pub(crate) cfg: &'a CoreConfig,
     /// Inbound port from decode.
-    pub(crate) input: &'a mut DecodeToRename,
+    pub(crate) input: &'a mut VecDeque<DynInst>,
     pub(crate) window: &'a mut Window,
     pub(crate) regs: &'a mut RegFile,
     /// Fetch's drain counter (serializing instructions stall fetch too).
@@ -44,17 +46,12 @@ pub struct RenamePorts<'a> {
     pub(crate) cycle: u64,
 }
 
-impl PipelineComponent for RenameStage {
-    type Ports<'a> = RenamePorts<'a>;
-
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Rename
-    }
-
-    fn tick(&mut self, p: RenamePorts<'_>) -> Option<SquashRequest> {
+impl RenameStage {
+    /// Advances rename/dispatch one cycle.
+    pub(crate) fn tick(&mut self, p: RenamePorts<'_>) {
         let mut renamed = 0usize;
         while renamed < p.cfg.rename_width {
-            let Some(front) = p.input.0.front() else {
+            let Some(front) = p.input.front() else {
                 if renamed == 0 {
                     self.stats.idle_cycles.inc();
                 }
@@ -101,7 +98,7 @@ impl PipelineComponent for RenameStage {
                 break;
             }
 
-            let mut d = p.input.0.pop_front().expect("checked");
+            let mut d = p.input.pop_front().expect("checked");
             d.dispatch_cycle = p.cycle;
             renamed += 1;
             self.stats.renamed_insts.inc();
@@ -215,10 +212,5 @@ impl PipelineComponent for RenameStage {
         if renamed > 0 {
             self.stats.run_cycles.inc();
         }
-        None
-    }
-
-    fn reset(&mut self) {
-        *self = Self::default();
     }
 }

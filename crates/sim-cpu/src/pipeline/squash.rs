@@ -2,17 +2,19 @@
 //! memory-order violation or a fault.
 //!
 //! Squashing is event-driven rather than cycle-driven: the orchestrator
-//! applies a [`SquashRequest`] between stage ticks, exactly where the
-//! monolithic core performed the walk inline. The ports struct spells out
-//! the squash blast radius — every stage's statistics, the window, the
-//! rename map and the front-end — which is precisely the paper's point:
-//! squash footprints are *invariant* because they appear across so many
-//! components at once.
+//! calls [`apply`] with a stage's [`SquashRequest`] between stage ticks,
+//! exactly where the monolithic core performed the walk inline. The ports
+//! struct spells out the squash blast radius — every stage's statistics,
+//! the window, the rename map and the front-end — which is precisely the
+//! paper's point: squash footprints are *invariant* because they appear
+//! across so many components at once.
+
+use std::collections::VecDeque;
 
 use uarch_isa::Inst;
-use uarch_stats::registry::ComponentId;
 
 use crate::config::CoreConfig;
+use crate::dyninst::DynInst;
 use crate::stats::CpuStats;
 
 use super::commit::CommitStage;
@@ -21,12 +23,7 @@ use super::execute::ExecuteStage;
 use super::fetch::FetchStage;
 use super::issue::IssueStage;
 use super::rename::{CallOp, RenameStage};
-use super::{DecodeToRename, FetchToDecode, PipelineComponent, RegFile, SquashRequest, Window};
-
-/// The squash unit. Stateless: every squash is fully described by its
-/// request and applied against the shared machine state.
-#[derive(Debug, Default)]
-pub struct SquashUnit;
+use super::{RegFile, SquashRequest, Window};
 
 /// The squash blast radius: everything a rollback touches.
 pub struct SquashPorts<'a> {
@@ -40,131 +37,111 @@ pub struct SquashPorts<'a> {
     pub(crate) exec: &'a mut ExecuteStage,
     pub(crate) commit: &'a mut CommitStage,
     pub(crate) cpu: &'a mut CpuStats,
-    pub(crate) fetch_q: &'a mut FetchToDecode,
-    pub(crate) decode_q: &'a mut DecodeToRename,
+    pub(crate) fetch_q: &'a mut VecDeque<DynInst>,
+    pub(crate) decode_q: &'a mut VecDeque<DynInst>,
     pub(crate) cycle: u64,
 }
 
-impl SquashUnit {
-    /// Squashes every instruction with `seq > req.after`, redirecting fetch
-    /// to `req.redirect` (or leaving the trap redirect to the caller when
-    /// `None`).
-    pub(crate) fn apply(&mut self, req: &SquashRequest, p: &mut SquashPorts<'_>) {
-        let after = req.after;
-        p.cpu.squash_events.inc();
+/// Squashes every instruction with `seq > req.after`, redirecting fetch
+/// to `req.redirect` (or leaving the trap redirect to the caller when
+/// `None`). Stateless: every squash is fully described by its request and
+/// applied against the shared machine state.
+pub(crate) fn apply(req: &SquashRequest, p: &mut SquashPorts<'_>) {
+    let after = req.after;
+    p.cpu.squash_events.inc();
 
-        // Wrong-path entries still in the front-end queues.
-        let dropped = p.fetch_q.len() + p.decode_q.len();
-        p.fetch_q.0.clear();
-        p.decode_q.0.clear();
-        p.decode.stats.squashed_insts.add(dropped as u64);
+    // Wrong-path entries still in the front-end queues.
+    let dropped = p.fetch_q.len() + p.decode_q.len();
+    p.fetch_q.clear();
+    p.decode_q.clear();
+    p.decode.stats.squashed_insts.add(dropped as u64);
 
-        // Walk the ROB from the back.
-        while let Some(back) = p.window.rob.back() {
-            if back.seq <= after {
-                break;
-            }
-            let d = p.window.rob.pop_back().expect("checked non-empty");
-            p.commit.stats.squashed_insts.inc();
-            p.issue.stats.squashed_insts_examined.inc();
-            p.issue
-                .stats
-                .squashed_operands_examined
-                .add(d.srcs.iter().flatten().count() as u64);
-            if d.in_iq {
-                p.window.iq_used -= 1;
-                if d.non_spec {
-                    p.issue.stats.squashed_non_spec_removed.inc();
-                }
-            }
-            if d.issued && !d.executed {
-                p.issue.stats.squashed_insts_issued.inc();
-            }
-            if d.executed || d.issued {
-                p.exec.stats.exec_squashed_insts.inc();
-            } else {
-                p.exec.stats.disp_squashed_insts.inc();
-            }
-            if d.is_load() {
-                p.window.lq_used -= 1;
-                p.exec.stats.lsq.squashed_loads.inc();
-                if d.mem_outstanding {
-                    p.exec.stats.lsq.ignored_responses.inc();
-                    p.window.mem_outstanding_count -= 1;
-                }
-            }
-            if d.is_store() {
-                p.window.sq_used -= 1;
-                p.exec.stats.lsq.squashed_stores.inc();
-            }
-            if matches!(d.inst, Inst::Membar) {
-                p.window.membars_in_flight -= 1;
+    // Walk the ROB from the back.
+    while let Some(back) = p.window.rob.back() {
+        if back.seq <= after {
+            break;
+        }
+        let d = p.window.rob.pop_back().expect("checked non-empty");
+        p.commit.stats.squashed_insts.inc();
+        p.issue.stats.squashed_insts_examined.inc();
+        p.issue
+            .stats
+            .squashed_operands_examined
+            .add(d.srcs.iter().flatten().count() as u64);
+        if d.in_iq {
+            p.window.iq_used -= 1;
+            if d.non_spec {
+                p.issue.stats.squashed_non_spec_removed.inc();
             }
         }
-
-        // Undo rename mappings.
-        while let Some(h) = p.regs.history.back() {
-            if h.seq <= after {
-                break;
-            }
-            let h = p.regs.history.pop_back().expect("checked");
-            p.regs.map_table[h.arch] = h.old_phys;
-            p.regs.free_list.push_front(h.new_phys);
-            p.rename.stats.undone_maps.inc();
+        if d.issued && !d.executed {
+            p.issue.stats.squashed_insts_issued.inc();
         }
-
-        // Undo call-stack operations.
-        while let Some(&(seq, op)) = p.rename.call_hist.back() {
-            if seq <= after {
-                break;
-            }
-            p.rename.call_hist.pop_back();
-            match op {
-                CallOp::Push => {
-                    p.rename.call_stack.pop();
-                }
-                CallOp::Pop(v) => p.rename.call_stack.push(v),
-                CallOp::Replace(old) => {
-                    if let Some(top) = p.rename.call_stack.last_mut() {
-                        *top = old;
-                    }
-                }
+        if d.executed || d.issued {
+            p.exec.stats.exec_squashed_insts.inc();
+        } else {
+            p.exec.stats.disp_squashed_insts.inc();
+        }
+        if d.is_load() {
+            p.window.lq_used -= 1;
+            p.exec.stats.lsq.squashed_loads.inc();
+            if d.mem_outstanding {
+                p.exec.stats.lsq.ignored_responses.inc();
+                p.window.mem_outstanding_count -= 1;
             }
         }
-
-        // Front-end redirect.
-        if p.fetch.icache_outstanding {
-            p.fetch.stats.icache_squashes.inc();
-            p.fetch.icache_outstanding = false;
+        if d.is_store() {
+            p.window.sq_used -= 1;
+            p.exec.stats.lsq.squashed_stores.inc();
         }
-        p.fetch.current_fetch_line = None;
-        p.fetch.fetch_stopped = false;
-        if let Some(pc) = req.redirect {
-            p.fetch.pc = pc;
+        if matches!(d.inst, Inst::Membar) {
+            p.window.membars_in_flight -= 1;
         }
-        p.fetch.fetch_resume_at = p.cycle + p.cfg.squash_penalty;
-        p.decode.stats.squash_cycles.add(p.cfg.squash_penalty);
-        p.rename.stats.squash_cycles.add(p.cfg.squash_penalty);
-        p.exec.stats.squash_cycles.add(p.cfg.squash_penalty);
-        p.exec.stats.block_cycles.inc();
-    }
-}
-
-impl PipelineComponent for SquashUnit {
-    type Ports<'a> = SquashPorts<'a>;
-
-    /// The squash unit publishes no statistics of its own (its footprint
-    /// is spread across the other components); its only direct counter,
-    /// `squashEvents`, is a CPU-level statistic.
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Cpu
     }
 
-    /// Squashing is event-driven; the per-cycle tick is a no-op. Use
-    /// `SquashUnit::apply` with a [`SquashRequest`] instead.
-    fn tick(&mut self, _p: SquashPorts<'_>) -> Option<SquashRequest> {
-        None
+    // Undo rename mappings.
+    while let Some(h) = p.regs.history.back() {
+        if h.seq <= after {
+            break;
+        }
+        let h = p.regs.history.pop_back().expect("checked");
+        p.regs.map_table[h.arch] = h.old_phys;
+        p.regs.free_list.push_front(h.new_phys);
+        p.rename.stats.undone_maps.inc();
     }
 
-    fn reset(&mut self) {}
+    // Undo call-stack operations.
+    while let Some(&(seq, op)) = p.rename.call_hist.back() {
+        if seq <= after {
+            break;
+        }
+        p.rename.call_hist.pop_back();
+        match op {
+            CallOp::Push => {
+                p.rename.call_stack.pop();
+            }
+            CallOp::Pop(v) => p.rename.call_stack.push(v),
+            CallOp::Replace(old) => {
+                if let Some(top) = p.rename.call_stack.last_mut() {
+                    *top = old;
+                }
+            }
+        }
+    }
+
+    // Front-end redirect.
+    if p.fetch.icache_outstanding {
+        p.fetch.stats.icache_squashes.inc();
+        p.fetch.icache_outstanding = false;
+    }
+    p.fetch.current_fetch_line = None;
+    p.fetch.fetch_stopped = false;
+    if let Some(pc) = req.redirect {
+        p.fetch.pc = pc;
+    }
+    p.fetch.fetch_resume_at = p.cycle + p.cfg.squash_penalty;
+    p.decode.stats.squash_cycles.add(p.cfg.squash_penalty);
+    p.rename.stats.squash_cycles.add(p.cfg.squash_penalty);
+    p.exec.stats.squash_cycles.add(p.cfg.squash_penalty);
+    p.exec.stats.block_cycles.inc();
 }

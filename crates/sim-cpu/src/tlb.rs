@@ -44,16 +44,6 @@ impl Tlb {
             (self.miss_latency, true)
         }
     }
-
-    /// Number of cached translations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no translation is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,13 @@
 //! Set-associative caches with MSHRs and write buffers.
+//!
+//! Outstanding misses and in-flight evictions are short lists (at most 20
+//! MSHRs and 8 write buffers in the paper's geometry). Every access first
+//! retires the entries whose completion cycle has passed; a miss that
+//! finds every MSHR busy, or an eviction that finds every write buffer
+//! busy, waits for the minimum over the live entries.
 
 use uarch_stats::{stat_group, Counter, Distribution, StatGroup, StatVisitor};
 
-use crate::calendar::EventCalendar;
 use crate::cmd::MemCmd;
 use crate::error::MemError;
 
@@ -261,18 +266,10 @@ pub struct Cache {
     stats: CacheStats,
     /// Outstanding misses: (line address, completion cycle, target count).
     mshrs: Vec<(u64, u64, usize)>,
-    /// Completion times of `mshrs`, min-ordered. Mirrors the vector
-    /// exactly (every `(ready, tag)` here has a live `(tag, ready, _)`
-    /// entry there), so its minimum equals a linear scan's by
-    /// construction.
-    mshr_events: EventCalendar,
     /// CEASER-style index randomization key (XORed into the set index).
     index_key: u64,
     /// Write buffer entries in flight: completion cycles.
     wb_entries: Vec<u64>,
-    /// Completion times of `wb_entries`, min-ordered (same mirror
-    /// discipline as `mshr_events`).
-    wb_events: EventCalendar,
     use_clock: u64,
 }
 
@@ -341,10 +338,8 @@ impl Cache {
             cfg,
             stats: CacheStats::default(),
             mshrs: Vec::new(),
-            mshr_events: EventCalendar::new(),
             index_key: 0,
             wb_entries: Vec::new(),
-            wb_events: EventCalendar::new(),
             use_clock: 0,
         })
     }
@@ -387,7 +382,6 @@ impl Cache {
             }
         }
         self.mshrs.clear();
-        self.mshr_events.clear();
     }
 
     /// Whether the line containing `addr` is resident, and in which state.
@@ -400,9 +394,7 @@ impl Cache {
     }
 
     fn retire_mshrs(&mut self, now: u64) {
-        self.mshr_events.pop_due(now);
         self.mshrs.retain(|&(_, ready, _)| ready > now);
-        self.wb_events.pop_due(now);
         self.wb_entries.retain(|&ready| ready > now);
     }
 
@@ -480,14 +472,12 @@ impl Cache {
         }
         self.stats.cmd.mshr_misses[i] += 1;
         if self.mshrs.len() >= self.cfg.mshrs {
-            // Block until the earliest outstanding miss completes. The
-            // calendar's front IS that minimum — no scan.
-            let earliest = self.mshr_events.peek().map_or(now, |(r, _)| r);
+            // Block until the earliest outstanding miss completes.
+            let earliest = self.mshrs.iter().map(|&(_, r, _)| r).min().unwrap_or(now);
             let wait = earliest.saturating_sub(now);
             self.stats.agg.blocked_no_mshrs.inc();
             self.stats.agg.blocked_cycles_no_mshrs.add(wait);
             latency += wait;
-            self.mshr_events.pop_due(earliest);
             self.mshrs.retain(|&(_, r, _)| r > earliest);
         }
         AccessResult {
@@ -507,7 +497,6 @@ impl Cache {
         self.stats.miss_latency_dist.record(miss_latency as f64);
         let tag = self.line_addr(addr);
         self.mshrs.push((tag, now + miss_latency, 1));
-        self.mshr_events.schedule(now + miss_latency, tag);
     }
 
     /// Installs the line containing `addr`, returning the victim's eviction
@@ -580,23 +569,19 @@ impl Cache {
     /// Reserves a write buffer entry for an eviction at `now`; returns the
     /// extra delay if buffers were full.
     ///
-    /// Never panics: when the buffers are full the earliest drain comes
-    /// from the calendar front, and `write_buffers >= 1` (enforced by
-    /// [`Cache::try_new`]) guarantees the full path has an entry to
-    /// drain — a `None` peek falls back to zero extra delay.
+    /// Never panics: `write_buffers >= 1` (enforced by [`Cache::try_new`])
+    /// guarantees the full path has an entry to drain, and an empty
+    /// minimum would fall back to zero extra delay.
     pub fn reserve_write_buffer(&mut self, now: u64, occupancy: u64) -> u64 {
-        self.wb_events.pop_due(now);
         self.wb_entries.retain(|&r| r > now);
         let mut delay = 0;
         if self.wb_entries.len() >= self.cfg.write_buffers {
-            let earliest = self.wb_events.peek().map_or(now, |(r, _)| r);
+            let earliest = self.wb_entries.iter().copied().min().unwrap_or(now);
             delay = earliest.saturating_sub(now);
             self.stats.agg.wb_full_events.inc();
-            self.wb_events.pop_due(earliest);
             self.wb_entries.retain(|&r| r > earliest);
         }
         self.wb_entries.push(now + delay + occupancy);
-        self.wb_events.schedule(now + delay + occupancy, 0);
         delay
     }
 
@@ -607,11 +592,6 @@ impl Cache {
     pub fn invalidate(&mut self, addr: u64) -> Option<Eviction> {
         let tag = self.line_addr(addr);
         let set = self.set_index(addr);
-        for &(a, ready, _) in &self.mshrs {
-            if a == tag {
-                self.mshr_events.cancel(ready, tag);
-            }
-        }
         self.mshrs.retain(|&(a, _, _)| a != tag);
         let line = self.sets[set]
             .iter_mut()
@@ -636,13 +616,6 @@ impl Cache {
     /// Number of outstanding MSHR entries (for tests and blocked modeling).
     pub fn outstanding_misses(&self) -> usize {
         self.mshrs.len()
-    }
-
-    /// The completion cycle of the earliest outstanding miss, if any —
-    /// an O(1) calendar peek, the query tick-skipping asks to jump the
-    /// clock straight to the next memory event.
-    pub fn next_miss_completion(&mut self) -> Option<u64> {
-        self.mshr_events.peek().map(|(ready, _)| ready)
     }
 }
 
@@ -798,22 +771,51 @@ mod tests {
         assert!(Cache::try_new(CacheConfig::l1d()).is_ok());
     }
 
+    /// Starts a miss on `addr` at `now` whose fill lands `latency` later.
+    fn miss(c: &mut Cache, addr: u64, now: u64, latency: u64) {
+        assert!(!c.access(MemCmd::ReadReq, addr, now).hit);
+        c.complete_miss(MemCmd::ReadReq, addr, now, latency);
+    }
+
     #[test]
-    fn calendar_tracks_earliest_miss_completion() {
+    fn full_mshrs_wait_for_the_earliest_live_fill() {
         let mut c = tiny();
-        assert_eq!(c.next_miss_completion(), None);
-        c.access(MemCmd::ReadReq, 0x000, 0);
-        c.complete_miss(MemCmd::ReadReq, 0x000, 0, 100);
-        c.access(MemCmd::ReadReq, 0x040, 0);
-        c.complete_miss(MemCmd::ReadReq, 0x040, 0, 60);
-        assert_eq!(c.next_miss_completion(), Some(60));
-        // A flush cancels the outstanding fill for its line.
+        miss(&mut c, 0x000, 0, 100);
+        miss(&mut c, 0x040, 0, 60);
+        let r = c.access(MemCmd::ReadReq, 0x200, 10);
+        assert_eq!(r.latency, c.config().tag_latency + (60 - 10));
+        assert_eq!(c.stats().agg.blocked_no_mshrs.value(), 1);
+        assert_eq!(c.stats().agg.blocked_cycles_no_mshrs.value(), 50);
+        // The wait retired the fill at 60; the one at 100 is still live.
+        assert_eq!(c.outstanding_misses(), 1);
+    }
+
+    #[test]
+    fn invalidated_fill_no_longer_ends_the_wait() {
+        let mut c = tiny();
+        miss(&mut c, 0x000, 0, 100);
+        miss(&mut c, 0x040, 0, 60);
+        // A flush cancels the earliest fill; a new miss refills the MSHRs.
         c.fill(0x040, false, false);
         c.invalidate(0x040);
-        assert_eq!(c.next_miss_completion(), Some(100));
-        // Retirement pops the calendar along with the MSHR vector.
-        c.access(MemCmd::ReadReq, 0x080, 150);
-        assert_eq!(c.next_miss_completion(), None);
+        assert_eq!(c.outstanding_misses(), 1);
+        miss(&mut c, 0x080, 5, 150);
+        let r = c.access(MemCmd::ReadReq, 0x200, 10);
+        assert_eq!(r.latency, c.config().tag_latency + (100 - 10));
+        assert_eq!(c.stats().agg.blocked_cycles_no_mshrs.value(), 90);
+    }
+
+    #[test]
+    fn full_write_buffer_waits_for_the_earliest_drain() {
+        let mut c = Cache::new(CacheConfig {
+            write_buffers: 2,
+            ..tiny().cfg
+        });
+        assert_eq!(c.reserve_write_buffer(0, 50), 0); // drains at 50
+        assert_eq!(c.reserve_write_buffer(5, 30), 0); // drains at 35
+        assert_eq!(c.reserve_write_buffer(10, 20), 35 - 10); // drains at 55
+        assert_eq!(c.reserve_write_buffer(12, 1), 50 - 12);
+        assert_eq!(c.stats().agg.wb_full_events.value(), 2);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! Design: the hierarchy is a *timing and state* model; data lives in the
 //! flat [`Memory`] backing store and is accessed functionally. With a single
 //! core and no DMA this is exact, and it keeps the out-of-order core free to
-//! replay/squash memory operations without corrupting data.
+//! replay/squash memory operations without corrupting data. Each
+//! [`Cache`] tracks its outstanding misses and in-flight evictions in short
+//! lists: a miss that finds every MSHR busy (or an eviction every write
+//! buffer) waits for the earliest live entry.
 //!
 //! Ownership follows the hardware split: each core owns a
 //! [`MemoryHierarchy`] (its private L1s and functional memory), and one
@@ -37,7 +40,6 @@
 
 pub mod bus;
 pub mod cache;
-pub mod calendar;
 pub mod cmd;
 pub mod dram;
 pub mod error;
@@ -47,7 +49,6 @@ pub mod uncore;
 
 pub use bus::Bus;
 pub use cache::{Cache, CacheConfig};
-pub use calendar::EventCalendar;
 pub use cmd::MemCmd;
 pub use dram::{DramConfig, MemCtrl, PowerState};
 pub use error::MemError;
