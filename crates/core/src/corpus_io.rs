@@ -12,7 +12,7 @@
 //! sequentially.
 //!
 //! Reading goes through [`CorpusReader`], which memory-maps the file
-//! read-only via [`MappedFile`] — the kernel
+//! read-only — the kernel
 //! pages column data in on demand — and falls back to positioned reads
 //! (`pread`-style [`std::os::unix::fs::FileExt::read_at`]) when mapping
 //! is unavailable or explicitly disabled. The whole payload is guarded by
@@ -32,6 +32,7 @@ use uarch_isa::MarkKind;
 use uarch_stats::{SampleTrace, Schema};
 use workloads::{Class, Family};
 
+use crate::faults::{fnv1a, FNV1A_OFFSET};
 use crate::mmap::MappedFile;
 use crate::trace::{CollectedCorpus, LabeledTrace};
 
@@ -48,7 +49,7 @@ pub const HEADER_LEN: usize = 48;
 /// Rows fetched per column read when streaming a trace sequentially —
 /// the resident-memory granule of a blocked replay
 /// (`block × columns × 8` bytes, ~150 KiB for the 1159-column schema).
-pub const DEFAULT_BLOCK_ROWS: usize = 16;
+const DEFAULT_BLOCK_ROWS: usize = 16;
 
 /// Why a corpus file could not be written or read.
 #[derive(Debug)]
@@ -121,17 +122,6 @@ impl From<io::Error> for CorpusIoError {
     fn from(e: io::Error) -> Self {
         CorpusIoError::Io(e)
     }
-}
-
-/// FNV-1a 64 over a byte slice — the payload checksum (the repo's stock
-/// golden-snapshot hash, applied to bytes instead of stats).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn class_code(c: Class) -> u8 {
@@ -272,7 +262,7 @@ pub fn corpus_to_bytes(corpus: &CollectedCorpus) -> Vec<u8> {
     out.extend_from_slice(&(n_cols as u32).to_le_bytes());
     out.extend_from_slice(&corpus.sample_interval.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a_bytes(&payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV1A_OFFSET, &payload).to_le_bytes());
     out.extend_from_slice(&0u64.to_le_bytes());
     debug_assert_eq!(out.len(), HEADER_LEN);
     out.extend_from_slice(&payload);
@@ -479,31 +469,36 @@ impl CorpusReader {
         let payload_len = u64::from_le_bytes(header[24..32].try_into().unwrap());
         let checksum = u64::from_le_bytes(header[32..40].try_into().unwrap());
 
-        let expected_len = HEADER_LEN as u64 + payload_len;
+        let expected_len = (HEADER_LEN as u64).saturating_add(payload_len);
         if source.len() != expected_len {
             return Err(CorpusIoError::Truncated {
                 expected: expected_len,
                 actual: source.len(),
             });
         }
+        // The counts sit outside the checksum: bound them by what the
+        // payload can hold before reserving anything for them. A name
+        // takes at least 4 bytes, a directory entry at least 24.
+        if 4 * n_cols as u64 + 24 * n_traces as u64 > payload_len {
+            return Err(CorpusIoError::Corrupt(format!(
+                "{n_traces} traces over {n_cols} columns cannot fit a {payload_len}-byte payload"
+            )));
+        }
 
         // One sequential pass over the payload: checksum it, and keep the
         // (small) prefix the directory lives in. Column pages stream
         // through the hash in chunks without staying resident.
         let actual = match source.slice(HEADER_LEN as u64, payload_len as usize) {
-            Some(payload) => fnv1a_bytes(payload),
+            Some(payload) => fnv1a(FNV1A_OFFSET, payload),
             None => {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                let mut h = FNV1A_OFFSET;
                 let mut off = HEADER_LEN as u64;
                 let mut remaining = payload_len;
                 let mut chunk = vec![0u8; 1 << 20];
                 while remaining > 0 {
                     let n = chunk.len().min(remaining as usize);
                     source.read_into(off, &mut chunk[..n])?;
-                    for &b in &chunk[..n] {
-                        h ^= b as u64;
-                        h = h.wrapping_mul(0x100_0000_01b3);
-                    }
+                    h = fnv1a(h, &chunk[..n]);
                     off += n as u64;
                     remaining -= n as u64;
                 }
@@ -521,7 +516,8 @@ impl CorpusReader {
         // payload — straight off the map when possible (no copy, no
         // residency beyond the directory's own pages); the pread fallback
         // buffers the payload it already streamed for the checksum.
-        let (schema, traces) = match source.slice(HEADER_LEN as u64, payload_len as usize) {
+        let (schema, traces, dir_len) = match source.slice(HEADER_LEN as u64, payload_len as usize)
+        {
             Some(payload) => Self::parse_front(payload, n_traces, n_cols)?,
             None => {
                 let mut front = vec![0u8; payload_len as usize];
@@ -530,15 +526,28 @@ impl CorpusReader {
             }
         };
 
-        // Validate every trace's pages fit inside the file.
+        // The pages follow the directory, padded to 8 bytes, back to back,
+        // and the last one ends at the end of the file — so a miscounted
+        // header cannot parse as a shorter or wider corpus.
+        let mut next = (HEADER_LEN + dir_len).next_multiple_of(8) as u64;
         for t in &traces {
-            let pages_len = 8 * t.rows as u64 * (1 + n_cols as u64);
-            if t.pages_off + pages_len > expected_len {
+            if t.pages_off != next {
                 return Err(CorpusIoError::Corrupt(format!(
-                    "trace {} pages overrun the file",
-                    t.name
+                    "trace {} pages start at {}, not {next}",
+                    t.name, t.pages_off
                 )));
             }
+            next = (t.rows as u64)
+                .checked_mul(8 * (1 + n_cols as u64))
+                .and_then(|len| next.checked_add(len))
+                .ok_or_else(|| {
+                    CorpusIoError::Corrupt(format!("trace {} pages overflow", t.name))
+                })?;
+        }
+        if next != expected_len {
+            return Err(CorpusIoError::Corrupt(format!(
+                "pages end at {next}, the file at {expected_len}"
+            )));
         }
 
         Ok(Self {
@@ -549,11 +558,13 @@ impl CorpusReader {
         })
     }
 
+    /// Parses the name table and trace directory; also returns the
+    /// directory's end, as a payload offset.
     fn parse_front(
         payload: &[u8],
         n_traces: usize,
         n_cols: usize,
-    ) -> Result<(Schema, Vec<TraceMeta>), CorpusIoError> {
+    ) -> Result<(Schema, Vec<TraceMeta>, usize), CorpusIoError> {
         let mut cur = Cursor {
             bytes: payload,
             pos: 0,
@@ -595,7 +606,7 @@ impl CorpusReader {
                 pages_off,
             });
         }
-        Ok((schema, traces))
+        Ok((schema, traces, cur.pos))
     }
 
     /// The statistic schema (column names, in page order).
@@ -717,11 +728,7 @@ impl CorpusReader {
     /// Streams every row of trace `t` through `f` in blocks of
     /// [`DEFAULT_BLOCK_ROWS`], oldest first — bounded resident memory
     /// regardless of trace length.
-    pub fn for_each_row(
-        &self,
-        t: usize,
-        mut f: impl FnMut(u64, &[f64]),
-    ) -> Result<(), CorpusIoError> {
+    fn for_each_row(&self, t: usize, mut f: impl FnMut(u64, &[f64])) -> Result<(), CorpusIoError> {
         let rows = self.traces[t].rows;
         let n_cols = self.schema.len();
         let mut insts = Vec::new();
@@ -743,7 +750,7 @@ impl CorpusReader {
     /// # Panics
     ///
     /// Panics if `t` is out of range.
-    pub fn load_trace(&self, t: usize) -> Result<LabeledTrace, CorpusIoError> {
+    fn load_trace(&self, t: usize) -> Result<LabeledTrace, CorpusIoError> {
         let meta = self.traces[t].clone();
         let mut trace = SampleTrace::new(self.schema.clone());
         self.for_each_row(t, |at, row| trace.push(at, row))?;

@@ -169,23 +169,6 @@ impl MaxMatrix {
     pub fn global_max(&self, i: usize) -> f64 {
         self.global[i]
     }
-
-    /// Scales one raw sample row taken at sampling point `j` into `[0, 1]`
-    /// values (0 when the counter never fired in the reference corpus).
-    pub fn normalize(&self, row: &[f64], j: usize) -> Vec<f64> {
-        row.iter()
-            .enumerate()
-            .map(|(i, &v)| encode_value(self.max_at(i, j), v, Encoding::Normalized))
-            .collect()
-    }
-
-    /// Encodes one raw sample row into the k-sparse 0/1 representation.
-    pub fn binarize(&self, row: &[f64], j: usize) -> Vec<f64> {
-        row.iter()
-            .enumerate()
-            .map(|(i, &v)| encode_value(self.max_at(i, j), v, Encoding::KSparse))
-            .collect()
-    }
 }
 
 /// Encodes raw per-interval delta rows into model inputs: scaling by the
@@ -219,11 +202,6 @@ impl RowEncoder {
     pub fn with_projection(mut self, indices: Vec<usize>) -> Self {
         self.projection = Some(indices);
         self
-    }
-
-    /// The encoding applied to every value.
-    pub fn encoding(&self) -> Encoding {
-        self.encoding
     }
 
     /// The fitted reference maxima.
@@ -363,33 +341,34 @@ mod tests {
         assert_eq!(m.max_at(1, 1), 100.0);
     }
 
+    /// A full-width encoder over the maxima fitted to `rows`.
+    fn encoder(rows: Vec<Vec<f64>>, encoding: Encoding) -> RowEncoder {
+        RowEncoder::new(Arc::new(MaxMatrix::fit(&toy_corpus(rows))), encoding)
+    }
+
     #[test]
     fn normalize_scales_into_unit_interval() {
-        let c = toy_corpus(vec![vec![10.0, 4.0]]);
-        let m = MaxMatrix::fit(&c);
-        assert_eq!(m.normalize(&[5.0, 4.0], 0), vec![0.5, 1.0]);
+        let enc = encoder(vec![vec![10.0, 4.0]], Encoding::Normalized);
+        assert_eq!(enc.encode(&[5.0, 4.0], 0), vec![0.5, 1.0]);
     }
 
     #[test]
     fn binarize_thresholds_at_half() {
-        let c = toy_corpus(vec![vec![10.0, 10.0]]);
-        let m = MaxMatrix::fit(&c);
-        assert_eq!(m.binarize(&[6.0, 5.0], 0), vec![1.0, 0.0]);
+        let enc = encoder(vec![vec![10.0, 10.0]], Encoding::KSparse);
+        assert_eq!(enc.encode(&[6.0, 5.0], 0), vec![1.0, 0.0]);
     }
 
     #[test]
     fn dead_counters_encode_as_zero() {
-        let c = toy_corpus(vec![vec![0.0, 10.0]]);
-        let m = MaxMatrix::fit(&c);
-        assert_eq!(m.normalize(&[123.0, 5.0], 0), vec![0.0, 0.5]);
+        let enc = encoder(vec![vec![0.0, 10.0]], Encoding::Normalized);
+        assert_eq!(enc.encode(&[123.0, 5.0], 0), vec![0.0, 0.5]);
     }
 
     #[test]
     fn beyond_horizon_falls_back_to_global_max() {
-        let c = toy_corpus(vec![vec![10.0, 1.0], vec![20.0, 2.0]]);
-        let m = MaxMatrix::fit(&c);
-        assert_eq!(m.max_at(0, 99), 20.0);
-        assert_eq!(m.normalize(&[10.0, 1.0], 99), vec![0.5, 0.5]);
+        let enc = encoder(vec![vec![10.0, 1.0], vec![20.0, 2.0]], Encoding::Normalized);
+        assert_eq!(enc.max_matrix().max_at(0, 99), 20.0);
+        assert_eq!(enc.encode(&[10.0, 1.0], 99), vec![0.5, 0.5]);
     }
 
     #[test]
@@ -427,7 +406,8 @@ mod tests {
         assert_eq!(m.global_max(0), 10.0);
         assert_eq!(m.max_at(1, 1), m.global_max(1), "NaN skipped, falls back");
         assert_eq!(m.global_max(1), 8.0);
-        assert!(m.normalize(&[5.0, 4.0], 0).iter().all(|v| v.is_finite()));
+        let enc = RowEncoder::new(Arc::new(m), Encoding::Normalized);
+        assert!(enc.encode(&[5.0, 4.0], 0).iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -437,20 +417,8 @@ mod tests {
         // The stored sampling-point maximum is subnormal: dividing by it
         // explodes the scale, so the global maximum must win.
         assert_eq!(m.max_at(0, 0), 10.0);
-        assert_eq!(m.normalize(&[5.0, 1.0], 0)[0], 0.5);
-    }
-
-    #[test]
-    fn row_encoder_matches_max_matrix_paths() {
-        let c = toy_corpus(vec![vec![10.0, 4.0], vec![2.0, 8.0]]);
-        let m = Arc::new(MaxMatrix::fit(&c));
-        let row = [6.0, 4.0];
-        for j in 0..2 {
-            let norm = RowEncoder::new(m.clone(), Encoding::Normalized).encode(&row, j);
-            assert_eq!(norm, m.normalize(&row, j));
-            let bits = RowEncoder::new(m.clone(), Encoding::KSparse).encode(&row, j);
-            assert_eq!(bits, m.binarize(&row, j));
-        }
+        let enc = RowEncoder::new(Arc::new(m), Encoding::Normalized);
+        assert_eq!(enc.encode(&[5.0, 1.0], 0)[0], 0.5);
     }
 
     #[test]

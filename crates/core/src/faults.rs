@@ -119,11 +119,16 @@ impl XorShift64 {
     }
 }
 
-/// FNV-1a over a workload name, used to derive its fault stream.
-pub fn fnv1a(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
+/// The FNV-1a 64 offset basis: the hash of no bytes, where every fold
+/// starts.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64 state `h`. Start from
+/// [`FNV1A_OFFSET`]; folding a byte sequence piece by piece gives the same
+/// hash as folding it whole.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
@@ -188,16 +193,6 @@ impl FaultPlan {
         }
     }
 
-    /// The spec this plan injects.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
-    /// The component labels the plan can drop, in schema order.
-    pub fn component_labels(&self) -> Vec<&str> {
-        self.components.iter().map(|c| c.label.as_str()).collect()
-    }
-
     /// Wraps `inner` in a fault-injecting adapter for the named workload.
     /// The fault stream is keyed by `(plan seed, workload name)` only, so
     /// it is identical regardless of thread count or collection order.
@@ -205,7 +200,9 @@ impl FaultPlan {
         FaultySink {
             spec: self.spec,
             components: Arc::clone(&self.components),
-            rng: XorShift64::new(mix(self.spec.seed ^ fnv1a(workload))),
+            rng: XorShift64::new(mix(
+                self.spec.seed ^ fnv1a(FNV1A_OFFSET, workload.as_bytes())
+            )),
             inner,
             buf: Vec::new(),
             interval: 0,
@@ -582,7 +579,7 @@ mod tests {
     #[test]
     fn plan_partitions_schema_by_component() {
         let plan = FaultPlan::new(FaultSpec::none(), &toy_schema());
-        let labels = plan.component_labels();
+        let labels: Vec<&str> = plan.components.iter().map(|c| c.label.as_str()).collect();
         assert!(labels.contains(&"fetch"));
         assert!(labels.contains(&"commit"));
         assert!(labels.contains(&"dcache"));

@@ -1,7 +1,7 @@
 //! Feature selection: correlation grouping and replicated invariant
 //! feature extraction (§IV-B of the paper).
 
-use mlkit::corr::pearson;
+use mlkit::pearson;
 
 use crate::dataset::Dataset;
 

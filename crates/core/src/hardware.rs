@@ -51,18 +51,6 @@ impl HardwareCost {
         }
     }
 
-    /// Logistic regression: same dataflow as the perceptron plus a
-    /// sigmoid lookup.
-    pub fn logistic_regression(inputs: usize) -> Self {
-        let n = inputs as u64;
-        Self {
-            inference_cycles: n + 4,
-            storage_bits: n * MAX_BITS,
-            multipliers: 1,
-            complexity: "low",
-        }
-    }
-
     /// KNN must store the training set and compute a distance per stored
     /// row — the "high overhead and classification latency" of §VII-B.
     pub fn knn(stored_rows: usize, inputs: usize) -> Self {

@@ -6,16 +6,18 @@
 //! 1. [`trace`] — run labeled workloads on the out-of-order simulator,
 //!    dumping all 1159 microarchitectural statistics every N committed
 //!    instructions.
-//! 2. [`encode`] — normalize each statistic by its per-sampling-point
-//!    maximum (the paper's matrix *M*) and binarize at 0.5 into k-sparse
-//!    0/1 feature vectors.
+//! 2. [`RowEncoder`] — normalize each statistic by its per-sampling-point
+//!    maximum (the paper's matrix *M*, [`MaxMatrix`]) and binarize at 0.5
+//!    into k-sparse 0/1 feature vectors.
 //! 3. [`features`] — group mutually-correlated features (Pearson |c| ≥
 //!    0.98) across the 17 pipeline components and greedily select 106
 //!    *replicated invariant features*, one bank per component.
-//! 4. [`detector`] — train the hardware-style perceptron over the selected
-//!    features; classify with a confidence output and a 0.25 threshold.
-//! 5. [`hardware`] — the hardware cost model (sequential-adder latency,
-//!    storage bits) justifying "low hardware complexity" in Table IV.
+//! 4. [`PerSpectron`] — train the hardware-style perceptron over the
+//!    selected features; classify with a confidence output and a 0.25
+//!    threshold.
+//! 5. [`HardwareCost`] — the hardware cost model (sequential-adder
+//!    latency, storage bits) justifying "low hardware complexity" in
+//!    Table IV.
 //! 6. [`stream`] — the online deployment shape: one per-stream state
 //!    machine ([`StreamSession`]) and a [`uarch_stats::SampleSink`]
 //!    adapter over it ([`StreamingDetector`]) that scores every sampling
@@ -28,6 +30,10 @@
 //!    boundary, quantifying the paper's replicated-detector resilience
 //!    claim; the streaming path degrades gracefully (sanitized inputs,
 //!    per-interval [`stream::Degraded`] status) instead of misfiring.
+//!
+//! Only the modules callers name by path are public — [`corpus_io`],
+//! [`dataset`], [`faults`], [`features`], [`map_features`], [`stream`]
+//! and [`trace`]; every other item is re-exported at the crate root.
 //!
 //! Collection itself is streaming and parallel: one [`Collector`] runs
 //! every simulation on a [`sim_cpu::Machine`], fans runs out across
@@ -51,16 +57,16 @@
 
 pub mod corpus_io;
 pub mod dataset;
-pub mod detector;
-pub mod encode;
-pub mod eval;
+mod detector;
+mod encode;
+mod eval;
 pub mod faults;
 pub mod features;
-pub mod hardware;
+mod hardware;
 pub mod map_features;
-pub mod mmap;
-pub mod multiclass;
-pub mod rhmd;
+mod mmap;
+mod multiclass;
+mod rhmd;
 pub mod stream;
 pub mod trace;
 

@@ -123,11 +123,6 @@ impl MappedFile {
     pub fn len(&self) -> usize {
         self.len
     }
-
-    /// Whether the mapping is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 impl Drop for MappedFile {
@@ -178,7 +173,7 @@ mod tests {
         std::fs::File::create(&path).expect("create");
         let file = File::open(&path).expect("open");
         let map = MappedFile::map(&file).expect("empty map");
-        assert!(map.is_empty());
+        assert_eq!(map.len(), 0);
         assert_eq!(&map[..], b"");
         std::fs::remove_file(&path).ok();
     }

@@ -119,11 +119,6 @@ impl StreamingDetector {
         self.session.verdicts()
     }
 
-    /// Whether any window has been flagged suspicious.
-    pub fn alarmed(&self) -> bool {
-        self.verdicts().iter().any(|v| v.suspicious)
-    }
-
     /// The first suspicious window, if any — the detection latency story.
     pub fn first_alarm(&self) -> Option<&IntervalVerdict> {
         self.verdicts().iter().find(|v| v.suspicious)
@@ -214,11 +209,10 @@ pub struct StreamSession {
 /// session owns except the shared dropout watchlist (which is re-derived
 /// from the detector on [`StreamSession::restore`]).
 ///
-/// This is the re-homing currency of a supervised service: when a shard
-/// worker dies and is respawned, the supervisor carries its sessions over
-/// as snapshots and restores them into the fresh worker, so the stream's
-/// sampling-point cursor, health state machine and verdict log all
-/// survive the restart bit-for-bit.
+/// A session restored from a snapshot continues where the snapshot was
+/// taken: its sampling-point cursor, health state machine and verdict log
+/// carry over bit-for-bit, so a stream can move to a fresh session (or be
+/// replayed from a recorded point) without any change in its output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// Sampling-point cursor (windows opened so far).
@@ -285,8 +279,8 @@ impl StreamSession {
     /// [`StreamSession::snapshot`]/[`StreamSession::into_snapshot`],
     /// re-attaching the shared dropout watchlist from `detector`. A
     /// restored session continues exactly where the checkpoint left off —
-    /// same cursor, same health state, same verdict log — so re-homing a
-    /// stream across a worker restart is invisible in its output.
+    /// same cursor, same health state, same verdict log — so moving a
+    /// stream to a restored session is invisible in its output.
     pub fn restore(detector: &PerSpectron, snapshot: SessionSnapshot) -> Self {
         Self {
             watchlist: detector.always_active_components(),
@@ -525,8 +519,7 @@ mod tests {
             score_one(&mut whole, j);
         }
 
-        // Re-homed: snapshot mid-stream, restore into a "fresh worker",
-        // continue. Verdicts must be bit-identical to the whole run.
+        // Snapshot mid-stream, restore into a fresh session, continue. Verdicts must be bit-identical to the whole run.
         let mut first = StreamSession::new(&det).with_quarantine_after(3);
         let cut = t.len() / 2;
         for j in 0..cut {
@@ -544,7 +537,7 @@ mod tests {
             assert_eq!(
                 a.confidence.to_bits(),
                 b.confidence.to_bits(),
-                "re-homed session drifted from the uninterrupted run"
+                "restored session drifted from the uninterrupted run"
             );
             assert_eq!(a, b);
         }

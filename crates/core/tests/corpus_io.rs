@@ -271,3 +271,60 @@ fn golden_header_fixture_is_endianness_pinned() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// A hand-built corpus of `n` two-row traces over three columns.
+fn small_corpus(n: usize) -> perspectron::CollectedCorpus {
+    use uarch_stats::{SampleTrace, Schema};
+    use workloads::{Class, Family};
+
+    let schema = Schema::from_names(vec!["alpha".into(), "b".into(), "gamma".into()]);
+    let traces = (0..n)
+        .map(|k| {
+            let mut trace = SampleTrace::new(schema.clone());
+            trace.push(10_000, &[k as f64, 2.5, 0.0]);
+            trace.push(20_000, &[3.0, -0.5, k as f64]);
+            perspectron::LabeledTrace {
+                name: format!("trace{k}"),
+                class: Class::Benign,
+                family: Family::Benign,
+                trace,
+                marks: vec![],
+            }
+        })
+        .collect();
+    perspectron::CollectedCorpus {
+        traces,
+        sample_interval: 10_000,
+    }
+}
+
+/// The trace and column counts (header bytes 8..16) sit outside the
+/// payload checksum. Every single-bit flip of them must be refused as a
+/// corrupt payload by both readers — never reserve memory for the bogus
+/// count, never panic, and never parse as a shorter or wider corpus.
+#[test]
+fn flipped_header_counts_are_rejected_not_trusted() {
+    for n in [1, 3] {
+        let bytes = corpus_to_bytes(&small_corpus(n));
+        let path = tmp_path(&format!("header_flip{n}"));
+        std::fs::write(&path, &bytes).expect("write");
+        assert_eq!(CorpusReader::open(&path).expect("clean").n_traces(), n);
+        for byte in 8..16 {
+            for bit in 0..8 {
+                let mut evil = bytes.clone();
+                evil[byte] ^= 1 << bit;
+                std::fs::write(&path, &evil).expect("write flipped");
+                for (how, opened) in [
+                    ("map", CorpusReader::open(&path)),
+                    ("pread", CorpusReader::open_pread(&path)),
+                ] {
+                    assert!(
+                        matches!(opened, Err(CorpusIoError::Corrupt(_))),
+                        "{n} traces, byte {byte} bit {bit}, {how}: {opened:?}"
+                    );
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}

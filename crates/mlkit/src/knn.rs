@@ -55,11 +55,6 @@ impl Knn {
             y: Vec::new(),
         })
     }
-
-    /// Number of stored training rows (the hardware-cost driver).
-    pub fn stored_rows(&self) -> usize {
-        self.x.len()
-    }
 }
 
 impl Classifier for Knn {

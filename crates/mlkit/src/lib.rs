@@ -21,16 +21,16 @@
 
 #![warn(missing_docs)]
 
-pub mod corr;
-pub mod cv;
-pub mod error;
-pub mod knn;
-pub mod logreg;
+mod corr;
+mod cv;
+mod error;
+mod knn;
+mod logreg;
 pub mod metrics;
-pub mod mlp;
-pub mod packed;
-pub mod perceptron;
-pub mod tree;
+mod mlp;
+mod packed;
+mod perceptron;
+mod tree;
 
 pub use corr::{correlation_matrix, pearson};
 pub use cv::{stratified_kfold, GroupSplit};

@@ -133,16 +133,6 @@ impl BitRow {
         }
     }
 
-    /// Whether lane `i` is valid (not masked during encoding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= width`.
-    pub fn is_valid(&self, i: usize) -> bool {
-        assert!(i < self.width, "lane {i} out of range ({})", self.width);
-        self.valid[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1
-    }
-
     /// Marks lane `i` valid or invalid. Invalid lanes contribute nothing
     /// to any score, even if their bit is set.
     ///
@@ -159,21 +149,6 @@ impl BitRow {
         }
     }
 
-    /// Number of set lanes.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Number of lanes masked invalid — the row's degradation footprint.
-    pub fn invalid_lanes(&self) -> usize {
-        self.width
-            - self
-                .valid
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum::<usize>()
-    }
-
     /// Resets to all-zero bits and all-valid lanes, keeping the width —
     /// the allocation-free reuse path for streaming encoders.
     pub fn clear(&mut self) {
@@ -182,20 +157,6 @@ impl BitRow {
         if let Some(last) = self.valid.last_mut() {
             *last = tail_mask(self.width);
         }
-    }
-
-    /// Unpacks to a dense 0/1 `f64` row (invalid lanes unpack to 0.0 —
-    /// exactly what the scalar encoder would have produced for them).
-    pub fn to_f64(&self) -> Vec<f64> {
-        (0..self.width)
-            .map(|i| {
-                if self.get(i) && self.is_valid(i) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect()
     }
 }
 
@@ -206,7 +167,6 @@ pub struct PackedRows {
     words: Vec<u64>,
     valid: Vec<u64>,
     width: usize,
-    words_per_row: usize,
     len: usize,
 }
 
@@ -217,7 +177,6 @@ impl PackedRows {
             words: Vec::new(),
             valid: Vec::new(),
             width,
-            words_per_row: words_for(width),
             len: 0,
         }
     }
@@ -254,44 +213,6 @@ impl PackedRows {
     /// Lanes per row.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Storage words per row.
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
-    /// The packed feature words of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= len`.
-    pub fn row_words(&self, r: usize) -> &[u64] {
-        assert!(r < self.len, "row {r} out of range ({})", self.len);
-        &self.words[r * self.words_per_row..(r + 1) * self.words_per_row]
-    }
-
-    /// The packed validity words of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= len`.
-    pub fn row_valid(&self, r: usize) -> &[u64] {
-        assert!(r < self.len, "row {r} out of range ({})", self.len);
-        &self.valid[r * self.words_per_row..(r + 1) * self.words_per_row]
-    }
-
-    /// Reconstructs row `r` as a standalone [`BitRow`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= len`.
-    pub fn row(&self, r: usize) -> BitRow {
-        BitRow {
-            words: self.row_words(r).to_vec(),
-            valid: self.row_valid(r).to_vec(),
-            width: self.width,
-        }
     }
 
     /// Drops every row, keeping the allocation and width.
@@ -455,6 +376,14 @@ mod tests {
     use super::*;
     use crate::Classifier;
 
+    fn count_ones(r: &BitRow) -> u32 {
+        r.words().iter().map(|w| w.count_ones()).sum()
+    }
+
+    fn invalid_lanes(r: &BitRow) -> u32 {
+        r.width() as u32 - r.valid_words().iter().map(|w| w.count_ones()).sum::<u32>()
+    }
+
     #[test]
     fn bitrow_roundtrips_and_keeps_tails_clean() {
         for width in [1usize, 63, 64, 65, 106, 128, 130] {
@@ -462,7 +391,7 @@ mod tests {
             r.set(0, true);
             r.set(width - 1, true);
             assert!(r.get(0) && r.get(width - 1));
-            assert_eq!(r.count_ones(), if width == 1 { 1 } else { 2 });
+            assert_eq!(count_ones(&r), if width == 1 { 1 } else { 2 });
             // Tail bits beyond `width` stay zero in both planes.
             if width % WORD_BITS != 0 {
                 let tail = *r.words().last().unwrap() & !tail_mask(width);
@@ -472,12 +401,12 @@ mod tests {
             }
             r.set(0, false);
             assert!(!r.get(0));
-            assert_eq!(r.invalid_lanes(), 0);
+            assert_eq!(invalid_lanes(&r), 0);
             r.set_valid(width - 1, false);
-            assert_eq!(r.invalid_lanes(), 1);
+            assert_eq!(invalid_lanes(&r), 1);
             r.clear();
-            assert_eq!(r.count_ones(), 0);
-            assert_eq!(r.invalid_lanes(), 0);
+            assert_eq!(count_ones(&r), 0);
+            assert_eq!(invalid_lanes(&r), 0);
         }
     }
 
@@ -486,9 +415,12 @@ mod tests {
         let r = BitRow::from_f64(&[0.0, 1.0, 0.4, 0.6, f64::NAN, f64::INFINITY]);
         assert!(!r.get(0) && r.get(1) && !r.get(2) && r.get(3));
         assert!(!r.get(4) && !r.get(5), "non-finite lanes pack as 0");
-        assert!(!r.is_valid(4) && !r.is_valid(5));
-        assert_eq!(r.invalid_lanes(), 2);
-        assert_eq!(r.to_f64(), vec![0.0, 1.0, 0.0, 1.0, 0.0, 0.0]);
+        assert_eq!(r.words(), &[0b00_1010]);
+        assert_eq!(
+            r.valid_words(),
+            &[0b00_1111],
+            "non-finite lanes are invalid"
+        );
     }
 
     #[test]
@@ -503,8 +435,8 @@ mod tests {
             })
         );
         assert_eq!(batch.len(), 1);
-        let row = batch.row(0);
-        assert_eq!(row, BitRow::zeros(10));
+        assert_eq!(batch.words, BitRow::zeros(10).words());
+        assert_eq!(batch.valid, BitRow::zeros(10).valid_words());
     }
 
     #[test]

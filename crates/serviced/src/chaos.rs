@@ -74,7 +74,7 @@ pub struct PoisonPill {
 }
 
 /// A seeded description of service-tier chaos. [`ChaosSpec::quiet`] (the
-/// [`ServiceConfig`](crate::service::ServiceConfig) default) injects
+/// [`ServiceConfig`](crate::ServiceConfig) default) injects
 /// nothing and adds no per-window work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSpec {
@@ -136,8 +136,8 @@ const STORM_SALT: u64 = 0x5707_12a9_c0ff_ee00;
 /// One shard worker's runtime view of the plan: the shard-keyed jitter
 /// stream plus fired-once memory for panics, stalls and pills.
 ///
-/// Lives in the worker's *durable* state — it survives the unwind of an
-/// injected panic — which is how "fires once" is enforced: every
+/// Lives in the shard state the supervisor owns — it survives the unwind
+/// of an injected panic — which is how "fires once" is enforced: every
 /// scheduled event marks itself fired *before* it detonates, so the
 /// respawned worker retries the interrupted work instead of dying in a
 /// crash loop.

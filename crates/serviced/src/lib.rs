@@ -7,7 +7,7 @@
 //! per monitored core/tenant) through the bit-packed batched inference
 //! engine. Three pieces:
 //!
-//! - [`service`] — the sharded service itself: worker threads owning
+//! - the sharded service itself ([`Perspectrond`]): worker threads owning
 //!   per-stream [`StreamSession`](perspectron::StreamSession)s, bounded
 //!   queues with explicit [`SubmitError::Busy`] backpressure, width
 //!   checks that refuse a malformed row ([`SubmitError::Malformed`])
@@ -16,28 +16,29 @@
 //!   bit-identical to running the stream alone through
 //!   `PerSpectron::streaming_packed`, independent of shard count and
 //!   arrival interleaving.
-//! - [`replay`] — the load generator: replays an on-disk columnar corpus
-//!   (`perspectron::corpus_io`) as N concurrent streams at configurable
-//!   fan-in, driving the service the way a fleet would.
+//! - the load generator ([`replay_clients`]): replays an on-disk columnar
+//!   corpus (`perspectron::corpus_io`) as N concurrent streams at
+//!   configurable fan-in, driving the service the way a fleet would.
 //! - the `perspectrond` binary — trains on a corpus, starts the service,
 //!   replays load against it, and prints the operational report.
 //!
 //! The service is fault tolerant: each shard worker runs under an
-//! Erlang-style supervisor that respawns it after panics (re-homing its
-//! sessions, carrying the in-flight batch so verdicts stay bit-identical)
-//! and a watchdog that detects wedged workers. Failures are typed —
-//! [`ShardRestart`] events in the report, [`ServiceError::ShardPanicked`]
-//! with partial results at shutdown — and the [`chaos`] module injects
-//! them deterministically from a seed, so the whole recovery surface is
-//! testable byte-for-byte. [`policy`] gives producers deadline-bounded,
-//! deterministically-jittered retry behavior around backpressure.
+//! Erlang-style supervisor that respawns it after panics (repairing the
+//! shard state it left behind and re-scoring the in-flight batch, so
+//! verdicts stay bit-identical) and a watchdog that detects wedged
+//! workers. Failures are typed — [`ShardRestart`] events in the report,
+//! [`ServiceError::ShardPanicked`] with partial results at shutdown — and
+//! a [`ChaosSpec`] injects them deterministically from a seed, so the
+//! whole recovery surface is testable byte-for-byte. A [`SubmitPolicy`]
+//! gives producers deadline-bounded, deterministically-jittered retry
+//! behavior around backpressure.
 
 #![warn(missing_docs)]
 
-pub mod chaos;
-pub mod policy;
-pub mod replay;
-pub mod service;
+mod chaos;
+mod policy;
+mod replay;
+mod service;
 
 pub use chaos::{ChaosSpec, PanicAt, PoisonPill, StallAt};
 pub use policy::SubmitPolicy;

@@ -1,6 +1,6 @@
 //! Submit-side fault tolerance: a [`SubmitPolicy`] bundles the deadline,
 //! bounded-retry and backoff decisions that every producer used to make
-//! ad hoc around [`SubmitError::Busy`](crate::service::SubmitError::Busy).
+//! ad hoc around [`SubmitError::Busy`](crate::SubmitError::Busy).
 //!
 //! The backoff is *deterministically jittered*: sleep durations come from
 //! an xorshift64* stream keyed by `(policy seed, stream id, attempt)` —
@@ -17,18 +17,17 @@ use perspectron::faults::{mix, XorShift64};
 
 /// How a submission behaves when its shard pushes back.
 ///
-/// Used by [`Submitter::submit_with_policy`](crate::service::Submitter::submit_with_policy)
-/// (bounded retries, then a typed
-/// [`SubmitError::Deadline`](crate::service::SubmitError::Deadline)) and by
-/// the blocking [`Submitter::submit`](crate::service::Submitter::submit),
-/// which retries without the attempt bound but honors the same deadline —
-/// a wedged shard can no longer hold a producer hostage forever.
+/// Used by [`Submitter::submit_with_policy`](crate::Submitter::submit_with_policy):
+/// bounded retries, then a typed
+/// [`SubmitError::Deadline`](crate::SubmitError::Deadline). The deadline
+/// holds even at `u32::MAX` retries, so a wedged shard cannot hold a
+/// producer hostage forever.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubmitPolicy {
     /// Total wall budget for one window's submission, retries included.
     pub deadline: Duration,
-    /// `Busy` retries before giving up (the policy path only; the
-    /// blocking path is bounded by `deadline` alone).
+    /// `Busy` retries before giving up; at `u32::MAX` the submission is
+    /// bounded by `deadline` alone.
     pub max_retries: u32,
     /// First backoff; doubles each retry up to [`SubmitPolicy::max_backoff`].
     pub base_backoff: Duration,

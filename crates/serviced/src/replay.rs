@@ -76,7 +76,7 @@ pub struct ReplayOutcome {
 /// streams against the service behind `submitter`. Blocks until every
 /// window has been *accepted* or shed under the policy (verdicts may
 /// still be in flight — use
-/// [`Perspectrond::drain`](crate::service::Perspectrond::drain) or
+/// [`Perspectrond::drain`](crate::Perspectrond::drain) or
 /// shutdown for the barrier).
 ///
 /// # Panics

@@ -27,21 +27,20 @@
 //! # Supervision
 //!
 //! Each shard thread is an Erlang-style supervisor loop around the actual
-//! worker loop. The worker's *durable* state — sessions, the in-flight
-//! batch, counters, chaos bookkeeping — lives in the supervisor's frame;
-//! the worker loop runs under `catch_unwind` and owns only *volatile*
-//! state (the inference engine, encoder, scratch buffers) that is rebuilt
-//! from the shared detector on every (re)spawn. When the worker panics:
+//! worker loop. All shard state — sessions, the in-flight batch, the
+//! encoder and scratch buffers, counters, chaos bookkeeping — lives in
+//! the supervisor's frame; the worker loop borrows it under
+//! `catch_unwind`. The encoder and the detector's packed weights are
+//! immutable and the scratch buffers are reset before each use, so a panic
+//! can only tear the sessions and the batch. When the worker panics:
 //!
 //! - the supervisor records a typed [`ShardRestart`],
-//! - repairs the durable state to the last consistent point (a panic
-//!   inside a sweep leaves the whole batch intact and it is simply
-//!   re-scored by the respawned engine — a clone of the same frozen
-//!   weights, so verdicts stay bit-identical; a panic while receiving a
-//!   window loses exactly that window, and its stream is quarantined via
-//!   [`StreamSession::record_lost_window`], never silently dropped),
-//! - re-homes every session through the
-//!   [`SessionSnapshot`](perspectron::SessionSnapshot) round-trip, and
+//! - repairs the state to the last consistent point (a panic inside a
+//!   sweep leaves the whole batch intact and it is simply re-scored by the
+//!   same frozen weights, so verdicts stay bit-identical; a panic while
+//!   receiving a window loses exactly that window, and its stream is
+//!   quarantined via [`StreamSession::record_lost_window`], never silently
+//!   dropped), and
 //! - re-enters the loop on the same queue.
 //!
 //! After [`ServiceConfig::max_restarts_per_shard`] restarts the
@@ -60,13 +59,12 @@
 //! Queues are `std::sync::mpsc::sync_channel`s with a fixed depth.
 //! [`Submitter::try_submit`] never blocks and never buffers beyond that
 //! depth: a full shard queue surfaces as [`SubmitError::Busy`] and the
-//! caller decides — retry, skip the window, or shed the stream. The
-//! policy paths ([`Submitter::submit_with_policy`] and the blocking
-//! [`Submitter::submit`]) move that decision into the service: bounded
-//! retries with deterministic jittered backoff under a hard deadline,
-//! with shed/retry counters surfaced in [`ServiceReport`]. Memory is
-//! bounded by `shards × queue_depth` in-flight windows no matter how far
-//! producers outrun the scorer.
+//! caller decides — retry, skip the window, or shed the stream.
+//! [`Submitter::submit_with_policy`] moves that decision into the
+//! service: bounded retries with deterministic jittered backoff under a
+//! hard deadline, with shed/retry counters surfaced in [`ServiceReport`].
+//! Memory is bounded by `shards × queue_depth` in-flight windows no
+//! matter how far producers outrun the scorer.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -76,7 +74,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mlkit::{BitRow, PackedPerceptron, PackedRows};
+use mlkit::{BitRow, PackedRows};
+use perspectron::faults::{fnv1a, FNV1A_OFFSET};
 use perspectron::stream::DEFAULT_QUARANTINE_AFTER;
 use perspectron::{
     Degraded, IntervalVerdict, PerSpectron, RowEncoder, SessionState, StreamSession,
@@ -132,8 +131,6 @@ pub struct ServiceConfig {
     /// tests and benches set it to emulate a slow consumer so queue
     /// backpressure becomes observable.
     pub sweep_stall: Duration,
-    /// Default policy of the blocking [`Submitter::submit`] path.
-    pub submit_policy: SubmitPolicy,
     /// Wedged-worker detection.
     pub watchdog: WatchdogConfig,
     /// Deterministic chaos injected into the shard workers.
@@ -154,7 +151,6 @@ impl Default for ServiceConfig {
             batch_windows: 64,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
             sweep_stall: Duration::ZERO,
-            submit_policy: SubmitPolicy::default(),
             watchdog: WatchdogConfig::default(),
             chaos: ChaosSpec::quiet(),
             max_restarts_per_shard: 3,
@@ -285,12 +281,7 @@ enum Msg {
 
 /// FNV-1a 64 over the stream id — the shard routing hash.
 fn stream_hash(stream: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in stream.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(FNV1A_OFFSET, &stream.to_le_bytes())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -320,7 +311,6 @@ pub struct Submitter {
     busy: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
     retries: Arc<AtomicU64>,
-    policy: SubmitPolicy,
 }
 
 impl Submitter {
@@ -338,6 +328,32 @@ impl Submitter {
                 expected: self.width,
                 got: row.len(),
             })
+        }
+    }
+
+    /// Offers one window to `shard`'s queue without blocking. A full
+    /// queue counts a `Busy` rejection and hands the row back.
+    fn offer(
+        &self,
+        shard: usize,
+        stream: u64,
+        at_inst: u64,
+        row: Box<[f64]>,
+    ) -> Result<Option<Box<[f64]>>, SubmitError> {
+        let msg = Msg::Window {
+            stream,
+            at_inst,
+            row,
+            submitted: Instant::now(),
+        };
+        match self.txs[shard].try_send(msg) {
+            Ok(()) => Ok(None),
+            Err(TrySendError::Disconnected(_)) => Err(SubmitError::Shutdown),
+            Err(TrySendError::Full(Msg::Window { row, .. })) => {
+                self.busy.fetch_add(1, Ordering::Relaxed);
+                Ok(Some(row))
+            }
+            Err(TrySendError::Full(Msg::Drain(_))) => unreachable!("submit only sends windows"),
         }
     }
 
@@ -359,25 +375,18 @@ impl Submitter {
     ) -> Result<(), SubmitError> {
         self.check_width(&row)?;
         let shard = self.shard_of(stream);
-        match self.txs[shard].try_send(Msg::Window {
-            stream,
-            at_inst,
-            row,
-            submitted: Instant::now(),
-        }) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
-                self.busy.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Busy { shard })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::Shutdown),
+        match self.offer(shard, stream, at_inst, row)? {
+            None => Ok(()),
+            Some(_) => Err(SubmitError::Busy { shard }),
         }
     }
 
     /// Submits one window under an explicit [`SubmitPolicy`]: on `Busy`,
     /// sleeps the policy's deterministic jittered backoff and retries, up
     /// to [`SubmitPolicy::max_retries`] attempts and never past
-    /// [`SubmitPolicy::deadline`].
+    /// [`SubmitPolicy::deadline`]. A policy of `u32::MAX` retries (such as
+    /// [`SubmitPolicy::patient`]) is bounded by its deadline alone — a
+    /// wedged shard cannot hold a producer hostage forever.
     ///
     /// The window's latency clock (`submitted`) restarts on every
     /// attempt, so backoff spent *outside* the queue does not pollute the
@@ -394,75 +403,31 @@ impl Submitter {
         &self,
         stream: u64,
         at_inst: u64,
-        row: Box<[f64]>,
-        policy: &SubmitPolicy,
-    ) -> Result<(), SubmitError> {
-        self.submit_bounded(stream, at_inst, row, policy, Some(policy.max_retries))
-    }
-
-    /// Submits one window, absorbing backpressure with the service's
-    /// default policy ([`ServiceConfig::submit_policy`]): retries are
-    /// unbounded, but the policy's deadline still applies — a wedged
-    /// shard cannot hold a producer hostage forever.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Deadline`] when the deadline elapses with the shard
-    /// still busy, [`SubmitError::Shutdown`] when the shard is gone,
-    /// [`SubmitError::Malformed`] when the row is not schema-wide.
-    pub fn submit(&self, stream: u64, at_inst: u64, row: Box<[f64]>) -> Result<(), SubmitError> {
-        let policy = self.policy;
-        self.submit_bounded(stream, at_inst, row, &policy, None)
-    }
-
-    fn submit_bounded(
-        &self,
-        stream: u64,
-        at_inst: u64,
         mut row: Box<[f64]>,
         policy: &SubmitPolicy,
-        max_retries: Option<u32>,
     ) -> Result<(), SubmitError> {
         self.check_width(&row)?;
         let shard = self.shard_of(stream);
         let start = Instant::now();
         let mut attempt: u32 = 0;
-        loop {
-            let msg = Msg::Window {
-                stream,
-                at_inst,
-                row,
-                submitted: Instant::now(),
-            };
-            match self.txs[shard].try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(_)) => return Err(SubmitError::Shutdown),
-                Err(TrySendError::Full(msg)) => {
-                    self.busy.fetch_add(1, Ordering::Relaxed);
-                    // Take the row back out of the rejected message rather
-                    // than recloning it for the retry.
-                    row = match msg {
-                        Msg::Window { row, .. } => row,
-                        Msg::Drain(_) => unreachable!("submit only sends windows"),
-                    };
-                    let out_of_attempts = max_retries.is_some_and(|m| attempt >= m);
-                    let elapsed = start.elapsed();
-                    if out_of_attempts || elapsed >= policy.deadline {
-                        self.shed.fetch_add(1, Ordering::Relaxed);
-                        return Err(SubmitError::Deadline {
-                            shard,
-                            retries: attempt,
-                        });
-                    }
-                    let nap = policy
-                        .backoff(stream, attempt)
-                        .min(policy.deadline - elapsed);
-                    std::thread::sleep(nap);
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                }
+        while let Some(back) = self.offer(shard, stream, at_inst, row)? {
+            row = back;
+            let elapsed = start.elapsed();
+            if attempt >= policy.max_retries || elapsed >= policy.deadline {
+                self.shed.fetch_add(1, Ordering::Relaxed);
+                return Err(SubmitError::Deadline {
+                    shard,
+                    retries: attempt,
+                });
             }
+            let nap = policy
+                .backoff(stream, attempt)
+                .min(policy.deadline - elapsed);
+            std::thread::sleep(nap);
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            attempt += 1;
         }
+        Ok(())
     }
 
     /// `Busy` rejections observed across all clones of this submitter
@@ -582,34 +547,28 @@ impl ServiceReport {
     /// `(chaos seed, plan, corpus)` must produce the same fingerprint at
     /// any shard count; the crate's chaos proptests pin exactly that.
     pub fn chaos_fingerprint(&self) -> u64 {
-        fn eat(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        eat(&mut h, &self.windows_scored.to_le_bytes());
-        eat(&mut h, &self.storms.to_le_bytes());
-        eat(&mut h, &(self.streams.len() as u64).to_le_bytes());
+        let mut h = FNV1A_OFFSET;
+        h = fnv1a(h, &self.windows_scored.to_le_bytes());
+        h = fnv1a(h, &self.storms.to_le_bytes());
+        h = fnv1a(h, &(self.streams.len() as u64).to_le_bytes());
         for s in &self.streams {
-            eat(&mut h, &s.stream.to_le_bytes());
-            eat(&mut h, &[s.state as u8]);
-            eat(&mut h, &(s.degraded_windows as u64).to_le_bytes());
-            eat(&mut h, &(s.lost_windows as u64).to_le_bytes());
-            eat(&mut h, &(s.verdicts.len() as u64).to_le_bytes());
+            h = fnv1a(h, &s.stream.to_le_bytes());
+            h = fnv1a(h, &[s.state as u8]);
+            h = fnv1a(h, &(s.degraded_windows as u64).to_le_bytes());
+            h = fnv1a(h, &(s.lost_windows as u64).to_le_bytes());
+            h = fnv1a(h, &(s.verdicts.len() as u64).to_le_bytes());
             for v in &s.verdicts {
-                eat(&mut h, &v.at_inst.to_le_bytes());
-                eat(&mut h, &v.confidence.to_bits().to_le_bytes());
-                eat(&mut h, &[v.suspicious as u8]);
+                h = fnv1a(h, &v.at_inst.to_le_bytes());
+                h = fnv1a(h, &v.confidence.to_bits().to_le_bytes());
+                h = fnv1a(h, &[v.suspicious as u8]);
                 match &v.degraded {
-                    None => eat(&mut h, &[0]),
+                    None => h = fnv1a(h, &[0]),
                     Some(d) => {
-                        eat(&mut h, &[1]);
-                        eat(&mut h, &(d.sanitized_values as u64).to_le_bytes());
+                        h = fnv1a(h, &[1]);
+                        h = fnv1a(h, &(d.sanitized_values as u64).to_le_bytes());
                         for c in &d.missing_components {
-                            eat(&mut h, c.as_bytes());
-                            eat(&mut h, &[0xff]);
+                            h = fnv1a(h, c.as_bytes());
+                            h = fnv1a(h, &[0xff]);
                         }
                     }
                 }
@@ -691,33 +650,16 @@ impl ShardMonitor {
     }
 }
 
-/// Volatile per-spawn state: everything rebuilt from the shared detector
-/// when the worker (re)starts. Nothing here outlives a panic.
-struct ShardEngine {
-    encoder: RowEncoder,
-    engine: PackedPerceptron,
-    bits: BitRow,
-    scores: Vec<f64>,
-}
-
-impl ShardEngine {
-    fn new(detector: &PerSpectron, batch_cap: usize) -> Self {
-        let encoder = detector.packed_encoder();
-        let width = encoder.width();
-        Self {
-            engine: detector.packed_perceptron().clone(),
-            encoder,
-            bits: BitRow::zeros(width),
-            scores: Vec::with_capacity(batch_cap),
-        }
-    }
-}
-
-/// Durable per-shard state, owned by the supervisor frame: survives
-/// worker panics and is repaired — never rebuilt — across restarts.
+/// Per-shard state, owned by the supervisor frame: survives worker
+/// panics and is repaired — never rebuilt — across restarts. The encoder
+/// and weights are immutable, and both scratch buffers are reset before
+/// each use, so a panic cannot damage them either.
 struct ShardState {
     shard: usize,
     detector: Arc<PerSpectron>,
+    encoder: RowEncoder,
+    bits: BitRow,
+    scores: Vec<f64>,
     sessions: HashMap<u64, StreamSession>,
     batch: PackedRows,
     pending: Vec<PendingWindow>,
@@ -737,12 +679,17 @@ struct ShardState {
 
 impl ShardState {
     fn new(detector: Arc<PerSpectron>, cfg: &ServiceConfig, shard: usize) -> Self {
-        let width = detector.packed_encoder().width();
+        let encoder = detector.packed_encoder();
+        let width = encoder.width();
+        let batch_windows = cfg.batch_windows.max(1);
         Self {
             shard,
+            encoder,
+            bits: BitRow::zeros(width),
+            scores: Vec::with_capacity(batch_windows),
             sessions: HashMap::new(),
             batch: PackedRows::new(width),
-            pending: Vec::with_capacity(cfg.batch_windows.max(1)),
+            pending: Vec::with_capacity(batch_windows),
             chaos: ShardChaos::new(Arc::new(cfg.chaos.clone()), shard),
             region: Region::Idle,
             sweep_attempts: 0,
@@ -752,14 +699,14 @@ impl ShardState {
             sweeps: 0,
             max_coalesced: 0,
             storms: 0,
-            batch_windows: cfg.batch_windows.max(1),
+            batch_windows,
             quarantine_after: cfg.quarantine_after.max(1),
             sweep_stall: cfg.sweep_stall,
             detector,
         }
     }
 
-    fn handle(&mut self, msg: Msg, vol: &mut ShardEngine) {
+    fn handle(&mut self, msg: Msg) {
         match msg {
             Msg::Window {
                 stream,
@@ -784,9 +731,9 @@ impl ShardState {
                 }
                 self.region = Region::Opening { stream };
                 let (point, degraded) = session.open_window(&mut row);
-                vol.encoder.encode_bits_into(&row, point, &mut vol.bits);
+                self.encoder.encode_bits_into(&row, point, &mut self.bits);
                 self.batch
-                    .push(&vol.bits)
+                    .push(&self.bits)
                     .expect("encoder and batch widths agree");
                 self.pending.push(PendingWindow {
                     stream,
@@ -799,7 +746,7 @@ impl ShardState {
             Msg::Drain(ack) => {
                 // Everything submitted before the drain is already in the
                 // queue ahead of it (per-queue FIFO): sweep, then ack.
-                self.sweep(vol);
+                self.sweep();
                 let _ = ack.send(());
             }
         }
@@ -807,7 +754,7 @@ impl ShardState {
 
     /// Scores the current batch in one `score_rows` sweep and closes
     /// every pending window against its session.
-    fn sweep(&mut self, vol: &mut ShardEngine) {
+    fn sweep(&mut self) {
         if self.pending.is_empty() {
             return;
         }
@@ -818,13 +765,15 @@ impl ShardState {
         if !self.sweep_stall.is_zero() {
             std::thread::sleep(self.sweep_stall);
         }
-        vol.engine.score_rows(&self.batch, &mut vol.scores);
-        debug_assert_eq!(vol.scores.len(), self.pending.len());
+        self.detector
+            .packed_perceptron()
+            .score_rows(&self.batch, &mut self.scores);
+        debug_assert_eq!(self.scores.len(), self.pending.len());
         let scored_at = Instant::now();
         self.max_coalesced = self.max_coalesced.max(self.pending.len());
         self.windows += self.pending.len() as u64;
         self.sweeps += 1;
-        for (pw, &raw) in self.pending.drain(..).zip(vol.scores.iter()) {
+        for (pw, &raw) in self.pending.drain(..).zip(self.scores.iter()) {
             let session = self
                 .sessions
                 .get_mut(&pw.stream)
@@ -851,7 +800,7 @@ impl ShardState {
         self.sweep_attempts = 0;
     }
 
-    /// Repairs the durable state after an unwind, according to the region
+    /// Repairs the shard state after an unwind, according to the region
     /// the worker died in. Afterwards the batch/pending pair is
     /// consistent and every lost window is accounted for on its session.
     fn repair_after_unwind(&mut self) {
@@ -889,26 +838,10 @@ impl ShardState {
                     self.discard_batch();
                 }
                 // Otherwise: carried batch — sessions are open and the
-                // rows are intact; the respawned engine re-scores them
+                // rows are intact; the respawned loop re-scores them
                 // bit-identically (same frozen weights).
             }
         }
-    }
-
-    /// Re-homes every session onto the respawned worker via the
-    /// checkpoint round-trip, preserving sampling-point cursors, verdict
-    /// logs, and sticky degraded/quarantine accounting exactly.
-    fn rehome_sessions(&mut self) {
-        let detector = Arc::clone(&self.detector);
-        self.sessions = std::mem::take(&mut self.sessions)
-            .into_iter()
-            .map(|(stream, session)| {
-                (
-                    stream,
-                    StreamSession::restore(&detector, session.into_snapshot()),
-                )
-            })
-            .collect();
     }
 
     fn into_report(self) -> ShardReport {
@@ -944,18 +877,16 @@ enum LoopExit {
 }
 
 /// The worker loop proper: runs until disconnect, restart request, or
-/// panic. Durable state is borrowed from the supervisor; `vol` is this
-/// spawn's private engine.
+/// panic. Its state is borrowed from the supervisor.
 fn worker_loop(
     st: &mut ShardState,
-    vol: &mut ShardEngine,
     rx: &Receiver<Msg>,
     monitor: &ShardMonitor,
     tick: Duration,
 ) -> LoopExit {
-    // A carried batch from before a restart drains first, so re-homed
-    // sessions see their windows close in the original order.
-    st.sweep(vol);
+    // A carried batch from before a restart drains first, so sessions
+    // see their windows close in the original order.
+    st.sweep();
     loop {
         monitor.beat();
         if monitor.take_restart() {
@@ -966,29 +897,29 @@ fn worker_loop(
         // to one batch — into the same sweep.
         match rx.recv_timeout(tick) {
             Ok(msg) => {
-                st.handle(msg, vol);
+                st.handle(msg);
                 loop {
                     if st.pending.len() >= st.batch_windows {
-                        st.sweep(vol);
+                        st.sweep();
                     }
                     monitor.beat();
                     match rx.try_recv() {
-                        Ok(m) => st.handle(m, vol),
+                        Ok(m) => st.handle(m),
                         Err(_) => break,
                     }
                 }
-                st.sweep(vol);
+                st.sweep();
             }
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     // Channel disconnected: score any straggler batch and exit.
-    st.sweep(vol);
+    st.sweep();
     LoopExit::Disconnected
 }
 
-/// The supervisor: owns the durable state, respawns the worker loop after
+/// The supervisor: owns the shard state, respawns the worker loop after
 /// panics and watchdog restarts, and gives up (re-raising) past the
 /// restart budget.
 fn supervise(
@@ -999,9 +930,8 @@ fn supervise(
     max_restarts: usize,
 ) -> ShardReport {
     loop {
-        let mut vol = ShardEngine::new(&st.detector, st.batch_windows);
         let exit = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(&mut st, &mut vol, &rx, &monitor, tick)
+            worker_loop(&mut st, &rx, &monitor, tick)
         }));
         match exit {
             Ok(LoopExit::Disconnected) => break,
@@ -1019,7 +949,6 @@ fn supervise(
                 }
                 // A cooperative restart exits at a loop boundary: the
                 // region is Idle and nothing needs repair.
-                st.rehome_sessions();
             }
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
@@ -1032,7 +961,6 @@ fn supervise(
                     resume_unwind(payload);
                 }
                 st.repair_after_unwind();
-                st.rehome_sessions();
             }
         }
     }
@@ -1121,17 +1049,11 @@ impl Perspectrond {
                 busy: Arc::new(AtomicU64::new(0)),
                 shed: Arc::new(AtomicU64::new(0)),
                 retries: Arc::new(AtomicU64::new(0)),
-                policy: config.submit_policy,
             },
             joins,
             watchdog,
             stop,
         }
-    }
-
-    /// Worker threads the service runs with.
-    pub fn shards(&self) -> usize {
-        self.joins.len()
     }
 
     /// A cloneable submission handle for producer threads.

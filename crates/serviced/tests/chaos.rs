@@ -134,7 +134,7 @@ fn assert_stream_matches_reference(
 }
 
 /// The headline recovery contract: a worker panic mid-run is survived by
-/// a respawn that re-homes every session and re-scores the carried batch,
+/// a respawn that keeps every session and re-scores the carried batch,
 /// so at fleet scale (≥256 streams) every stream stays bit-identical to
 /// its lone `streaming_packed` run — at one shard and at four.
 #[test]
@@ -259,10 +259,11 @@ fn watchdog_restarts_a_wedged_worker_without_losing_windows() {
         },
     );
     let submitter = service.submitter();
+    let patient = SubmitPolicy::patient();
     for j in 0..trace.len() {
         let at = trace.instruction_counts()[j];
         submitter
-            .submit(0, at, flat[j * width..(j + 1) * width].into())
+            .submit_with_policy(0, at, flat[j * width..(j + 1) * width].into(), &patient)
             .expect("submit");
     }
     drop(submitter);
@@ -280,9 +281,9 @@ fn watchdog_restarts_a_wedged_worker_without_losing_windows() {
     assert_stream_matches_reference(&report, 0, n_traces);
 }
 
-/// Both policy submission paths give up with a typed `Deadline` instead
-/// of blocking forever against a wedged shard, and the sheds/retries are
-/// accounted in the report.
+/// Policy submissions give up with a typed `Deadline` instead of blocking
+/// forever against a wedged shard — with a retry budget and with none —
+/// and the sheds/retries are accounted in the report.
 #[test]
 fn submit_deadlines_shed_against_a_wedged_shard() {
     let trace = &corpus().traces[0].trace;
@@ -309,19 +310,23 @@ fn submit_deadlines_shed_against_a_wedged_shard() {
             // One window per sweep: the worker wedges with the queue
             // still full, instead of draining it into the batch first.
             batch_windows: 1,
-            submit_policy: SubmitPolicy {
-                deadline: Duration::from_millis(100),
-                ..SubmitPolicy::default()
-            },
             chaos,
             ..ServiceConfig::default()
         },
     );
     let submitter = service.submitter();
+    // No retry bound: only the deadline stops this policy.
+    let unbounded = SubmitPolicy {
+        deadline: Duration::from_millis(100),
+        max_retries: u32::MAX,
+        ..SubmitPolicy::default()
+    };
 
     // Wake the worker (first window → sweep 1 → 900ms stall), give it a
     // beat to wedge, then fill the queue behind it.
-    submitter.submit(0, 10_000, row(0)).expect("first window");
+    submitter
+        .submit_with_policy(0, 10_000, row(0), &unbounded)
+        .expect("first window");
     std::thread::sleep(Duration::from_millis(100));
     let mut accepted = 1u64;
     while submitter.try_submit(0, 10_000, row(0)).is_ok() {
@@ -342,11 +347,11 @@ fn submit_deadlines_shed_against_a_wedged_shard() {
         other => panic!("expected Deadline against a wedged shard, got {other:?}"),
     }
 
-    // Blocking path: honors the service policy's deadline instead of
-    // hanging on the wedged shard.
-    match submitter.submit(0, 10_000, row(0)) {
+    // Unbounded retries: the deadline alone ends the wait on the wedged
+    // shard.
+    match submitter.submit_with_policy(0, 10_000, row(0), &unbounded) {
         Err(SubmitError::Deadline { shard, .. }) => assert_eq!(shard, 0),
-        other => panic!("expected Deadline from blocking submit, got {other:?}"),
+        other => panic!("expected Deadline from an unbounded policy, got {other:?}"),
     }
 
     assert_eq!(submitter.shed(), 2);
@@ -385,13 +390,15 @@ fn exhausted_restart_budget_surfaces_typed_error_with_partial_report() {
     // One stream per shard. shard_of is stable, so probe for examples.
     let doomed = (0..u64::MAX).find(|&s| submitter.shard_of(s) == 0).unwrap();
     let survivor = (0..u64::MAX).find(|&s| submitter.shard_of(s) == 1).unwrap();
+    let patient = SubmitPolicy::patient();
     for j in 0..trace.len() {
         let at = trace.instruction_counts()[j];
+        let row = || -> Box<[f64]> { flat[j * width..(j + 1) * width].into() };
         // The doomed shard dies at its first sweep; later submissions to
         // it may see Shutdown. The surviving shard must accept everything.
-        let _ = submitter.submit(doomed, at, flat[j * width..(j + 1) * width].into());
+        let _ = submitter.submit_with_policy(doomed, at, row(), &patient);
         submitter
-            .submit(survivor, at, flat[j * width..(j + 1) * width].into())
+            .submit_with_policy(survivor, at, row(), &patient)
             .expect("surviving shard accepts");
     }
     drop(submitter);

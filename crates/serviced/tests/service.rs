@@ -239,15 +239,17 @@ fn drain_is_a_verdict_barrier_for_partial_batches() {
         },
     );
     let submitter = service.submitter();
+    let patient = SubmitPolicy::patient();
     // 3 windows per stream — far below one batch, so only a sweep on the
     // drain (or idle coalesce exhaustion) can score them.
     for s in 0..8u64 {
         for j in 0..3usize {
             submitter
-                .submit(
+                .submit_with_policy(
                     s,
                     (j as u64 + 1) * 10_000,
                     flat[j * width..(j + 1) * width].into(),
+                    &patient,
                 )
                 .expect("submit");
         }
@@ -267,7 +269,7 @@ proptest! {
     /// No row a client can submit crashes a shard: rows of any width
     /// (0..2× the schema) holding any values, NaN and ±∞ included, are
     /// either accepted and scored or rejected as `Malformed` before they
-    /// reach a queue — through all three submission paths — and the
+    /// reach a queue — through `try_submit` and two submit policies — and the
     /// service finishes with zero supervised restarts.
     #[test]
     fn malformed_rows_are_rejected_without_a_shard_restart(seed in 0u64..u64::MAX) {
@@ -289,6 +291,7 @@ proptest! {
         );
         let submitter = service.submitter();
         let policy = SubmitPolicy::default();
+        let patient = SubmitPolicy::patient();
         let mut accepted = 0u64;
         for j in 0..24u64 {
             // Half the rows are schema-wide, so accepted windows with
@@ -311,7 +314,7 @@ proptest! {
             let at = (j + 1) * 10_000;
             let result = match j % 3 {
                 0 => submitter.try_submit(stream, at, row),
-                1 => submitter.submit(stream, at, row),
+                1 => submitter.submit_with_policy(stream, at, row, &patient),
                 _ => submitter.submit_with_policy(stream, at, row, &policy),
             };
             match result {

@@ -99,7 +99,7 @@ impl IssueStage {
             if violation.is_some() || issued_this_cycle >= w.cfg.issue_width {
                 return true;
             }
-            let (class, pool, is_load) = match w.window.find(seq) {
+            let (class, pool, is_load, dispatch) = match w.window.find(seq) {
                 Some(d) if d.in_iq && !d.issued && !d.squashed => {
                     if d.non_spec && !d.can_exec_non_spec {
                         return true;
@@ -107,7 +107,7 @@ impl IssueStage {
                     if !d.srcs.iter().flatten().all(|&r| w.regs.phys_ready[r]) {
                         return true;
                     }
-                    (d.class, d.pool, d.load)
+                    (d.class, d.pool, d.load, d.dispatch_cycle)
                 }
                 // Stale entry: squashed or retired since enqueue.
                 _ => return false,
@@ -132,9 +132,10 @@ impl IssueStage {
             }
             issued_this_cycle += 1;
             violation = p.exec.execute_at_issue(seq, w);
-            // Per-issue bookkeeping lives here (the IQ owns it).
+            // Per-issue bookkeeping lives here (the IQ owns it). Only
+            // rename writes `dispatch_cycle`, so the value read at select
+            // is the one issue would read now.
             self.stats.issued_inst_type.inc(class);
-            let dispatch = w.window.inst_of(seq).dispatch_cycle;
             self.stats
                 .issue_delay
                 .record(w.cycle.saturating_sub(dispatch) as f64);
