@@ -12,8 +12,9 @@
 //! ```
 //!
 //! `--corpus` reuses (or creates) a corpus file instead of a temp file,
-//! so repeated runs skip nothing but the simulator. Set
-//! `PERSPECTRON_QUICK=1` for a smaller training corpus.
+//! so repeated runs skip the simulator. A file that exists but does not
+//! open as a corpus is reported and left alone (exit 1), never
+//! overwritten. Set `PERSPECTRON_QUICK=1` for a smaller training corpus.
 //!
 //! `--fault-plan` replays a *faulted* copy of the corpus — the clean
 //! corpus is trained on, then re-faulted in memory through the seeded
@@ -27,9 +28,10 @@
 //! mid-run (exercising supervised respawn), NaN storms on ~2% of windows,
 //! and slow-consumer jitter — all deterministic from the seed.
 
+use std::io::ErrorKind;
 use std::time::Instant;
 
-use perspectron::corpus_io::{self, CorpusReader};
+use perspectron::corpus_io::{self, CorpusIoError, CorpusReader};
 use perspectron::{CorpusSpec, FaultPlan, FaultSpec, PerSpectron};
 use perspectron_serviced::{
     replay_clients, ChaosSpec, PanicAt, Perspectrond, ReplayConfig, ServiceConfig,
@@ -140,7 +142,8 @@ fn main() {
     let args = parse_args();
 
     // 1. A corpus to train on and replay: reuse the file when given and
-    // present, otherwise collect on the simulator and write it out.
+    // present, collect on the simulator and write it out when absent, and
+    // refuse anything else rather than overwrite it.
     let path = args.corpus.clone().unwrap_or_else(|| {
         std::env::temp_dir()
             .join(format!("perspectrond_{}.pspc", std::process::id()))
@@ -152,7 +155,7 @@ fn main() {
             eprintln!("corpus: reusing {path} ({} traces)", r.n_traces());
             r
         }
-        Err(_) => {
+        Err(CorpusIoError::Io(e)) if e.kind() == ErrorKind::NotFound => {
             eprintln!("corpus: collecting on the simulator…");
             let spec = if std::env::var("PERSPECTRON_QUICK").is_ok() {
                 CorpusSpec::quick()
@@ -166,6 +169,10 @@ fn main() {
                 collected.traces.len()
             );
             CorpusReader::open(&path).expect("reopen corpus")
+        }
+        Err(e) => {
+            eprintln!("corpus: cannot use {path}: {e}");
+            std::process::exit(1);
         }
     };
 
@@ -219,7 +226,6 @@ fn main() {
     let replay = ReplayConfig {
         streams: args.streams,
         client_threads: args.clients,
-        ..ReplayConfig::default()
     };
     let started = Instant::now();
     let outcome = replay_clients(&replay_reader, &submitter, &replay);

@@ -17,8 +17,9 @@
 //!   `PerSpectron::streaming_packed`, independent of shard count and
 //!   arrival interleaving.
 //! - the load generator ([`replay_clients`]): replays an on-disk columnar
-//!   corpus (`perspectron::corpus_io`) as N concurrent streams at
-//!   configurable fan-in, driving the service the way a fleet would.
+//!   corpus (`perspectron::corpus_io`) as N concurrent streams spread
+//!   over a few client threads, driving the service the way a fleet
+//!   would.
 //! - the `perspectrond` binary — trains on a corpus, starts the service,
 //!   replays load against it, and prints the operational report.
 //!

@@ -127,10 +127,6 @@ pub struct ServiceConfig {
     pub batch_windows: usize,
     /// Consecutive degraded windows before a stream is quarantined.
     pub quarantine_after: usize,
-    /// Artificial delay before each scoring sweep — zero in production;
-    /// tests and benches set it to emulate a slow consumer so queue
-    /// backpressure becomes observable.
-    pub sweep_stall: Duration,
     /// Wedged-worker detection.
     pub watchdog: WatchdogConfig,
     /// Deterministic chaos injected into the shard workers.
@@ -150,7 +146,6 @@ impl Default for ServiceConfig {
             queue_depth: 256,
             batch_windows: 64,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
-            sweep_stall: Duration::ZERO,
             watchdog: WatchdogConfig::default(),
             chaos: ChaosSpec::quiet(),
             max_restarts_per_shard: 3,
@@ -674,7 +669,6 @@ struct ShardState {
     storms: u64,
     batch_windows: usize,
     quarantine_after: usize,
-    sweep_stall: Duration,
 }
 
 impl ShardState {
@@ -701,7 +695,6 @@ impl ShardState {
             storms: 0,
             batch_windows,
             quarantine_after: cfg.quarantine_after.max(1),
-            sweep_stall: cfg.sweep_stall,
             detector,
         }
     }
@@ -762,9 +755,6 @@ impl ShardState {
         // 1-based: "panic at sweep N" fires before sweep N scores, and a
         // carried batch retries the *same* number after the respawn.
         self.chaos.before_sweep(self.sweeps + 1);
-        if !self.sweep_stall.is_zero() {
-            std::thread::sleep(self.sweep_stall);
-        }
         self.detector
             .packed_perceptron()
             .score_rows(&self.batch, &mut self.scores);

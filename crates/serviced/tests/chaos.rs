@@ -95,7 +95,6 @@ fn run_chaos_replay(
         &ReplayConfig {
             streams,
             client_threads: 4,
-            ..ReplayConfig::default()
         },
     );
     drop(submitter);
@@ -491,7 +490,6 @@ fn faulted_corpus_replay_exercises_quarantine_at_fleet_scale() {
         &ReplayConfig {
             streams,
             client_threads: 4,
-            ..ReplayConfig::default()
         },
     );
     drop(submitter);

@@ -8,7 +8,8 @@ use std::time::Duration;
 use perspectron::corpus_io::{self, CorpusReader};
 use perspectron::{CollectedCorpus, CorpusSpec, IntervalVerdict, PerSpectron};
 use perspectron_serviced::{
-    replay_clients, Perspectrond, ReplayConfig, ServiceConfig, SubmitError, SubmitPolicy,
+    replay_clients, ChaosSpec, Perspectrond, ReplayConfig, ServiceConfig, StallAt, SubmitError,
+    SubmitPolicy,
 };
 use proptest::prelude::*;
 use uarch_stats::SampleSink;
@@ -66,7 +67,7 @@ fn reference_verdicts() -> &'static Vec<Vec<IntervalVerdict>> {
 
 fn run_replay(
     shards: usize,
-    sweep_stall: Duration,
+    chaos: ChaosSpec,
     streams: usize,
     tag: &str,
 ) -> perspectron_serviced::ServiceReport {
@@ -77,7 +78,7 @@ fn run_replay(
         ServiceConfig {
             shards,
             queue_depth: 128,
-            sweep_stall,
+            chaos,
             ..ServiceConfig::default()
         },
     );
@@ -88,7 +89,6 @@ fn run_replay(
         &ReplayConfig {
             streams,
             client_threads: 4,
-            ..ReplayConfig::default()
         },
     );
     drop(submitter);
@@ -104,7 +104,7 @@ fn run_replay(
 #[test]
 fn thousand_streams_lose_nothing_and_match_the_lone_stream_bit_for_bit() {
     let streams = 1024;
-    let report = run_replay(4, Duration::ZERO, streams, "thousand");
+    let report = run_replay(4, ChaosSpec::quiet(), streams, "thousand");
     let refs = reference_verdicts();
     let n_traces = corpus().traces.len();
 
@@ -139,10 +139,16 @@ fn thousand_streams_lose_nothing_and_match_the_lone_stream_bit_for_bit() {
 #[test]
 fn cross_session_batching_coalesces_behind_a_slow_sweep() {
     // With 1024 streams fanning into 4 shards, sweeps must be far fewer
-    // than windows. Each sweep stalls 5 ms while four client threads
-    // refill the shard's 128-deep queue, so every sweep after the first
-    // finds a backlog to coalesce, however fast the host scores a batch.
-    let report = run_replay(4, Duration::from_millis(5), 1024, "coalesce");
+    // than windows. Chaos jitter stalls every sweep a seeded 0-10 ms (5 ms
+    // on average) while four client threads refill the shard's 128-deep
+    // queue, so sweeps find a backlog to coalesce, however fast the host
+    // scores a batch.
+    let slow_consumer = ChaosSpec {
+        jitter_chance: 1.0,
+        jitter_max: Duration::from_millis(10),
+        ..ChaosSpec::quiet()
+    };
+    let report = run_replay(4, slow_consumer, 1024, "coalesce");
     assert!(
         report.sweeps < report.windows_scored / 4,
         "batching never coalesced: {} sweeps for {} windows",
@@ -155,8 +161,8 @@ fn cross_session_batching_coalesces_behind_a_slow_sweep() {
 #[test]
 fn shard_count_does_not_change_any_stream_verdict_sequence() {
     let streams = 256;
-    let one = run_replay(1, Duration::ZERO, streams, "shard1");
-    let four = run_replay(4, Duration::ZERO, streams, "shard4");
+    let one = run_replay(1, ChaosSpec::quiet(), streams, "shard1");
+    let four = run_replay(4, ChaosSpec::quiet(), streams, "shard4");
     assert_eq!(one.streams.len(), streams);
     assert_eq!(four.streams.len(), streams);
     assert_eq!(one.windows_scored, four.windows_scored);
@@ -182,9 +188,16 @@ fn slow_consumer_backpressure_is_bounded_and_explicit() {
             shards: 1,
             queue_depth,
             batch_windows: 4,
-            // Each sweep stalls long enough for the producer to slam the
-            // queue: the bounded channel must fill and reject, not grow.
-            sweep_stall: Duration::from_millis(25),
+            // The first sweep stalls long enough for the producer to slam
+            // the queue: the bounded channel must fill and reject, not grow.
+            chaos: ChaosSpec {
+                stalls: vec![StallAt {
+                    shard: 0,
+                    sweep: 1,
+                    stall: Duration::from_millis(25),
+                }],
+                ..ChaosSpec::quiet()
+            },
             ..ServiceConfig::default()
         },
     );
@@ -207,7 +220,7 @@ fn slow_consumer_backpressure_is_bounded_and_explicit() {
     }
     assert!(
         rejected > 0,
-        "queue depth {queue_depth} with a 25ms/sweep consumer must shed \
+        "queue depth {queue_depth} with a consumer stalled 25ms must shed \
          some of {attempts} back-to-back submissions"
     );
     assert_eq!(submitter.busy_rejections(), rejected);
@@ -261,6 +274,28 @@ fn drain_is_a_verdict_barrier_for_partial_batches() {
     for s in 0..8u64 {
         assert_eq!(report.verdicts_of(s).map(<[_]>::len), Some(3));
     }
+}
+
+#[test]
+fn perspectrond_leaves_a_file_that_is_not_a_corpus_alone() {
+    let path = std::env::temp_dir().join(format!(
+        "perspectron_service_not_a_corpus_{}.pspc",
+        std::process::id()
+    ));
+    std::fs::write(&path, b"not a corpus").expect("write");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_perspectrond"))
+        .env("PERSPECTRON_QUICK", "1")
+        .args(["--streams", "1", "--corpus"])
+        .arg(&path)
+        .output()
+        .expect("run perspectrond");
+    let bytes = std::fs::read(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        !out.status.success(),
+        "perspectrond accepted a file that is not a corpus"
+    );
+    assert_eq!(bytes, b"not a corpus", "perspectrond rewrote the file");
 }
 
 proptest! {
