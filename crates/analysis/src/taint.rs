@@ -833,37 +833,13 @@ pub fn detect(program: &Program, ctx: &AnalysisCtx<'_>, taint: &TaintResult) -> 
     findings
 }
 
-/// Convenience: full pipeline over one program, building the structural
-/// analyses (call graph, dominators, loops, window model) internally.
-pub fn analyze(program: &Program, cfg: &Cfg) -> (TaintResult, Vec<Finding>) {
-    let cg = CallGraph::build(program, cfg);
-    let dom = DomTree::build(cfg);
-    let loops = LoopForest::build(cfg, &dom);
-    let window = SpecWindow::table_ii();
-    let taint = propagate(program, cfg, &cg, sim_cpu::KERNEL_SPACE_BASE);
-    let findings = detect(
-        program,
-        &AnalysisCtx {
-            cfg,
-            cg: &cg,
-            dom: &dom,
-            loops: &loops,
-            window: &window,
-        },
-        &taint,
-    );
-    (taint, findings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use uarch_isa::{AsmError, Assembler, Reg};
 
     fn kinds(p: &Program) -> BTreeSet<GadgetKind> {
-        let cfg = Cfg::build(p);
-        let (_, findings) = analyze(p, &cfg);
-        findings.into_iter().map(|f| f.kind).collect()
+        crate::analyze_program(p).kinds()
     }
 
     const BOUND: i64 = 0x2000;

@@ -162,7 +162,7 @@ impl PerSpectron {
 
     /// A packed-row encoder projected straight down to the selected
     /// features: raw rows come in, [`BitRow`]s as wide as the perceptron
-    /// come out, with masked lanes recorded in the validity plane.
+    /// come out, with masked lanes left clear.
     pub fn packed_encoder(&self) -> RowEncoder {
         self.input_encoder()
             .with_projection(self.selection.selected.clone())

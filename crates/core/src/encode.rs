@@ -67,14 +67,13 @@ pub(crate) fn needs_sanitizing(value: f64) -> bool {
     !value.is_finite()
 }
 
-/// Whether a lane must be masked during encoding: the single source of
-/// truth for both the dense `f64` encoding (which encodes the lane as 0.0)
-/// and the packed one (which additionally clears the lane's validity bit). A
-/// lane is masked when its raw value is non-finite (a corrupted sensor
-/// reading) or its reference maximum is non-finite or subnormal (dividing
-/// by it would produce garbage or an effectively-infinite scale).
+/// Whether a lane must be masked during encoding, which encodes it as
+/// 0.0 (and so leaves its packed bit clear). A lane is masked when its raw
+/// value is non-finite (a corrupted sensor reading) or its reference
+/// maximum is non-finite or subnormal (dividing by it would produce
+/// garbage or an effectively-infinite scale).
 #[inline]
-pub(crate) fn lane_masked(max: f64, value: f64) -> bool {
+fn lane_masked(max: f64, value: f64) -> bool {
     max < f64::MIN_POSITIVE || !max.is_finite() || needs_sanitizing(value)
 }
 
@@ -244,11 +243,10 @@ impl RowEncoder {
     /// Encodes a raw full-width delta row taken at sampling point `j`
     /// directly into a packed [`BitRow`] (reset first; reallocated only if
     /// its width differs): a lane's bit is set exactly when
-    /// [`RowEncoder::encode_into`] would produce `1.0` for it, and a
-    /// lane's validity bit is cleared when the value was masked (a
-    /// non-finite sensor reading, or a non-finite/subnormal reference
-    /// maximum with no usable global fallback) — so degraded-lane
-    /// accounting survives packing even after the raw `f64` row is gone.
+    /// [`RowEncoder::encode_into`] would produce `1.0` for it. A masked
+    /// lane (a non-finite sensor reading, or a non-finite/subnormal
+    /// reference maximum with no usable global fallback) encodes as `0.0`
+    /// there, so its bit stays clear.
     ///
     /// # Panics
     ///
@@ -266,10 +264,7 @@ impl RowEncoder {
             out.clear();
         }
         let mut encode_lane = |lane: usize, i: usize, v: f64| {
-            let max = self.max.max_at(i, j);
-            if lane_masked(max, v) {
-                out.set_valid(lane, false);
-            } else if encode_value(max, v, Encoding::KSparse) == 1.0 {
+            if encode_value(self.max.max_at(i, j), v, Encoding::KSparse) == 1.0 {
                 out.set(lane, true);
             }
         };
@@ -389,6 +384,12 @@ mod tests {
                     enc.encode(&[1.0, 4.0], 0)[1],
                     "healthy column unaffected"
                 );
+                if encoding == Encoding::KSparse {
+                    assert!(
+                        !enc.encode_bits(&[bad, 4.0], 0).get(0),
+                        "corrupted value must leave its packed lane clear"
+                    );
+                }
             }
         }
     }

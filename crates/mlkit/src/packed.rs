@@ -4,16 +4,15 @@
 //! features scored by a single-layer perceptron, exactly like the
 //! perceptron branch predictors it descends from. This module is that
 //! shape taken literally in software: a binarized row is a [`BitRow`]
-//! (one bit per feature, packed into `u64` words, plus a validity mask
-//! for lanes that were sanitized away), a batch of rows is a contiguous
-//! [`PackedRows`] block, and a trained [`Perceptron`] freezes into a
-//! [`PackedPerceptron`] whose inference walks set bits instead of
+//! (one bit per feature, packed into `u64` words), a batch of rows is a
+//! contiguous [`PackedRows`] block, and a trained [`Perceptron`] freezes
+//! into a [`PackedPerceptron`] whose inference walks set bits instead of
 //! multiplying a dense `f64` vector.
 //!
 //! Scoring ([`PackedPerceptron::score_bits`] for one row,
-//! [`PackedPerceptron::score_rows`] for a batch) iterates the set (and
-//! valid) bits of a row in ascending lane order and sums the corresponding
-//! `f64` weights. Because every input is exactly `0.0` or `1.0`, skipping
+//! [`PackedPerceptron::score_rows`] for a batch) iterates the set bits of
+//! a row in ascending lane order and sums the corresponding `f64`
+//! weights. Because every input is exactly `0.0` or `1.0`, skipping
 //! the zero terms cannot perturb the IEEE-754 sum: the result is
 //! **bit-identical** to [`crate::Classifier::score`] on the equivalent
 //! dense row, so verdicts, confidences and thresholds all carry over
@@ -21,9 +20,8 @@
 //! never an approximation. [`PackedPerceptron::quantized`] exports the
 //! signed 8-bit weights the hardware tables would hold (§IV-G1).
 //!
-//! Invalid lanes (see [`BitRow::set_valid`]) contribute nothing to a
-//! score even if their bit is set — a sanitized sensor reading is masked,
-//! never scored.
+//! A lane masked during encoding (a sanitized sensor reading) is simply
+//! a clear bit, so it contributes nothing to a score.
 
 use crate::error::MlError;
 use crate::perceptron::Perceptron;
@@ -37,56 +35,33 @@ fn words_for(width: usize) -> usize {
     width.div_ceil(WORD_BITS)
 }
 
-/// Mask of the in-range bits of the last word of a `width`-lane row
-/// (all-ones when the width is a multiple of 64).
-#[inline]
-fn tail_mask(width: usize) -> u64 {
-    let rem = width % WORD_BITS;
-    if rem == 0 {
-        u64::MAX
-    } else {
-        (1u64 << rem) - 1
-    }
-}
-
-/// One binarized feature row packed 64 lanes per `u64` word, with a
-/// per-lane validity mask.
+/// One binarized feature row packed 64 lanes per `u64` word.
 ///
-/// A lane is *set* when the binarized feature is 1, and *valid* unless
-/// the value was masked during encoding (a sanitized non-finite sensor
-/// reading, or a reference maximum too degenerate to divide by). Tail
-/// bits beyond `width` are always zero in both planes, so whole-word
-/// popcounts never see garbage.
+/// A lane is *set* when the binarized feature is 1. A lane masked during
+/// encoding (a sanitized non-finite sensor reading, or a reference
+/// maximum too degenerate to divide by) stays clear. Tail bits beyond
+/// `width` are always zero, so whole-word popcounts never see garbage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitRow {
     words: Vec<u64>,
-    valid: Vec<u64>,
     width: usize,
 }
 
 impl BitRow {
-    /// An all-zero, all-valid row over `width` lanes.
+    /// An all-zero row over `width` lanes.
     pub fn zeros(width: usize) -> Self {
-        let n = words_for(width);
-        let mut valid = vec![u64::MAX; n];
-        if let Some(last) = valid.last_mut() {
-            *last = tail_mask(width);
-        }
         Self {
-            words: vec![0; n],
-            valid,
+            words: vec![0; words_for(width)],
             width,
         }
     }
 
     /// Packs a dense binarized row: a lane is set when the value exceeds
-    /// 0.5 (the k-sparse convention) and invalid when it is non-finite.
+    /// 0.5 (the k-sparse convention). Non-finite lanes stay clear.
     pub fn from_f64(row: &[f64]) -> Self {
         let mut out = Self::zeros(row.len());
         for (i, &v) in row.iter().enumerate() {
-            if !v.is_finite() {
-                out.set_valid(i, false);
-            } else if v > 0.5 {
+            if v.is_finite() && v > 0.5 {
                 out.set(i, true);
             }
         }
@@ -101,11 +76,6 @@ impl BitRow {
     /// The packed feature bits, 64 lanes per word, tail bits zero.
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// The packed validity mask (1 = lane valid), tail bits zero.
-    pub fn valid_words(&self) -> &[u64] {
-        &self.valid
     }
 
     /// The feature bit of lane `i`.
@@ -133,30 +103,10 @@ impl BitRow {
         }
     }
 
-    /// Marks lane `i` valid or invalid. Invalid lanes contribute nothing
-    /// to any score, even if their bit is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= width`.
-    pub fn set_valid(&mut self, i: usize, valid: bool) {
-        assert!(i < self.width, "lane {i} out of range ({})", self.width);
-        let mask = 1u64 << (i % WORD_BITS);
-        if valid {
-            self.valid[i / WORD_BITS] |= mask;
-        } else {
-            self.valid[i / WORD_BITS] &= !mask;
-        }
-    }
-
-    /// Resets to all-zero bits and all-valid lanes, keeping the width —
-    /// the allocation-free reuse path for streaming encoders.
+    /// Resets to all-zero bits, keeping the width — the allocation-free
+    /// reuse path for streaming encoders.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
-        self.valid.iter_mut().for_each(|w| *w = u64::MAX);
-        if let Some(last) = self.valid.last_mut() {
-            *last = tail_mask(self.width);
-        }
     }
 }
 
@@ -165,7 +115,6 @@ impl BitRow {
 #[derive(Debug, Clone, Default)]
 pub struct PackedRows {
     words: Vec<u64>,
-    valid: Vec<u64>,
     width: usize,
     len: usize,
 }
@@ -175,7 +124,6 @@ impl PackedRows {
     pub fn new(width: usize) -> Self {
         Self {
             words: Vec::new(),
-            valid: Vec::new(),
             width,
             len: 0,
         }
@@ -195,7 +143,6 @@ impl PackedRows {
             });
         }
         self.words.extend_from_slice(row.words());
-        self.valid.extend_from_slice(row.valid_words());
         self.len += 1;
         Ok(())
     }
@@ -218,7 +165,6 @@ impl PackedRows {
     /// Drops every row, keeping the allocation and width.
     pub fn clear(&mut self) {
         self.words.clear();
-        self.valid.clear();
         self.len = 0;
     }
 }
@@ -292,18 +238,18 @@ impl PackedPerceptron {
         (&self.qweights, self.qbias, self.scale)
     }
 
-    /// Exact raw score over word slices (bits, validity). The workhorse
-    /// behind [`PackedPerceptron::score_bits`] and batched scoring.
+    /// Exact raw score over one row's words. The workhorse behind
+    /// [`PackedPerceptron::score_bits`] and batched scoring.
     #[inline]
-    fn score_words(&self, words: &[u64], valid: &[u64]) -> f64 {
+    fn score_words(&self, words: &[u64]) -> f64 {
         debug_assert_eq!(words.len(), self.words_per_row);
         // Summing only the set lanes in ascending order reproduces the
         // dense dot product bit-for-bit: the skipped terms are exact
         // zeros, which cannot move an IEEE-754 accumulator that starts
         // at +0.0.
         let mut acc = 0.0f64;
-        for (w, (&bits, &ok)) in words.iter().zip(valid).enumerate() {
-            let mut m = bits & ok;
+        for (w, &bits) in words.iter().enumerate() {
+            let mut m = bits;
             let base = w * WORD_BITS;
             while m != 0 {
                 let b = m.trailing_zeros() as usize;
@@ -322,7 +268,7 @@ impl PackedPerceptron {
     /// Panics if the row's width differs from the model's.
     pub fn score_bits(&self, row: &BitRow) -> f64 {
         assert_eq!(row.width(), self.width, "packed row width mismatch");
-        self.score_words(row.words(), row.valid_words())
+        self.score_words(row.words())
     }
 
     /// Exact raw scores for a whole batch, written into `out` (cleared
@@ -354,7 +300,7 @@ impl PackedPerceptron {
             for w in 0..n {
                 let lane0 = w * WORD_BITS;
                 for (k, acc_k) in acc.iter_mut().enumerate() {
-                    let mut m = rows.words[b[k] + w] & rows.valid[b[k] + w];
+                    let mut m = rows.words[b[k] + w];
                     while m != 0 {
                         *acc_k += self.weights[lane0 + m.trailing_zeros() as usize];
                         m &= m - 1;
@@ -366,7 +312,7 @@ impl PackedPerceptron {
         }
         for r in r..rows.len() {
             let base = r * n;
-            out.push(self.score_words(&rows.words[base..base + n], &rows.valid[base..base + n]));
+            out.push(self.score_words(&rows.words[base..base + n]));
         }
     }
 }
@@ -380,10 +326,6 @@ mod tests {
         r.words().iter().map(|w| w.count_ones()).sum()
     }
 
-    fn invalid_lanes(r: &BitRow) -> u32 {
-        r.width() as u32 - r.valid_words().iter().map(|w| w.count_ones()).sum::<u32>()
-    }
-
     #[test]
     fn bitrow_roundtrips_and_keeps_tails_clean() {
         for width in [1usize, 63, 64, 65, 106, 128, 130] {
@@ -392,21 +334,15 @@ mod tests {
             r.set(width - 1, true);
             assert!(r.get(0) && r.get(width - 1));
             assert_eq!(count_ones(&r), if width == 1 { 1 } else { 2 });
-            // Tail bits beyond `width` stay zero in both planes.
+            // Tail bits beyond `width` stay zero.
             if width % WORD_BITS != 0 {
-                let tail = *r.words().last().unwrap() & !tail_mask(width);
+                let tail = *r.words().last().unwrap() >> (width % WORD_BITS);
                 assert_eq!(tail, 0, "width {width}: dirty tail bits");
-                let vtail = *r.valid_words().last().unwrap() & !tail_mask(width);
-                assert_eq!(vtail, 0, "width {width}: dirty validity tail");
             }
             r.set(0, false);
             assert!(!r.get(0));
-            assert_eq!(invalid_lanes(&r), 0);
-            r.set_valid(width - 1, false);
-            assert_eq!(invalid_lanes(&r), 1);
             r.clear();
             assert_eq!(count_ones(&r), 0);
-            assert_eq!(invalid_lanes(&r), 0);
         }
     }
 
@@ -416,11 +352,6 @@ mod tests {
         assert!(!r.get(0) && r.get(1) && !r.get(2) && r.get(3));
         assert!(!r.get(4) && !r.get(5), "non-finite lanes pack as 0");
         assert_eq!(r.words(), &[0b00_1010]);
-        assert_eq!(
-            r.valid_words(),
-            &[0b00_1111],
-            "non-finite lanes are invalid"
-        );
     }
 
     #[test]
@@ -436,7 +367,6 @@ mod tests {
         );
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.words, BitRow::zeros(10).words());
-        assert_eq!(batch.valid, BitRow::zeros(10).valid_words());
     }
 
     #[test]
@@ -460,18 +390,6 @@ mod tests {
                 "pattern {pattern}: packed score diverged"
             );
         }
-    }
-
-    #[test]
-    fn invalid_lanes_contribute_nothing_even_when_set() {
-        let mut p = Perceptron::new(3);
-        p.set_weights(vec![1.0, 10.0, 100.0], 0.0).unwrap();
-        let packed = PackedPerceptron::from_perceptron(&p);
-        let mut row = BitRow::zeros(3);
-        row.set(0, true);
-        row.set(1, true);
-        row.set_valid(1, false);
-        assert_eq!(packed.score_bits(&row), 1.0);
     }
 
     #[test]
@@ -515,8 +433,8 @@ mod tests {
     }
 
     /// The 4-wide unrolled sweep must stay bit-identical to per-row
-    /// scoring at every (batch length % 4) remainder, at multi-word
-    /// widths, and with invalid lanes in the mix.
+    /// scoring at every (batch length % 4) remainder and at multi-word
+    /// widths.
     #[test]
     fn unrolled_batch_sweep_is_bit_identical_at_every_remainder() {
         for width in [1usize, 63, 64, 106, 130, 200, 513] {
@@ -536,9 +454,6 @@ mod tests {
                         state ^= state << 17;
                         if state & 3 == 0 {
                             row.set(i, true);
-                        }
-                        if state & 15 == 1 {
-                            row.set_valid(i, false);
                         }
                     }
                     singles.push(packed.score_bits(&row).to_bits());

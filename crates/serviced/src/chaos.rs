@@ -13,8 +13,8 @@
 //!   are intact when the unwind starts, so the supervisor can carry the
 //!   in-flight windows across the respawn and lose nothing.
 //! - **Queue-drain stalls** ([`StallAt`]) — the worker sleeps inside a
-//!   sweep without heartbeating, exactly what a wedged dependency looks
-//!   like to the watchdog.
+//!   sweep without making progress, exactly what a wedged dependency
+//!   looks like to the shard's own stall clock.
 //! - **Slow-consumer jitter** — a per-sweep random extra delay drawn from
 //!   the shard's chaos stream, turning steady consumers into laggy ones
 //!   so backpressure and retry policies are exercised under load.
@@ -50,8 +50,9 @@ pub struct PanicAt {
     pub sweep: u64,
 }
 
-/// Stall one shard's worker (no heartbeats) at the start of its
-/// `sweep`-th scoring sweep — watchdog bait. Fires once.
+/// Stall one shard's worker (no progress) at the start of its
+/// `sweep`-th scoring sweep — a wedge for the shard's stall clock to
+/// catch. Fires once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallAt {
     /// The shard whose worker stalls.

@@ -26,8 +26,8 @@
 //! The service is fault tolerant: each shard worker runs under an
 //! Erlang-style supervisor that respawns it after panics (repairing the
 //! shard state it left behind and re-scoring the in-flight batch, so
-//! verdicts stay bit-identical) and a watchdog that detects wedged
-//! workers. Failures are typed — [`ShardRestart`] events in the report,
+//! verdicts stay bit-identical) and restarts it when it finds itself
+//! wedged. Failures are typed — [`ShardRestart`] events in the report,
 //! [`ServiceError::ShardPanicked`] with partial results at shutdown — and
 //! a [`ChaosSpec`] injects them deterministically from a seed, so the
 //! whole recovery surface is testable byte-for-byte. A [`SubmitPolicy`]
@@ -46,5 +46,5 @@ pub use policy::SubmitPolicy;
 pub use replay::{replay_clients, ReplayConfig, ReplayOutcome};
 pub use service::{
     Perspectrond, RestartCause, ServiceConfig, ServiceError, ServiceReport, ShardRestart,
-    StreamOutcome, SubmitError, Submitter, WatchdogConfig,
+    StreamOutcome, SubmitError, Submitter,
 };

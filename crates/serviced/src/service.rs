@@ -9,7 +9,6 @@
 //!  clients ──submit──► [bounded MPSC, depth Q] ──► supervisor ⟳ shard 0 ─┐
 //!  clients ──submit──► [bounded MPSC, depth Q] ──► supervisor ⟳ shard 1 ─┼─► ServiceReport
 //!                  …                                        …            ┘
-//!                                 watchdog ── heartbeats ──┘
 //! ```
 //!
 //! A stream id hashes (FNV-1a) to exactly one shard, so one stream's
@@ -48,11 +47,13 @@
 //! [`ServiceError::ShardPanicked`] — still carrying the merged report of
 //! every surviving shard.
 //!
-//! A watchdog thread watches per-shard heartbeat counters; a worker that
-//! stops beating for [`WatchdogConfig::stall_budget`] consecutive ticks
-//! is declared wedged and handed a restart request, which the worker
-//! honors at the next loop boundary (a controlled restart — nothing is
-//! lost, the cause is recorded as [`RestartCause::Wedged`]).
+//! Each worker times its own stalls. It notes the time whenever a
+//! blocking `recv` returns and whenever a sweep scores; a gap of
+//! [`ServiceConfig::wedged_after`] or more between two such points means
+//! the worker was wedged, and it restarts at the next loop boundary (a
+//! controlled restart — nothing is lost, the cause is recorded as
+//! [`RestartCause::Wedged`]). Time spent blocked waiting for work never
+//! counts, so an idle shard sleeps in `recv` and never wakes on its own.
 //!
 //! # Backpressure
 //!
@@ -68,8 +69,8 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -83,35 +84,6 @@ use perspectron::{
 
 use crate::chaos::{ChaosSpec, ShardChaos};
 use crate::policy::SubmitPolicy;
-
-/// Shape of the watchdog that detects wedged shard workers.
-///
-/// Workers heartbeat an atomic counter at every loop boundary (including
-/// idle `recv` timeouts, which fire every `tick`). The watchdog samples
-/// the counters every `tick`; a worker whose counter has not moved for
-/// `stall_budget` consecutive samples is declared wedged and handed a
-/// restart request. The request is cooperative — std threads cannot be
-/// killed — so recovery happens when the wedge releases (or at shutdown);
-/// what the watchdog guarantees is *detection* and a typed
-/// [`RestartCause::Wedged`] restart instead of a silent stall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Sampling period, and the workers' idle-heartbeat period. Clamped
-    /// to ≥ 1 ms.
-    pub tick: Duration,
-    /// Consecutive stale samples before a worker is declared wedged.
-    /// Clamped to ≥ 2 (one sample can race a legitimately idle beat).
-    pub stall_budget: u32,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            tick: Duration::from_millis(50),
-            stall_budget: 40, // 2 s of silence before a shard is wedged
-        }
-    }
-}
 
 /// How the service is shaped: worker count, queue bound, batching policy,
 /// fault-tolerance knobs.
@@ -127,8 +99,15 @@ pub struct ServiceConfig {
     pub batch_windows: usize,
     /// Consecutive degraded windows before a stream is quarantined.
     pub quarantine_after: usize,
-    /// Wedged-worker detection.
-    pub watchdog: WatchdogConfig,
+    /// Working time without progress after which a shard worker counts
+    /// as wedged: the gap from a blocking `recv` returning, or a sweep
+    /// scoring, to the next sweep scoring — at most one batch of windows
+    /// and its sweep. Time blocked waiting for work does not count. The
+    /// restart is cooperative — std threads cannot be killed — so it
+    /// happens when the wedge releases; what the service guarantees is a
+    /// typed [`RestartCause::Wedged`] restart instead of a silent stall.
+    /// Clamped to ≥ 1 ms.
+    pub wedged_after: Duration,
     /// Deterministic chaos injected into the shard workers.
     /// [`ChaosSpec::quiet`] (the default) injects nothing.
     pub chaos: ChaosSpec,
@@ -146,7 +125,7 @@ impl Default for ServiceConfig {
             queue_depth: 256,
             batch_windows: 64,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
-            watchdog: WatchdogConfig::default(),
+            wedged_after: Duration::from_secs(2),
             chaos: ChaosSpec::quiet(),
             max_restarts_per_shard: 3,
         }
@@ -248,8 +227,8 @@ pub enum RestartCause {
         /// summarized).
         message: String,
     },
-    /// The watchdog declared the worker wedged and the worker honored the
-    /// restart request at its next loop boundary.
+    /// The worker went [`ServiceConfig::wedged_after`] or longer without
+    /// progress and restarted itself at its next loop boundary.
     Wedged,
 }
 
@@ -613,38 +592,6 @@ enum Region {
     Sweeping,
 }
 
-/// Per-shard liveness surface shared between worker, supervisor and
-/// watchdog.
-struct ShardMonitor {
-    beats: AtomicU64,
-    restart_requested: AtomicBool,
-}
-
-impl ShardMonitor {
-    fn new() -> Self {
-        Self {
-            beats: AtomicU64::new(0),
-            restart_requested: AtomicBool::new(false),
-        }
-    }
-
-    fn beat(&self) {
-        self.beats.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn beats(&self) -> u64 {
-        self.beats.load(Ordering::Relaxed)
-    }
-
-    fn request_restart(&self) {
-        self.restart_requested.store(true, Ordering::Relaxed);
-    }
-
-    fn take_restart(&self) -> bool {
-        self.restart_requested.swap(false, Ordering::Relaxed)
-    }
-}
-
 /// Per-shard state, owned by the supervisor frame: survives worker
 /// panics and is repaired — never rebuilt — across restarts. The encoder
 /// and weights are immutable, and both scratch buffers are reset before
@@ -661,6 +608,13 @@ struct ShardState {
     chaos: ShardChaos,
     region: Region,
     sweep_attempts: u32,
+    /// When the worker last made progress: a `recv` returned or a sweep
+    /// scored.
+    progress: Instant,
+    /// A gap of `wedged_after` or more since `progress` was seen; the
+    /// worker restarts at its next loop boundary.
+    wedged: bool,
+    wedged_after: Duration,
     restarts: Vec<ShardRestart>,
     latencies_us: Vec<u32>,
     windows: u64,
@@ -687,6 +641,9 @@ impl ShardState {
             chaos: ShardChaos::new(Arc::new(cfg.chaos.clone()), shard),
             region: Region::Idle,
             sweep_attempts: 0,
+            progress: Instant::now(),
+            wedged: false,
+            wedged_after: cfg.wedged_after.max(Duration::from_millis(1)),
             restarts: Vec::new(),
             latencies_us: Vec::new(),
             windows: 0,
@@ -760,6 +717,8 @@ impl ShardState {
             .score_rows(&self.batch, &mut self.scores);
         debug_assert_eq!(self.scores.len(), self.pending.len());
         let scored_at = Instant::now();
+        self.wedged |= scored_at.duration_since(self.progress) >= self.wedged_after;
+        self.progress = scored_at;
         self.max_coalesced = self.max_coalesced.max(self.pending.len());
         self.windows += self.pending.len() as u64;
         self.sweeps += 1;
@@ -862,47 +821,36 @@ impl ShardState {
 enum LoopExit {
     /// Queue disconnected: all submitters gone, stragglers swept.
     Disconnected,
-    /// The watchdog asked for a restart and the worker complied.
+    /// The worker saw itself wedged and stopped at a loop boundary.
     RestartRequested,
 }
 
 /// The worker loop proper: runs until disconnect, restart request, or
 /// panic. Its state is borrowed from the supervisor.
-fn worker_loop(
-    st: &mut ShardState,
-    rx: &Receiver<Msg>,
-    monitor: &ShardMonitor,
-    tick: Duration,
-) -> LoopExit {
+fn worker_loop(st: &mut ShardState, rx: &Receiver<Msg>) -> LoopExit {
     // A carried batch from before a restart drains first, so sessions
     // see their windows close in the original order.
     st.sweep();
     loop {
-        monitor.beat();
-        if monitor.take_restart() {
+        if std::mem::take(&mut st.wedged) {
             return LoopExit::RestartRequested;
         }
-        // Block for the first message of a burst (waking every tick to
-        // heartbeat), then coalesce whatever else is already queued — up
-        // to one batch — into the same sweep.
-        match rx.recv_timeout(tick) {
-            Ok(msg) => {
-                st.handle(msg);
-                loop {
-                    if st.pending.len() >= st.batch_windows {
-                        st.sweep();
-                    }
-                    monitor.beat();
-                    match rx.try_recv() {
-                        Ok(m) => st.handle(m),
-                        Err(_) => break,
-                    }
-                }
+        // Block for the first message of a burst, then coalesce whatever
+        // else is already queued — up to one batch — into the same sweep.
+        // Time blocked here is idle, not wedged: the clock restarts.
+        let Ok(msg) = rx.recv() else { break };
+        st.progress = Instant::now();
+        st.handle(msg);
+        loop {
+            if st.pending.len() >= st.batch_windows {
                 st.sweep();
             }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
+            match rx.try_recv() {
+                Ok(m) => st.handle(m),
+                Err(_) => break,
+            }
         }
+        st.sweep();
     }
     // Channel disconnected: score any straggler batch and exit.
     st.sweep();
@@ -910,19 +858,10 @@ fn worker_loop(
 }
 
 /// The supervisor: owns the shard state, respawns the worker loop after
-/// panics and watchdog restarts, and gives up (re-raising) past the
-/// restart budget.
-fn supervise(
-    mut st: ShardState,
-    rx: Receiver<Msg>,
-    monitor: Arc<ShardMonitor>,
-    tick: Duration,
-    max_restarts: usize,
-) -> ShardReport {
+/// panics and wedges, and gives up (re-raising) past the restart budget.
+fn supervise(mut st: ShardState, rx: Receiver<Msg>, max_restarts: usize) -> ShardReport {
     loop {
-        let exit = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(&mut st, &rx, &monitor, tick)
-        }));
+        let exit = catch_unwind(AssertUnwindSafe(|| worker_loop(&mut st, &rx)));
         match exit {
             Ok(LoopExit::Disconnected) => break,
             Ok(LoopExit::RestartRequested) => {
@@ -957,81 +896,34 @@ fn supervise(
     st.into_report()
 }
 
-/// The watchdog loop: samples every shard's heartbeat each tick and
-/// requests a restart after `budget` consecutive stale samples.
-fn watchdog_loop(
-    monitors: Arc<Vec<Arc<ShardMonitor>>>,
-    stop: Arc<AtomicBool>,
-    tick: Duration,
-    budget: u32,
-) {
-    let mut last: Vec<u64> = monitors.iter().map(|m| m.beats()).collect();
-    let mut stale: Vec<u32> = vec![0; monitors.len()];
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(tick);
-        for (i, m) in monitors.iter().enumerate() {
-            let beats = m.beats();
-            if beats == last[i] {
-                stale[i] += 1;
-                if stale[i] >= budget {
-                    m.request_restart();
-                    stale[i] = 0;
-                }
-            } else {
-                last[i] = beats;
-                stale[i] = 0;
-            }
-        }
-    }
-}
-
 /// A running detection service. Constructed by [`Perspectrond::start`];
 /// torn down (and its results collected) by [`Perspectrond::shutdown`].
 #[derive(Debug)]
 pub struct Perspectrond {
     submitter: Submitter,
     joins: Vec<JoinHandle<ShardReport>>,
-    watchdog: Option<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
 }
 
 impl Perspectrond {
-    /// Spawns the supervised shard workers and the watchdog, returning
+    /// Spawns the supervised shard workers, one thread each, returning
     /// the running service. The detector is cloned once and shared
     /// read-only across shards.
     pub fn start(detector: &PerSpectron, config: ServiceConfig) -> Self {
         let shards = config.shards.max(1);
-        let tick = config.watchdog.tick.max(Duration::from_millis(1));
-        let stall_budget = config.watchdog.stall_budget.max(2);
         let max_restarts = config.max_restarts_per_shard;
         let detector = Arc::new(detector.clone());
         let mut txs = Vec::with_capacity(shards);
         let mut joins = Vec::with_capacity(shards);
-        let mut monitors = Vec::with_capacity(shards);
         for id in 0..shards {
             let (tx, rx) = sync_channel(config.queue_depth.max(1));
             let state = ShardState::new(Arc::clone(&detector), &config, id);
-            let monitor = Arc::new(ShardMonitor::new());
-            let worker_monitor = Arc::clone(&monitor);
             let join = std::thread::Builder::new()
                 .name(format!("perspectrond-shard{id}"))
-                .spawn(move || supervise(state, rx, worker_monitor, tick, max_restarts))
+                .spawn(move || supervise(state, rx, max_restarts))
                 .expect("spawn shard worker");
             txs.push(tx);
             joins.push(join);
-            monitors.push(monitor);
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let watchdog = {
-            let monitors = Arc::new(monitors);
-            let stop = Arc::clone(&stop);
-            Some(
-                std::thread::Builder::new()
-                    .name("perspectrond-watchdog".to_string())
-                    .spawn(move || watchdog_loop(monitors, stop, tick, stall_budget))
-                    .expect("spawn watchdog"),
-            )
-        };
         Self {
             submitter: Submitter {
                 txs: txs.into(),
@@ -1041,8 +933,6 @@ impl Perspectrond {
                 retries: Arc::new(AtomicU64::new(0)),
             },
             joins,
-            watchdog,
-            stop,
         }
     }
 
@@ -1117,13 +1007,6 @@ impl Perspectrond {
                     failed.get_or_insert((shard, message));
                 }
             }
-        }
-        // The watchdog outlives the workers: a shard that wedges while
-        // draining its final windows must still be caught. Only once every
-        // worker has exited is there nothing left to watch.
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(w) = self.watchdog {
-            let _ = w.join();
         }
         report.latencies_us.sort_unstable();
         report.streams.sort_by_key(|s| s.stream);

@@ -1,7 +1,8 @@
 //! Fault-tolerance contract tests: supervised shard restarts preserve
-//! bit-identity, losses are typed and quarantined (never silent), the
-//! watchdog catches wedged workers, submit policies shed on deadline, and
-//! the whole chaos surface is byte-reproducible from its seed.
+//! bit-identity, losses are typed and quarantined (never silent), shards
+//! catch their own wedges (and never mistake idling for one), submit
+//! policies shed on deadline, and the whole chaos surface is
+//! byte-reproducible from its seed.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -12,7 +13,7 @@ use perspectron::{
 };
 use perspectron_serviced::{
     replay_clients, ChaosSpec, PanicAt, Perspectrond, PoisonPill, ReplayConfig, RestartCause,
-    ServiceConfig, ServiceError, StallAt, SubmitError, SubmitPolicy, WatchdogConfig,
+    ServiceConfig, ServiceError, StallAt, SubmitError, SubmitPolicy,
 };
 use proptest::prelude::*;
 use uarch_stats::SampleSink;
@@ -225,9 +226,9 @@ fn poison_pill_loses_exactly_one_window_and_quarantines_only_its_stream() {
     }
 }
 
-/// A stalled worker stops heartbeating; the watchdog declares it wedged
-/// and the worker restarts at the next loop boundary — typed as
-/// `Wedged`, with nothing lost.
+/// A stalled worker makes no progress for longer than `wedged_after`; it
+/// sees the gap when the stalled sweep ends and restarts at the next loop
+/// boundary — typed as `Wedged`, with nothing lost.
 #[test]
 fn watchdog_restarts_a_wedged_worker_without_losing_windows() {
     let trace = &corpus().traces[0].trace;
@@ -249,10 +250,7 @@ fn watchdog_restarts_a_wedged_worker_without_losing_windows() {
         ServiceConfig {
             shards: 1,
             batch_windows: 2,
-            watchdog: WatchdogConfig {
-                tick: Duration::from_millis(20),
-                stall_budget: 5,
-            },
+            wedged_after: Duration::from_millis(100),
             chaos,
             ..ServiceConfig::default()
         },
@@ -273,11 +271,89 @@ fn watchdog_restarts_a_wedged_worker_without_losing_windows() {
             .restarts
             .iter()
             .any(|r| r.cause == RestartCause::Wedged),
-        "the 600ms stall must out-wait the 100ms watchdog budget: {:?}",
+        "the 600ms stall must out-wait the 100ms wedged_after: {:?}",
         report.restarts
     );
     assert_eq!(report.lost_windows(), 0);
     assert_stream_matches_reference(&report, 0, n_traces);
+}
+
+/// Time blocked waiting for work is idle, not wedged: a shard that sits in
+/// `recv` for five times its `wedged_after` between two windows records no
+/// restart.
+#[test]
+fn an_idle_shard_is_not_wedged() {
+    let trace = &corpus().traces[0].trace;
+    let width = trace.schema().len();
+    let flat = trace.flat_values();
+    let row = |j: usize| -> Box<[f64]> { flat[j * width..(j + 1) * width].into() };
+
+    let service = Perspectrond::start(
+        detector(),
+        ServiceConfig {
+            shards: 1,
+            wedged_after: Duration::from_millis(50),
+            ..ServiceConfig::default()
+        },
+    );
+    let submitter = service.submitter();
+    let patient = SubmitPolicy::patient();
+    let at = trace.instruction_counts();
+    submitter
+        .submit_with_policy(0, at[0], row(0), &patient)
+        .expect("first window");
+    service.drain();
+    std::thread::sleep(Duration::from_millis(250));
+    submitter
+        .submit_with_policy(0, at[1], row(1), &patient)
+        .expect("second window");
+    drop(submitter);
+    let report = service.shutdown().expect("supervised shutdown");
+    assert_eq!(report.windows_scored, 2);
+    assert!(
+        report.restarts.is_empty(),
+        "250ms idle in recv counted as a wedge: {:?}",
+        report.restarts
+    );
+}
+
+/// Wedges count against the restart budget: with none to spend, a stall
+/// longer than `wedged_after` kills the shard, and shutdown names the
+/// wedge in its typed error.
+#[test]
+fn a_wedge_past_the_restart_budget_fails_shutdown() {
+    let trace = &corpus().traces[0].trace;
+    let width = trace.schema().len();
+    let service = Perspectrond::start(
+        detector(),
+        ServiceConfig {
+            shards: 1,
+            max_restarts_per_shard: 0,
+            wedged_after: Duration::from_millis(50),
+            chaos: ChaosSpec {
+                seed: 3,
+                stalls: vec![StallAt {
+                    shard: 0,
+                    sweep: 1,
+                    stall: Duration::from_millis(200),
+                }],
+                ..ChaosSpec::quiet()
+            },
+            ..ServiceConfig::default()
+        },
+    );
+    let submitter = service.submitter();
+    submitter
+        .try_submit(0, 10_000, trace.flat_values()[..width].into())
+        .expect("one window");
+    drop(submitter);
+    match service.shutdown() {
+        Err(ServiceError::ShardPanicked { shard, message, .. }) => {
+            assert_eq!(shard, 0);
+            assert!(message.contains("wedged"), "cause preserved: {message}");
+        }
+        Ok(report) => panic!("a wedge past the budget must fail shutdown: {report:?}"),
+    }
 }
 
 /// Policy submissions give up with a typed `Deadline` instead of blocking
