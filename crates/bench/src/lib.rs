@@ -27,12 +27,12 @@ pub fn trained_detector() -> (CollectedCorpus, PerSpectron) {
 }
 
 /// The dense `f64` reference scorer, kept as an oracle for the packed
-/// engine and as the baseline of the detection-throughput bench: encode
+/// engine and as the baseline of the pipeline bench's detection arms: encode
 /// every row at full schema width, project it onto the selected features
 /// into a fresh `Vec`, take the dense dot product with the trained
 /// perceptron, and normalize by |w|₁ + |b| (non-finite outputs read 0).
 /// Bit-identical to [`PerSpectron::confidence_series`]: the
-/// `detect_throughput` bench asserts it per sample before timing, and
+/// `pipeline` bench asserts it per sample before timing, and
 /// `cross_core` compares confusion counts at run time.
 pub fn dense_confidence_series(det: &PerSpectron, trace: &LabeledTrace) -> Vec<f64> {
     let p = det.perceptron();

@@ -65,8 +65,6 @@ pub mod features;
 mod hardware;
 pub mod map_features;
 mod mmap;
-mod multiclass;
-mod rhmd;
 pub mod stream;
 pub mod trace;
 
@@ -78,8 +76,6 @@ pub use eval::{paper_folds, FoldSpec};
 pub use faults::{FaultLog, FaultPlan, FaultSpec, FaultySink};
 pub use features::{bank_of, component_of, FeatureSelection, SelectionConfig};
 pub use hardware::HardwareCost;
-pub use multiclass::MulticlassDetector;
-pub use rhmd::RhmdDetector;
 pub use stream::{
     Degraded, IntervalVerdict, SessionSnapshot, SessionState, StreamSession, StreamingDetector,
 };

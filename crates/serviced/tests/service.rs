@@ -112,6 +112,19 @@ fn thousand_streams_lose_nothing_and_match_the_lone_stream_bit_for_bit() {
     let expected_windows: u64 = (0..streams).map(|s| refs[s % n_traces].len() as u64).sum();
     assert_eq!(report.windows_scored, expected_windows);
     assert_eq!(report.latencies_us.len() as u64, expected_windows);
+    // The quiet plan injects nothing, so a restart (a `Wedged` one loses
+    // no window), a shed submission or a lost window is a defect.
+    assert!(
+        report.restarts.is_empty(),
+        "shard restarted under the quiet plan: {:?}",
+        report.restarts
+    );
+    assert_eq!(report.shed, 0, "submissions shed under the quiet plan");
+    assert_eq!(
+        report.lost_windows(),
+        0,
+        "windows lost under the quiet plan"
+    );
 
     for s in 0..streams as u64 {
         let expect = &refs[s as usize % n_traces];
