@@ -1,9 +1,12 @@
 //! The simulator hot loop, A/B: the optimized core (decoded-instruction
-//! cache, one age-ordered ready queue for wakeup/select, completion
-//! min-heap, an allocation-free stepped cycle, tick-skip with bulk stall
-//! crediting) against the reference machine (full-window scans, stepped
-//! clock), and each optimization's runtime toggle in isolation: the
-//! `no_tick_skip` arm times stepped cycles alone.
+//! cache, one age-ordered ready queue for wakeup/select, MSHR-blocked
+//! loads parked and credited in bulk, completion min-heap, occupancies
+//! recorded once per run of equal values, one front-end queue that
+//! decode advances over, an allocation-free stepped cycle, tick-skip with
+//! bulk stall crediting) against the reference machine (full-window
+//! scans, per-cycle occupancy records, stepped clock), and each
+//! optimization's runtime toggle in isolation: the `no_tick_skip` arm
+//! times stepped cycles alone.
 //!
 //! The two paths are bit-identical in every statistic (see the
 //! `reference_equivalence` tests in sim-cpu); this bench measures what the

@@ -6,24 +6,22 @@
 //! components that own their architectural state and statistics. Each
 //! `Core::step` calls the inherent `tick` of commit, execute, issue,
 //! rename/dispatch, decode and fetch for one cycle, wiring them together
-//! through small ports (the fetch→decode and decode→rename instruction
-//! queues, the issue→execute wakeup port, and the squash request that
-//! commit, execute and issue may return, applied by the squash walk before
-//! the next stage runs). Speculation is real:
+//! through small ports (the front-end instruction queue that fetch fills,
+//! decode advances over and rename drains, the issue→execute wakeup port,
+//! and the squash request that commit, execute and issue may return,
+//! applied by the squash walk before the next stage runs). Speculation is
+//! real:
 //! fetch follows the predictors, wrong-path instructions execute (and touch
 //! the caches — the side-channel), and squash walks undo the rename map,
 //! the call stack, the RAS and the global history.
 
-use std::collections::VecDeque;
-
 use sim_mem::{MemoryHierarchy, Uncore};
 use uarch_isa::{MarkKind, Program, Reg};
 use uarch_stats::registry::ComponentId;
-use uarch_stats::{StatGroup, StatItem, StatVisitor};
+use uarch_stats::{Distribution, StatGroup, StatItem, StatVisitor};
 
 use crate::config::CoreConfig;
 use crate::decoded::DecodedProgram;
-use crate::dyninst::DynInst;
 use crate::error::SimError;
 use crate::pipeline::commit::{CommitPorts, CommitStage};
 use crate::pipeline::decode::{DecodePorts, DecodeStage};
@@ -32,7 +30,7 @@ use crate::pipeline::fetch::{FetchPorts, FetchStage};
 use crate::pipeline::issue::{IssuePorts, IssueStage};
 use crate::pipeline::rename::{RenamePorts, RenameStage};
 use crate::pipeline::squash::{self, SquashPorts};
-use crate::pipeline::{Predictors, RegFile, SquashRequest, Window};
+use crate::pipeline::{FrontEndQueue, Predictors, RegFile, SquashRequest, Window};
 use crate::stats::{
     BPredStats, CommitStats, CpuStats, DecodeStats, FetchStats, IewStats, IqStats, RenameStats,
     RobStats, TlbStats,
@@ -134,7 +132,7 @@ pub(crate) struct StallPlan {
     fetch: FetchStall,
     decode_blocked: bool,
     /// Ready loads the issue stage turns away each cycle because the L1D
-    /// MSHR pool is saturated.
+    /// MSHR pool is saturated, parked or not.
     mshr_blocked_loads: u64,
     next_completion: Option<u64>,
     fetch_wake: Option<u64>,
@@ -153,6 +151,80 @@ impl StallPlan {
             (None, None) => cycle_cap,
         }
     }
+}
+
+/// A per-cycle occupancy awaiting its record: `cycles` consecutive cycles
+/// at `value`. Occupancies seldom change from one cycle to the next, so
+/// the run is recorded with one
+/// [`record_n`](uarch_stats::Distribution::record_n) when a different
+/// value breaks it, instead of one record per cycle. The distribution sees
+/// the same values in the same order either way.
+#[derive(Debug, Default, Clone, Copy)]
+struct OccupancyRun {
+    value: usize,
+    cycles: u64,
+}
+
+impl OccupancyRun {
+    /// Extends the run by `k` cycles at `value`, first recording the
+    /// pending run into `dist` if `value` breaks it.
+    fn push(&mut self, value: usize, k: u64, dist: &mut Distribution) {
+        if value != self.value {
+            self.flush(dist);
+            self.value = value;
+        }
+        self.cycles += k;
+    }
+
+    fn flush(&mut self, dist: &mut Distribution) {
+        if self.cycles > 0 {
+            dist.record_n(self.value as f64, self.cycles);
+            self.cycles = 0;
+        }
+    }
+}
+
+/// The ROB head's age awaiting its record: the `cycles` consecutive
+/// integers from `first`. The age grows by one each cycle until the head
+/// retires, so the run breaks only at a commit or squash and is recorded
+/// with one [`record_run`](uarch_stats::Distribution::record_run).
+#[derive(Debug, Default, Clone, Copy)]
+struct AgeRun {
+    first: u64,
+    cycles: u64,
+}
+
+impl AgeRun {
+    /// Extends the run by the `k` ages from `first`, first recording the
+    /// pending run into `dist` if `first` does not continue it.
+    fn push(&mut self, first: u64, k: u64, dist: &mut Distribution) {
+        if self.first + self.cycles != first {
+            self.flush(dist);
+            self.first = first;
+        }
+        self.cycles += k;
+    }
+
+    fn flush(&mut self, dist: &mut Distribution) {
+        if self.cycles > 0 {
+            dist.record_run(self.first, self.cycles);
+            self.cycles = 0;
+        }
+    }
+}
+
+/// The pending runs of every per-cycle occupancy distribution, recorded
+/// when their values break and flushed whole by
+/// [`Core::flush_occupancies`] before any statistic walk.
+#[derive(Debug, Default)]
+struct Occupancies {
+    fetch_q: OccupancyRun,
+    decode_q: OccupancyRun,
+    rob: OccupancyRun,
+    iq: OccupancyRun,
+    lq: OccupancyRun,
+    sq: OccupancyRun,
+    head_age: AgeRun,
 }
 
 /// One out-of-order core plus its private memory slice (L1s, functional
@@ -187,9 +259,11 @@ pub struct Core {
     pred: Predictors,
     cpu: CpuStats,
 
-    // Inter-stage instruction queues: fetched, then decoded.
-    fetch_q: VecDeque<DynInst>,
-    decode_q: VecDeque<DynInst>,
+    // The fetch and decode queues, as one buffer.
+    front_end: FrontEndQueue,
+
+    /// Occupancy samples not yet recorded into their distributions.
+    occupancy: Occupancies,
 
     cycle: u64,
     committed: u64,
@@ -223,8 +297,8 @@ impl Core {
             regs: RegFile::new(cfg.phys_int_regs),
             pred: Predictors::new(&cfg),
             cpu: CpuStats::default(),
-            fetch_q: VecDeque::new(),
-            decode_q: VecDeque::new(),
+            front_end: FrontEndQueue::default(),
+            occupancy: Occupancies::default(),
             cycle: 0,
             committed: 0,
             halted: false,
@@ -377,7 +451,7 @@ impl Core {
 
         self.rename.tick(RenamePorts {
             cfg: &self.cfg,
-            input: &mut self.decode_q,
+            input: &mut self.front_end,
             window: &mut self.window,
             regs: &mut self.regs,
             fetch_stats: &mut self.fetch.stats,
@@ -389,8 +463,7 @@ impl Core {
 
         self.decode.tick(DecodePorts {
             cfg: &self.cfg,
-            input: &mut self.fetch_q,
-            out: &mut self.decode_q,
+            queue: &mut self.front_end,
         });
 
         self.fetch.tick(FetchPorts {
@@ -400,8 +473,7 @@ impl Core {
             uncore,
             pred: &mut self.pred,
             cpu: &mut self.cpu,
-            out: &mut self.fetch_q,
-            decode_q_len: self.decode_q.len(),
+            out: &mut self.front_end,
             quiesce: self.window.membars_in_flight > 0,
             halted: self.halted,
             cycle: self.cycle,
@@ -445,11 +517,16 @@ impl Core {
         // cycle, and that cannot change before the next completion: with
         // nothing issuing, committing or squashing, only a completion
         // lowers the in-flight count, and completions are wake events.
+        // Every parked load is such a load while the pool is saturated;
+        // once an MSHR frees, the next select releases them to issue.
         // Dropping stale entries here is stat-neutral (the select loop
         // removes them silently on first visit), and `retain` on the
         // taken-out queue keeps the per-step check allocation-free.
         let mshrs_full = self.window.mem_outstanding_count >= self.mem.l1d().config().mshrs;
-        let mut mshr_blocked_loads = 0u64;
+        if !mshrs_full && !self.window.parked.is_empty() {
+            return None;
+        }
+        let mut mshr_blocked_loads = self.window.parked.len() as u64;
         let mut stale = false;
         for &seq in &self.window.ready {
             match self.window.find(seq) {
@@ -478,7 +555,7 @@ impl Core {
 
         // Rename: the stage must stall on its very first candidate, in
         // the exact order its tick checks admission.
-        let rename = match self.decode_q.front() {
+        let rename = match self.front_end.next_decoded() {
             None => RenameStall::Idle,
             Some(front) => {
                 if front.serializing && !self.window.rob.is_empty() {
@@ -500,9 +577,9 @@ impl Core {
         };
 
         // Decode: nothing to drain, or nowhere to put it.
-        let decode_blocked = if self.fetch_q.is_empty() {
+        let decode_blocked = if self.front_end.fetched_len() == 0 {
             false
-        } else if self.decode_q.len() >= self.cfg.decode_queue {
+        } else if self.front_end.decoded_len() >= self.cfg.decode_queue {
             true
         } else {
             return None;
@@ -528,8 +605,8 @@ impl Core {
             } else {
                 return None;
             }
-        } else if self.fetch_q.len() >= self.cfg.fetch_queue {
-            if self.decode_q.len() >= self.cfg.decode_queue {
+        } else if self.front_end.fetched_len() >= self.cfg.fetch_queue {
+            if self.front_end.decoded_len() >= self.cfg.decode_queue {
                 FetchStall::QueueFullMisc
             } else {
                 FetchStall::QueueFullBlocked
@@ -555,10 +632,12 @@ impl Core {
     ///
     /// Nothing changes state inside a skip, so every stepped cycle would
     /// record the same thing: counters take the skip length `k` in one
-    /// add and constant-valued distributions one
-    /// [`record_n`](uarch_stats::Distribution::record_n). The work per skip
-    /// is O(1) in `k` except for the two statistics
-    /// [`end_of_cycles`](Self::end_of_cycles) still walks cycle by cycle.
+    /// add, the per-cycle widths one
+    /// [`record_n`](uarch_stats::Distribution::record_n), and the
+    /// occupancies extend their pending runs by `k` in
+    /// [`end_of_cycles`](Self::end_of_cycles). The work per skip is O(1)
+    /// in `k` except for the static-energy steps, which `end_of_cycles`
+    /// still walks cycle by cycle.
     pub(crate) fn credit_stall_cycles(&mut self, plan: &StallPlan, skip_to: u64) {
         let k = skip_to.saturating_sub(self.cycle);
         match plan.commit {
@@ -646,8 +725,7 @@ impl Core {
             exec: &mut self.exec,
             commit: &mut self.commit,
             cpu: &mut self.cpu,
-            fetch_q: &mut self.fetch_q,
-            decode_q: &mut self.decode_q,
+            front_end: &mut self.front_end,
             cycle: self.cycle,
         };
         squash::apply(req, &mut ports);
@@ -665,23 +743,24 @@ impl Core {
 
     /// Per-cycle housekeeping for `k` consecutive cycles over which no
     /// pipeline state changes: the end of one stepped cycle (`k == 1`) or
-    /// a whole tick-skip. Occupancies are constant over such a run, so
-    /// their distributions take one `record_n`; the ROB head's age grows
-    /// by one each cycle, so its distribution takes one `record_run`. Only
-    /// the `+0.2` static-energy steps still walk the cycles one by one:
-    /// they round differently at every magnitude. The six stages' energy
-    /// sums receive identical steps from zero, so they are always equal
-    /// and one walk serves all six.
+    /// a whole tick-skip. Occupancies are constant over such a run and the
+    /// ROB head's age grows by one each cycle, so each extends its pending
+    /// run (see [`OccupancyRun`]), recorded when its value breaks or at
+    /// [`flush_occupancies`](Self::flush_occupancies); under
+    /// `CoreConfig::reference_scan` every run is recorded at once, as the
+    /// original core recorded each cycle. Only the `+0.2` static-energy
+    /// steps still walk the cycles one by one: they round differently at
+    /// every magnitude. The six stages' energy sums receive identical
+    /// steps from zero, so they are always equal and one walk serves all
+    /// six.
     fn end_of_cycles(&mut self, k: u64) {
         self.cpu.num_cycles.add(k);
-        self.fetch
-            .stats
-            .queue_occupancy
-            .record_n(self.fetch_q.len() as f64, k);
-        self.decode
-            .stats
-            .queue_occupancy
-            .record_n(self.decode_q.len() as f64, k);
+        let occ = &mut self.occupancy;
+        let (fetched, decoded) = (self.front_end.fetched_len(), self.front_end.decoded_len());
+        occ.fetch_q
+            .push(fetched, k, &mut self.fetch.stats.queue_occupancy);
+        occ.decode_q
+            .push(decoded, k, &mut self.decode.stats.queue_occupancy);
         let before = self.fetch.stats.power.static_energy.value();
         let mut after = before;
         for _ in 0..k {
@@ -698,38 +777,44 @@ impl Core {
             debug_assert_eq!(e.static_energy.value().to_bits(), before.to_bits());
             e.static_energy.set(after);
         }
-        self.commit
-            .rob
-            .occupancy
-            .record_n(self.window.rob.len() as f64, k);
+        occ.rob
+            .push(self.window.rob.len(), k, &mut self.commit.rob.occupancy);
         if let Some(head) = self.window.rob.front() {
-            // The head's age at each of the `k` cycles: 0 (saturated)
-            // before its dispatch cycle, then one more every cycle.
-            let head_age = &mut self.commit.rob.head_age;
-            let unborn = head.dispatch_cycle.saturating_sub(self.cycle).min(k);
-            if unborn > 0 {
-                head_age.record_n(0.0, unborn);
-            }
-            head_age.record_run(self.cycle.saturating_sub(head.dispatch_cycle), k - unborn);
+            // Rename stamps the current cycle, so the head was dispatched
+            // by now and its age over the `k` cycles counts up from here.
+            debug_assert!(head.dispatch_cycle <= self.cycle);
+            occ.head_age.push(
+                self.cycle - head.dispatch_cycle,
+                k,
+                &mut self.commit.rob.head_age,
+            );
             self.cpu.busy_cycles.add(k);
         } else {
             self.cpu.idle_cycles.add(k);
         }
-        self.issue
-            .stats
-            .occupancy
-            .record_n(self.window.iq_used as f64, k);
-        self.exec
-            .stats
-            .lsq
-            .lq_occupancy
-            .record_n(self.window.lq_used as f64, k);
-        self.exec
-            .stats
-            .lsq
-            .sq_occupancy
-            .record_n(self.window.sq_used as f64, k);
+        occ.iq
+            .push(self.window.iq_used, k, &mut self.issue.stats.occupancy);
+        let lsq = &mut self.exec.stats.lsq;
+        occ.lq.push(self.window.lq_used, k, &mut lsq.lq_occupancy);
+        occ.sq.push(self.window.sq_used, k, &mut lsq.sq_occupancy);
+        if self.cfg.reference_scan {
+            self.flush_occupancies();
+        }
         self.cycle += k;
+    }
+
+    /// Records every pending occupancy run into its distribution. The
+    /// machine calls this at the end of each run, so no statistic walk
+    /// ever sees a distribution missing cycles.
+    pub(crate) fn flush_occupancies(&mut self) {
+        let occ = &mut self.occupancy;
+        occ.fetch_q.flush(&mut self.fetch.stats.queue_occupancy);
+        occ.decode_q.flush(&mut self.decode.stats.queue_occupancy);
+        occ.rob.flush(&mut self.commit.rob.occupancy);
+        occ.head_age.flush(&mut self.commit.rob.head_age);
+        occ.iq.flush(&mut self.issue.stats.occupancy);
+        occ.lq.flush(&mut self.exec.stats.lsq.lq_occupancy);
+        occ.sq.flush(&mut self.exec.stats.lsq.sq_occupancy);
     }
 }
 
@@ -1107,26 +1192,12 @@ mod tests {
         // Sixteen independent cold-line loads behind a serializing read:
         // more than the L1D's MSHRs, so part of each burst waits at issue
         // while every other stage stalls behind it.
-        let mut a = Assembler::new("mshr-bound");
-        a.li(Reg::R9, 4);
-        a.li(Reg::R1, 0x40_0000);
-        let top = a.label();
-        a.bind(top);
-        a.rdcycle(Reg::R4);
-        for k in 0..16 {
-            let rd = Reg::from_index(10 + k % 8).expect("r10..r17");
-            a.load(rd, Reg::R1, 64 * k as i64);
-        }
-        a.addi(Reg::R1, Reg::R1, 16 * 64);
-        a.subi(Reg::R9, Reg::R9, 1);
-        a.bnez(Reg::R9, top);
-        a.halt();
+        let program = workloads::probes::mshr_bound();
         let hcfg = HierarchyConfig::default();
         let mut uncore = Uncore::try_new(&hcfg, 1).expect("uncore builds");
         let mem = MemoryHierarchy::try_new(hcfg.l1i, hcfg.l1d, 0).expect("L1s build");
         let mut core =
-            Core::try_with_parts(CoreConfig::default(), a.finish().expect("assembles"), mem)
-                .expect("valid configuration");
+            Core::try_with_parts(CoreConfig::default(), program, mem).expect("valid configuration");
         let mut most_blocked = 0;
         while !core.halted() && core.cycles() < 100_000 {
             if let Some(plan) = core.stall_plan() {

@@ -263,6 +263,9 @@ impl Machine {
             }
             self.cycle += 1;
         }
+        for core in &mut self.cores {
+            core.flush_occupancies();
+        }
         let secs = started.elapsed().as_secs_f64();
         let rate = |delta: u64| if secs > 0.0 { delta as f64 / secs } else { 0.0 };
         RunSummary {

@@ -1,8 +1,6 @@
 //! The fetch stage: instruction supply, branch prediction, I-TLB and
 //! I-cache timing, trap redirect delivery.
 
-use std::collections::VecDeque;
-
 use sim_mem::{AccessOutcome, MemoryHierarchy, Uncore};
 use uarch_isa::Inst;
 
@@ -12,7 +10,7 @@ use crate::dyninst::DynInst;
 use crate::stats::{CpuStats, FetchStats, TlbStats};
 use crate::tlb::Tlb;
 
-use super::Predictors;
+use super::{FrontEndQueue, Predictors};
 
 /// The fetch stage.
 ///
@@ -44,10 +42,9 @@ pub struct FetchPorts<'a> {
     pub(crate) uncore: &'a mut Uncore,
     pub(crate) pred: &'a mut Predictors,
     pub(crate) cpu: &'a mut CpuStats,
-    /// Outbound port into decode.
-    pub(crate) out: &'a mut VecDeque<DynInst>,
-    /// Occupancy of the decode → rename port (back-pressure signal).
-    pub(crate) decode_q_len: usize,
+    /// The front-end queue fetch appends to; its decoded share is the
+    /// back-pressure signal from rename.
+    pub(crate) out: &'a mut FrontEndQueue,
     /// A memory barrier is in flight: fetch must quiesce.
     pub(crate) quiesce: bool,
     pub(crate) halted: bool,
@@ -116,8 +113,8 @@ impl FetchStage {
             }
             self.icache_outstanding = false;
         }
-        if p.out.len() >= p.cfg.fetch_queue {
-            if p.decode_q_len >= p.cfg.decode_queue {
+        if p.out.fetched_len() >= p.cfg.fetch_queue {
+            if p.out.decoded_len() >= p.cfg.decode_queue {
                 self.stats.misc_stall_cycles.inc();
             } else {
                 self.stats.blocked_cycles.inc();
@@ -126,7 +123,7 @@ impl FetchStage {
         }
 
         let mut fetched = 0usize;
-        while fetched < p.cfg.fetch_width && p.out.len() < p.cfg.fetch_queue {
+        while fetched < p.cfg.fetch_width && p.out.fetched_len() < p.cfg.fetch_queue {
             // I-cache access on line crossings.
             let byte_addr = p.cfg.icode_base + self.pc as u64 * p.cfg.inst_bytes;
             let line = byte_addr / 64;
@@ -151,7 +148,10 @@ impl FetchStage {
 
             let dec = p.decoded.fetch(self.pc);
             let inst = dec.inst;
-            let mut d = DynInst::from_decoded(self.next_seq, self.pc, dec);
+            // Built in the queue, then finished in place.
+            let d = p
+                .out
+                .push_fetched(DynInst::from_decoded(self.next_seq, self.pc, dec));
             d.fetch_cycle = p.cycle;
             self.next_seq += 1;
             self.stats.insts.inc();
@@ -232,9 +232,7 @@ impl FetchStage {
             }
 
             self.pc = next_pc;
-            let is_halt = matches!(inst, Inst::Halt);
-            p.out.push_back(d);
-            if is_halt {
+            if matches!(inst, Inst::Halt) {
                 self.fetch_stopped = true;
                 p.cpu.num_fetch_suspends.inc();
                 break;

@@ -5,8 +5,9 @@
 //! [`Core`](crate::Core) is only an orchestrator that calls the six ticks
 //! in order and wires the stages together:
 //!
-//! * fetch → decode and decode → rename through two instruction queues
-//!   (`VecDeque<DynInst>` fields of the core),
+//! * fetch → decode → rename through one [`FrontEndQueue`] (a field of
+//!   the core): fetch appends, decode advances a boundary over it, and
+//!   rename takes decoded instructions off the front,
 //! * issue → execute through the [`FuWakeup`](execute::FuWakeup) port
 //!   (functional-unit wakeup at issue),
 //! * commit/execute/issue → squash through the [`SquashRequest`] their
@@ -110,8 +111,10 @@ impl RegFile {
 }
 
 /// The instruction window: the ROB plus the occupancy counters of the
-/// queues that back-pressure rename (IQ, LQ, SQ) and the in-flight
-/// memory-barrier count that quiesces fetch.
+/// queues that back-pressure rename (IQ, LQ, SQ), the in-flight
+/// memory-barrier count that quiesces fetch, and the issue stage's
+/// scheduling lists: the ready queue and the loads parked at a saturated
+/// MSHR pool.
 #[derive(Debug, Default)]
 pub struct Window {
     pub(crate) rob: VecDeque<DynInst>,
@@ -126,9 +129,19 @@ pub struct Window {
     /// network (rename dispatch, execute completion, commit's
     /// non-speculative authorization) through [`Window::enqueue_ready`];
     /// consumed oldest-first by the select in issue, which removes what
-    /// it issues. Entries of squashed instructions go stale and are
-    /// dropped lazily. Unused under `CoreConfig::reference_scan`.
+    /// it issues and parks what a saturated MSHR pool turns away. Entries
+    /// of squashed instructions go stale and are dropped lazily. Unused
+    /// under `CoreConfig::reference_scan`.
     pub(crate) ready: Vec<u64>,
+    /// The parked loads: ready loads the select turned away at a
+    /// saturated L1D MSHR pool, strictly increasing, disjoint from
+    /// `ready`. While the pool stays saturated a parked load would only
+    /// repeat its blocked statistics, so the select credits them in bulk
+    /// instead of visiting each; it releases every parked load back into
+    /// `ready` once an MSHR frees. Squash truncates the list, so every
+    /// entry is a live, source-ready load in the IQ. Unused under
+    /// `CoreConfig::reference_scan`.
+    pub(crate) parked: Vec<u64>,
     /// Instructions in the window with a memory response in flight
     /// (`DynInst::mem_outstanding`), maintained incrementally so issue's
     /// MSHR back-pressure check is O(1) instead of a window scan.
@@ -206,6 +219,101 @@ impl Window {
             }
             _ => self.ready.push(seq),
         }
+    }
+
+    /// Moves every parked load back into the ready queue.
+    pub(crate) fn release_parked(&mut self) {
+        merge_sorted(&mut self.ready, &self.parked);
+        self.parked.clear();
+    }
+
+    /// Parks the loads `seqs` (sorted, none already parked or ready).
+    pub(crate) fn park(&mut self, seqs: &[u64]) {
+        merge_sorted(&mut self.parked, seqs);
+    }
+}
+
+/// Merges the sorted `src` into the sorted `dst` in place, back to front:
+/// linear, and allocation-free once `dst` has the capacity. The two must
+/// be disjoint; the result is strictly increasing.
+fn merge_sorted(dst: &mut Vec<u64>, src: &[u64]) {
+    let (mut i, mut j) = (dst.len(), src.len());
+    dst.resize(i + j, 0);
+    let mut k = dst.len();
+    while j > 0 {
+        k -= 1;
+        if i > 0 && dst[i - 1] > src[j - 1] {
+            i -= 1;
+            dst[k] = dst[i];
+        } else {
+            j -= 1;
+            dst[k] = src[j];
+        }
+    }
+    debug_assert!(dst.windows(2).all(|p| p[0] < p[1]), "merged lists overlap");
+}
+
+/// The front-end instruction queue: fetched instructions in program order,
+/// the oldest `decoded` of which decode has passed on to rename.
+///
+/// It holds both of the pipeline's front-end queues in one buffer — the
+/// fetch queue is the undecoded tail, the decode queue the decoded head —
+/// so an instruction is written once by fetch and moved once, by rename
+/// into the ROB. Decode only moves the boundary.
+#[derive(Debug, Default)]
+pub(crate) struct FrontEndQueue {
+    insts: VecDeque<DynInst>,
+    decoded: usize,
+}
+
+impl FrontEndQueue {
+    /// Occupancy of the fetch queue: fetched, not yet decoded.
+    pub(crate) fn fetched_len(&self) -> usize {
+        self.insts.len() - self.decoded
+    }
+
+    /// Occupancy of the decode queue: decoded, not yet renamed.
+    pub(crate) fn decoded_len(&self) -> usize {
+        self.decoded
+    }
+
+    /// Appends a fetched instruction, returning it for fetch to finish.
+    pub(crate) fn push_fetched(&mut self, d: DynInst) -> &mut DynInst {
+        self.insts.push_back(d);
+        self.insts.back_mut().expect("just pushed")
+    }
+
+    /// The oldest undecoded instruction.
+    pub(crate) fn next_fetched(&self) -> Option<&DynInst> {
+        self.insts.get(self.decoded)
+    }
+
+    /// Moves the oldest undecoded instruction into the decode queue.
+    pub(crate) fn decode_next(&mut self) {
+        debug_assert!(self.decoded < self.insts.len(), "nothing to decode");
+        self.decoded += 1;
+    }
+
+    /// The oldest decoded instruction: rename's next candidate.
+    pub(crate) fn next_decoded(&self) -> Option<&DynInst> {
+        self.insts.front().filter(|_| self.decoded > 0)
+    }
+
+    /// Takes the oldest decoded instruction out for rename.
+    pub(crate) fn take_decoded(&mut self) -> Option<DynInst> {
+        if self.decoded == 0 {
+            return None;
+        }
+        self.decoded -= 1;
+        self.insts.pop_front()
+    }
+
+    /// Drops every queued instruction (a squash), returning how many.
+    pub(crate) fn clear(&mut self) -> usize {
+        let n = self.insts.len();
+        self.insts.clear();
+        self.decoded = 0;
+        n
     }
 }
 
@@ -324,5 +432,20 @@ mod tests {
             assert_lookup_agrees(&w);
         }
         assert_eq!(Window::default().position(1), None);
+    }
+
+    #[test]
+    fn merge_sorted_interleaves_disjoint_runs() {
+        for (dst, src, want) in [
+            (vec![], vec![3, 5], vec![3, 5]),
+            (vec![3, 5], vec![], vec![3, 5]),
+            (vec![1, 4, 9], vec![2, 3, 10], vec![1, 2, 3, 4, 9, 10]),
+            (vec![7, 8], vec![1, 2], vec![1, 2, 7, 8]),
+            (vec![1, 2], vec![7, 8], vec![1, 2, 7, 8]),
+        ] {
+            let mut merged = dst.clone();
+            merge_sorted(&mut merged, &src);
+            assert_eq!(merged, want, "{dst:?} + {src:?}");
+        }
     }
 }

@@ -6,10 +6,9 @@ use std::collections::VecDeque;
 use uarch_isa::Inst;
 
 use crate::config::CoreConfig;
-use crate::dyninst::DynInst;
 use crate::stats::{FetchStats, IewStats, IqStats, RenameStats, RobStats};
 
-use super::{HistEntry, RegFile, Window};
+use super::{FrontEndQueue, HistEntry, RegFile, Window};
 
 /// One undoable speculative call-stack operation, tagged with the
 /// renaming instruction's sequence number.
@@ -34,8 +33,8 @@ pub struct RenameStage {
 /// Rename's view of the machine for one tick.
 pub struct RenamePorts<'a> {
     pub(crate) cfg: &'a CoreConfig,
-    /// Inbound port from decode.
-    pub(crate) input: &'a mut VecDeque<DynInst>,
+    /// The front-end queue, whose decoded instructions rename takes.
+    pub(crate) input: &'a mut FrontEndQueue,
     pub(crate) window: &'a mut Window,
     pub(crate) regs: &'a mut RegFile,
     /// Fetch's drain counter (serializing instructions stall fetch too).
@@ -51,7 +50,7 @@ impl RenameStage {
     pub(crate) fn tick(&mut self, p: RenamePorts<'_>) {
         let mut renamed = 0usize;
         while renamed < p.cfg.rename_width {
-            let Some(front) = p.input.front() else {
+            let Some(front) = p.input.next_decoded() else {
                 if renamed == 0 {
                     self.stats.idle_cycles.inc();
                 }
@@ -98,7 +97,11 @@ impl RenameStage {
                 break;
             }
 
-            let mut d = p.input.pop_front().expect("checked");
+            // The instruction moves once, into the ROB, and is renamed
+            // and dispatched in place there.
+            let d = p.input.take_decoded().expect("checked");
+            p.window.rob.push_back(d);
+            let d = p.window.rob.back_mut().expect("just pushed");
             d.dispatch_cycle = p.cycle;
             renamed += 1;
             self.stats.renamed_insts.inc();
@@ -203,11 +206,10 @@ impl RenameStage {
                     }
                 }
                 if all_ready && !d.non_spec {
-                    p.window.enqueue_ready(d.seq);
+                    let seq = d.seq;
+                    p.window.enqueue_ready(seq);
                 }
             }
-
-            p.window.rob.push_back(d);
         }
         if renamed > 0 {
             self.stats.run_cycles.inc();

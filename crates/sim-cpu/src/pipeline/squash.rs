@@ -9,12 +9,9 @@
 //! paper's point: squash footprints are *invariant* because they appear
 //! across so many components at once.
 
-use std::collections::VecDeque;
-
 use uarch_isa::Inst;
 
 use crate::config::CoreConfig;
-use crate::dyninst::DynInst;
 use crate::stats::CpuStats;
 
 use super::commit::CommitStage;
@@ -23,7 +20,7 @@ use super::execute::ExecuteStage;
 use super::fetch::FetchStage;
 use super::issue::IssueStage;
 use super::rename::{CallOp, RenameStage};
-use super::{RegFile, SquashRequest, Window};
+use super::{FrontEndQueue, RegFile, SquashRequest, Window};
 
 /// The squash blast radius: everything a rollback touches.
 pub struct SquashPorts<'a> {
@@ -37,8 +34,7 @@ pub struct SquashPorts<'a> {
     pub(crate) exec: &'a mut ExecuteStage,
     pub(crate) commit: &'a mut CommitStage,
     pub(crate) cpu: &'a mut CpuStats,
-    pub(crate) fetch_q: &'a mut VecDeque<DynInst>,
-    pub(crate) decode_q: &'a mut VecDeque<DynInst>,
+    pub(crate) front_end: &'a mut FrontEndQueue,
     pub(crate) cycle: u64,
 }
 
@@ -50,11 +46,14 @@ pub(crate) fn apply(req: &SquashRequest, p: &mut SquashPorts<'_>) {
     let after = req.after;
     p.cpu.squash_events.inc();
 
-    // Wrong-path entries still in the front-end queues.
-    let dropped = p.fetch_q.len() + p.decode_q.len();
-    p.fetch_q.clear();
-    p.decode_q.clear();
+    // Wrong-path entries still in the front-end queue.
+    let dropped = p.front_end.clear();
     p.decode.stats.squashed_insts.add(dropped as u64);
+
+    // Parked loads are credited without a visit, so none may outlive
+    // its instruction.
+    let parked = &mut p.window.parked;
+    parked.truncate(parked.partition_point(|&seq| seq <= after));
 
     // Walk the ROB from the back.
     while let Some(back) = p.window.rob.back() {

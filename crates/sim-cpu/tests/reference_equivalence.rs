@@ -1,10 +1,13 @@
 //! Bit-identity of the optimized hot loop against the reference machine.
 //!
-//! The fast path differs from the reference in three mechanisms — the
-//! age-ordered ready queue (vs. the full-window scan), the completion
-//! min-heap (vs. scanning the ROB for due instructions) and tick-skipping
-//! over fully-stalled cycles with bulk stall crediting — and every one of
-//! them is required to be *statistically invisible*: all 1159 counters,
+//! The fast path differs from the reference in five mechanisms — the
+//! age-ordered ready queue (vs. the full-window scan), parked
+//! MSHR-blocked loads credited in bulk (vs. visiting every blocked load
+//! each cycle), the completion min-heap (vs. scanning the ROB for due
+//! instructions), per-cycle occupancies recorded once per run of equal
+//! values (vs. once per cycle) and tick-skipping over fully-stalled
+//! cycles with bulk stall crediting — and every one of them is required
+//! to be *statistically invisible*: all 1159 counters,
 //! distributions and energy accumulators must come out bit-identical. That is the paper's bar: the
 //! detector's feature vectors may not depend on how fast the simulator
 //! computed them.
@@ -149,36 +152,16 @@ fn tick_skip_credits_exactly_the_stepped_counters() {
     );
 }
 
-/// A burst of independent cold-line loads, more than the L1D has MSHRs,
-/// behind a serializing read: once the pool saturates, the rest of the
-/// burst waits at issue while every other stage stalls behind it.
-fn mshr_bound_program() -> Program {
-    let mut a = Assembler::new("mshr-bound");
-    a.li(Reg::R9, 24); // iterations
-    a.li(Reg::R1, 0x40_0000);
-    let top = a.label();
-    a.bind(top);
-    a.rdcycle(Reg::R4); // serializing: each burst starts from a drained window
-    for k in 0..16 {
-        let rd = Reg::from_index(10 + k % 8).expect("r10..r17");
-        a.load(rd, Reg::R1, 64 * k as i64);
-    }
-    a.addi(Reg::R1, Reg::R1, 16 * 64); // fresh lines every iteration
-    a.subi(Reg::R9, Reg::R9, 1);
-    a.bnez(Reg::R9, top);
-    a.halt();
-    a.finish().expect("assembles")
-}
-
-#[test]
-fn mshr_blocked_loads_skip_exactly() {
-    let program = mshr_bound_program();
-    let (rows_fast, snap_fast, sum_fast) = run_sampled(fast(), &program, 100_000, 40);
+/// Runs `program` on the fast, the no-skip and the reference machine and
+/// asserts all three stream bit-identical rows and end on bit-identical
+/// snapshots; returns the fast run's snapshot.
+fn assert_fast_matches_no_skip_and_reference(program: &Program, interval: u64) -> Snapshot {
+    let (rows_fast, snap_fast, sum_fast) = run_sampled(fast(), program, 100_000, interval);
     for (what, cfg) in [
         ("fast vs no-skip", no_skip()),
         ("fast vs reference", reference()),
     ] {
-        let (rows, snap, sum) = run_sampled(cfg, &program, 100_000, 40);
+        let (rows, snap, sum) = run_sampled(cfg, program, 100_000, interval);
         assert_eq!(sum_fast.committed, sum.committed, "{what}");
         assert_eq!(sum_fast.cycles, sum.cycles, "{what}");
         assert_eq!(sum_fast.halted, sum.halted, "{what}");
@@ -186,10 +169,34 @@ fn mshr_blocked_loads_skip_exactly() {
         assert_snapshots_identical(&snap_fast, &snap, what);
     }
     assert!(sum_fast.halted, "the program must run to completion");
-    let blocked = snap_fast
+    snap_fast
+}
+
+#[test]
+fn mshr_blocked_loads_skip_exactly() {
+    let snap = assert_fast_matches_no_skip_and_reference(&workloads::probes::mshr_bound(), 40);
+    let blocked = snap
         .get("iew.lsq.thread0.blockedLoads")
         .expect("the LSQ publishes blockedLoads");
     assert!(blocked > 0.0, "the bursts must saturate the L1D MSHR pool");
+}
+
+/// The select credits parked loads without visiting them: those older
+/// than the stores that use up the memory ports, those between the
+/// stores and the issue that fills the issue width, those past it, and
+/// those a mispredicted branch squashes while they wait must each record
+/// exactly what the full scan records.
+#[test]
+fn parked_loads_match_the_scan_under_port_exhaustion_cutoffs_and_squash() {
+    let snap = assert_fast_matches_no_skip_and_reference(&workloads::probes::parked_loads(), 40);
+    for stat in [
+        "iq.fu_full::MemRead",
+        "iew.lsq.thread0.blockedLoads",
+        "iew.branchMispredicts",
+    ] {
+        let value = snap.get(stat).expect("the statistic is published");
+        assert!(value > 0.0, "the program must exercise {stat}");
+    }
 }
 
 #[test]

@@ -23,6 +23,7 @@ pub mod cache_attacks;
 pub mod layout;
 pub mod meltdown;
 pub mod multicore;
+pub mod probes;
 pub mod spectre;
 
 use uarch_isa::Program;
